@@ -33,7 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .chain import ChainCursor, TransitionKernel, diagnose, make_lazy, random_ergodic, stationary
+from .chain import (ChainCursor, TransitionKernel, diagnose, make_lazy, mixing_time,
+                    random_ergodic)
 from .errors import (
     ConfigError,
     ErgodicityError,
@@ -44,6 +45,7 @@ from .errors import (
 from .estimators import MlmcConfig
 from .problems import make_min_instance, make_vi_instance, matching_pennies
 from .solvers import (
+    MamdSchedule,
     mamd_batched,
     mamd_batched_schedule,
     mamd_unbatched,
@@ -191,10 +193,9 @@ def resolve_config(raw):
         res.setdefault(key, default)
     if res["problem.noise"] < 0:
         raise ConfigError("problem.noise must be >= 0", line=raw.get("problem.noise", (None, None))[1])
-    if res["T"] < 1:
-        raise ConfigError("T must be >= 1", line=raw.get("T", (None, None))[1])
-    if res["stride"] < 1:
-        raise ConfigError("stride must be >= 1", line=raw.get("stride", (None, None))[1])
+    for key in ("T", "stride", "B", "M"):
+        if res[key] is not None and res[key] < 1:
+            raise ConfigError(f"{key} must be >= 1", line=raw.get(key, (None, None))[1])
     if not res["sweep.T"]:
         raise ConfigError("sweep.T must be a non-empty grid")
     if res["schedule.source"] == "explicit":
@@ -289,9 +290,21 @@ def _gap_fn(res, problem):
 def _resolve_tau(res, kernel):
     if res["chain.tau_mix"] is not None:
         return int(res["chain.tau_mix"])
-    from .chain import mixing_time
-
     return mixing_time(kernel)
+
+
+def _build_instance(res):
+    """(problem, tau_mix) shared by every cell of a run or sweep; no problem for synthetic."""
+    kernel = build_kernel(res)
+    tau_mix = _resolve_tau(res, kernel)
+    problem = None if res["algorithm"] == "synthetic" else build_problem(res, kernel)
+    return problem, tau_mix
+
+
+def _mlmc(res, mlmc):
+    """The factory's MlmcConfig with the config's B and M applied over it."""
+    return MlmcConfig(B=mlmc.B if res["B"] is None else res["B"],
+                      M=mlmc.M if res["M"] is None else res["M"])
 
 
 def _run_solver(res, problem, tau_mix, seed, stride):
@@ -304,44 +317,30 @@ def _run_solver(res, problem, tau_mix, seed, stride):
     chain_seq, level_seq = ss.spawn(2)
     cursor = ChainCursor(problem.kernel, np.random.default_rng(chain_seq), start="stationary")
     level_rng = np.random.default_rng(level_seq)
-    gap_fn = _gap_fn(res, problem)
+    kw = {"gap_fn": _gap_fn(res, problem), "stride": stride}
     explicit = res["schedule.source"] == "explicit"
 
     if alg == "mamd":
         sched = mamd_unbatched_schedule(problem.L, D, sigma, tau_mix, T)
         if explicit:
-            c = res["schedule.c"]
-            tau = tau_mix
-            sched.beta = lambda t: max((t - tau) / 2.0 + 1.0, 1.0)
-            sched.gamma = lambda t: sched.beta(t) * c
-        return mamd_unbatched(problem, sched, cursor, T, gap_fn=gap_fn, stride=stride)
+            sched = MamdSchedule(res["schedule.c"], sched.tau)
+        return mamd_unbatched(problem, sched, cursor, T, **kw)
     if alg == "mamd-batched":
         sched, mlmc = mamd_batched_schedule(problem.L, D, sigma, tau_mix, T)
         if explicit:
-            c = res["schedule.c"]
-            sched.gamma = lambda t: sched.beta(t) * c
-        if res["B"] is not None or res["M"] is not None:
-            mlmc = MlmcConfig(B=res["B"] or 1, M=res["M"] or T)
-        return mamd_batched(
-            problem, sched, cursor, T, mlmc, level_rng, gap_fn=gap_fn, stride=stride
-        )
+            sched = MamdSchedule(res["schedule.c"], sched.tau)
+        return mamd_batched(problem, sched, cursor, T, _mlmc(res, mlmc), level_rng, **kw)
     if alg == "mmp":
         L_tilde = float(getattr(problem, "L_tilde", problem.L))
         gamma = res["schedule.gamma"] if explicit else mmp_unbatched_stepsize(
             L_tilde, D, sigma, tau_mix, T
         )
-        return mmp_unbatched(
-            problem, gamma, cursor, T, gap_fn=gap_fn, stride=stride, avg_start=tau_mix
-        )
+        return mmp_unbatched(problem, gamma, cursor, T, avg_start=tau_mix, **kw)
     if alg == "mmp-batched":
         gamma, mlmc = mmp_batched_params(problem.L, D, sigma, tau_mix, T)
         if explicit:
             gamma = res["schedule.gamma"]
-        if res["B"] is not None or res["M"] is not None:
-            mlmc = MlmcConfig(B=res["B"] or 1, M=res["M"] or T)
-        return mmp_batched(
-            problem, gamma, cursor, T, mlmc, level_rng, gap_fn=gap_fn, stride=stride
-        )
+        return mmp_batched(problem, gamma, cursor, T, _mlmc(res, mlmc), level_rng, **kw)
     raise MarkovMirrorError(f"no solver for algorithm {alg!r}")
 
 
@@ -397,16 +396,12 @@ def _record_rows(record, deterministic):
 
 
 def _worker_run(payload):
-    """Pool entry point: rebuild everything from the resolved config and run."""
-    res, seed, T = payload
-    res = dict(res)
-    res["T"] = T
+    """Pool entry point: one (seed, T) cell on the instance the command built."""
+    res, seed, T, problem, tau_mix = payload
     if res["algorithm"] == "synthetic":
         gap = float(T) ** res["synthetic.exponent"]
         return seed, T, gap, T, [(T, T, T, gap, 0.0)]
-    kernel = build_kernel(res)
-    problem = build_problem(res, kernel)
-    tau_mix = _resolve_tau(res, kernel)
+    res = dict(res, T=T)
     record = _run_solver(res, problem, tau_mix, seed, res["stride"])
     gap = float(record.gap[-1]) if record.gap.size else np.nan
     calls = int(record.oracle_calls[-1]) if record.oracle_calls.size else 0
@@ -425,11 +420,15 @@ def _map_jobs(payloads, jobs):
 # commands
 
 
+def _quartiles(gaps):
+    """(median, 25th percentile, 75th percentile) of a sample of final gaps."""
+    return float(np.median(gaps)), float(np.percentile(gaps, 25)), float(np.percentile(gaps, 75))
+
+
 def cmd_run(res, jobs, out_dir):
-    kernel = build_kernel(res)
-    tau_mix = _resolve_tau(res, kernel)
+    problem, tau_mix = _build_instance(res)
     h = config_hash(res)
-    payloads = [(res, seed, res["T"]) for seed in res["seeds"]]
+    payloads = [(res, seed, res["T"], problem, tau_mix) for seed in res["seeds"]]
     results = _map_jobs(payloads, jobs)
     os.makedirs(out_dir, exist_ok=True)
     gaps = []
@@ -444,53 +443,29 @@ def cmd_run(res, jobs, out_dir):
         summary,
         _header(res, tau_mix),
         ("n_seeds", "gap_median", "gap_q25", "gap_q75"),
-        [
-            (
-                len(gaps),
-                float(np.median(gaps)),
-                float(np.percentile(gaps, 25)),
-                float(np.percentile(gaps, 75)),
-            )
-        ],
+        [(len(gaps), *_quartiles(gaps))],
     )
     print(f"summary -> {summary}")
     return 0
 
 
 def cmd_sweep(res, jobs, out_dir):
-    kernel = build_kernel(res)
-    tau_mix = _resolve_tau(res, kernel)
+    problem, tau_mix = _build_instance(res)
     h = config_hash(res)
     grid = sorted(set(res["sweep.T"]))
-    payloads = [(res, seed, T) for T in grid for seed in res["seeds"]]
+    payloads = [(res, seed, T, problem, tau_mix) for T in grid for seed in res["seeds"]]
     results = _map_jobs(payloads, jobs)
-    by_T = {T: [] for T in grid}
-    calls_by_T = {T: [] for T in grid}
-    for seed, T, gap, calls, _ in results:
-        by_T[T].append(gap)
-        calls_by_T[T].append(calls)
-    rows = []
-    medians = []
-    gap_matrix = np.empty((len(res["seeds"]), len(grid)))
-    for j, T in enumerate(grid):
-        g = np.asarray(by_T[T], dtype=float)
-        gap_matrix[:, j] = g
-        med = float(np.median(g))
-        medians.append(med)
-        rows.append(
-            (
-                T,
-                int(np.median(calls_by_T[T])),
-                med,
-                float(np.percentile(g, 25)),
-                float(np.percentile(g, 75)),
-            )
-        )
-    fit = rate_fit(np.asarray(grid, dtype=float), np.asarray(medians))
+    # results come back in payload order: one block of seeds per T
+    shape = (len(grid), len(res["seeds"]))
+    gaps_by_T = np.array([r[2] for r in results], dtype=float).reshape(shape)
+    calls_by_T = np.array([r[3] for r in results]).reshape(shape)
+    rows = [(T, int(np.median(c)), *_quartiles(g)) for T, c, g in zip(grid, calls_by_T, gaps_by_T)]
+    gap_matrix = gaps_by_T.T
+    budgets = np.asarray(grid, dtype=float)
     if len(res["seeds"]) >= 2:
-        fit = bootstrap_rate_ci(
-            np.asarray(grid, dtype=float), gap_matrix, rng=np.random.default_rng(0)
-        )
+        fit = bootstrap_rate_ci(budgets, gap_matrix, rng=np.random.default_rng(0))
+    else:
+        fit = rate_fit(budgets, gap_matrix[0])
     extra = [("rate.slope", "%.17g" % fit.slope)]
     if fit.ci is not None:
         extra.append(("rate.ci", "%.17g,%.17g" % fit.ci))
@@ -519,14 +494,18 @@ def cmd_diagnose_chain(res):
     return 0
 
 
-def cmd_check_lemma1(res, out_dir):
+def _check_inputs(res, out_dir, name):
+    """Instance, resolved mixing time, noise deviations and CSV path of a check command."""
     kernel = build_kernel(res)
     problem = build_problem(res, kernel)
     tau_mix = _resolve_tau(res, kernel)
-    h = config_hash(res)
-    deviations = problem.noise_deviations()
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"lemma1_{h}.csv")
+    path = os.path.join(out_dir, f"{name}_{config_hash(res)}.csv")
+    return problem, tau_mix, problem.noise_deviations(), path
+
+
+def cmd_check_lemma1(res, out_dir):
+    problem, tau_mix, deviations, path = _check_inputs(res, out_dir, "lemma1")
     lo, hi = DEVIATION_SLOPE_WINDOW
     if np.max(np.abs(deviations)) == 0:
         extra = [("deviation.slope", "nan"), ("deviation.window", f"{lo},{hi}"),
@@ -536,7 +515,7 @@ def cmd_check_lemma1(res, out_dir):
         print(f"PASS check-lemma1: zero-noise deviations are identically zero -> {path}")
         return 0
     report = deviation_scaling(
-        kernel,
+        problem.kernel,
         deviations,
         problem.geometry.norm_pair,
         res["check.N"],
@@ -563,13 +542,7 @@ def cmd_check_lemma1(res, out_dir):
 
 
 def cmd_check_lemma2(res, out_dir):
-    kernel = build_kernel(res)
-    problem = build_problem(res, kernel)
-    tau_mix = _resolve_tau(res, kernel)
-    h = config_hash(res)
-    deviations = problem.noise_deviations()
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"lemma2_{h}.csv")
+    problem, tau_mix, deviations, path = _check_inputs(res, out_dir, "lemma2")
     lo, hi = BIAS_SLOPE_WINDOW
     if np.max(np.abs(deviations)) == 0:
         extra = [("bias.slope", "nan"), ("bias.window", f"{lo},{hi}"),
@@ -580,7 +553,7 @@ def cmd_check_lemma2(res, out_dir):
         return 0
     B = res["check.B"]
     Ns = [int(m) * B for m in res["check.M"]]
-    report = batch_bias_profile(kernel, deviations, problem.geometry.norm_pair, Ns)
+    report = batch_bias_profile(problem.kernel, deviations, problem.geometry.norm_pair, Ns)
     pairing = unbiasedness_check(
         problem,
         problem.geometry.center(),
@@ -664,9 +637,6 @@ def main(argv=None):
         if args.command == "check-lemma2":
             return cmd_check_lemma2(res, out_dir)
         raise MarkovMirrorError(f"unknown command {args.command!r}")
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except ErgodicityError as e:
         print(f"ergodicity error: {e}", file=sys.stderr)
         return 4
@@ -674,13 +644,11 @@ def main(argv=None):
         print(f"statistics error: {e}", file=sys.stderr)
         return 5
     except InputError as e:
-        # schedule/parameter violations trace back to the config in CLI use
+        # ConfigError, and schedule/parameter violations, which trace back
+        # to the config in CLI use
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except MarkovMirrorError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (MarkovMirrorError, OSError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 3
 

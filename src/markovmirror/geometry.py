@@ -131,16 +131,20 @@ class Geometry:
             raise InputError(f"{name} contains NaN/Inf")
         return x
 
+    def _check_prox_args(self, x, xi):
+        x = self._check_point(x)
+        xi = self._check_point(xi, "xi")
+        if not self.contains(x):
+            raise InputError("prox anchored at infeasible x")
+        return x, xi
+
     def prox_generic(self, x, xi, tol=1e-10, max_iter=10_000):
         """Fallback prox: projected gradient with backtracking on
         h(y) = V(x, y) + <xi, y>, stopped at fixed-point (KKT) residual <= tol.
 
         Independent of the closed forms; used to cross-validate them.
         """
-        x = self._check_point(x)
-        xi = self._check_point(xi, "xi")
-        if not self.contains(x):
-            raise InputError("prox anchored at infeasible x")
+        x, xi = self._check_prox_args(x, xi)
         gx = self._mirror_grad(x)
 
         def h(y):
@@ -189,18 +193,13 @@ class Geometry:
         )
 
 
-class BoxGeometry(Geometry):
-    """[lo, hi]^d with the half-squared Euclidean mirror map (p = 2)."""
+class _EuclideanGeometry(Geometry):
+    """Half-squared Euclidean mirror map (p = 2): the prox is project(x - xi)."""
 
-    kind = "box"
     mirror_map = "half-squared-euclidean"
 
-    def __init__(self, d, lo=0.0, hi=1.0):
+    def __init__(self, d):
         super().__init__(d, NormPair(2.0))
-        self.lo = float(lo)
-        self.hi = float(hi)
-        if not self.lo < self.hi:
-            raise InputError(f"box needs lo < hi, got [{lo}, {hi}]")
 
     def bregman(self, x, y):
         x = self._check_point(x)
@@ -212,11 +211,21 @@ class BoxGeometry(Geometry):
         return v
 
     def prox(self, x, xi):
-        x = self._check_point(x)
-        xi = self._check_point(xi, "xi")
-        if not self.contains(x):
-            raise InputError("prox anchored at infeasible x")
-        return np.clip(x - xi, self.lo, self.hi)
+        x, xi = self._check_prox_args(x, xi)
+        return self.project(x - xi)
+
+
+class BoxGeometry(_EuclideanGeometry):
+    """[lo, hi]^d with the half-squared Euclidean mirror map (p = 2)."""
+
+    kind = "box"
+
+    def __init__(self, d, lo=0.0, hi=1.0):
+        super().__init__(d)
+        self.lo = float(lo)
+        self.hi = float(hi)
+        if not self.lo < self.hi:
+            raise InputError(f"box needs lo < hi, got [{lo}, {hi}]")
 
     def diameter_sq(self):
         return self.d * (self.hi - self.lo) ** 2 / 8.0
@@ -248,36 +257,19 @@ class BoxGeometry(Geometry):
         return [np.array(c, dtype=float) for c in corners]
 
 
-class BallGeometry(Geometry):
+class BallGeometry(_EuclideanGeometry):
     """Euclidean ball with the half-squared Euclidean mirror map (p = 2)."""
 
     kind = "ball"
-    mirror_map = "half-squared-euclidean"
 
     def __init__(self, d, radius=1.0, center=None):
-        super().__init__(d, NormPair(2.0))
+        super().__init__(d)
         self.radius = float(radius)
         if self.radius <= 0:
             raise InputError(f"ball radius must be positive, got {radius}")
         self._center = (
             np.zeros(d) if center is None else self._check_point(np.asarray(center, float))
         )
-
-    def bregman(self, x, y):
-        x = self._check_point(x)
-        y = self._check_point(y, "y")
-        diff = y - x
-        return 0.5 * float(diff @ diff)
-
-    def _mirror_grad(self, v):
-        return v
-
-    def prox(self, x, xi):
-        x = self._check_point(x)
-        xi = self._check_point(xi, "xi")
-        if not self.contains(x):
-            raise InputError("prox anchored at infeasible x")
-        return self.project(x - xi)
 
     def diameter_sq(self):
         return self.radius**2 / 2.0
@@ -396,10 +388,7 @@ class SimplexGeometry(Geometry):
         return out
 
     def prox(self, x, xi):
-        x = self._check_point(x)
-        xi = self._check_point(xi, "xi")
-        if not self.contains(x):
-            raise InputError("prox anchored at infeasible x")
+        x, xi = self._check_prox_args(x, xi)
         self._check_interior(x)
         out = np.empty_like(x)
         for s in self._slices:

@@ -42,17 +42,59 @@ def _checked_sigma(geometry, shifts, sigma):
     return sigma
 
 
-def _make_shifts(rng, n_states, d, pi, scale, dual_norm):
+def _make_shifts(rng, kernel, geometry, scale):
     """Zero-pi-mean shift vectors with max dual norm exactly `scale`."""
     if scale == 0.0:
-        return np.zeros((n_states, d))
-    g = rng.normal(size=(n_states, d))
-    g -= pi @ g
-    peak = np.max(dual_norm(g, axis=1))
+        return np.zeros((kernel.n_states, geometry.d))
+    g = rng.normal(size=(kernel.n_states, geometry.d))
+    g -= stationary(kernel) @ g
+    peak = np.max(geometry.dual_norm(g, axis=1))
     return g * (scale / peak)
 
 
-class MinProblem:
+def _oracle(problem):
+    """The stochastic oracle(x, z) of a problem: op_oracle for a VI, else grad_oracle."""
+    return getattr(problem, "op_oracle", None) or problem.grad_oracle
+
+
+class _ShiftedProblem:
+    """Shared part of both families: an affine map M x +/- v over a geometry,
+    perturbed at chain state z by a shift row of zero stationary mean.
+
+    `_setup` checks shapes and the zero pi-mean of the shifts, records
+    the norm-correct constant L of M, the noise level sigma and x*, and
+    returns (M, v); subclasses name them and check the structure M needs.
+    """
+
+    def _setup(self, geometry, M, v, shifts, kernel, x_star, sigma):
+        M = np.array(M, dtype=float)
+        v = np.asarray(v, dtype=float)
+        shifts = np.asarray(shifts, dtype=float)
+        d = geometry.d
+        if M.shape != (d, d) or v.shape != (d,):
+            raise InputError(f"{self._names} shapes {M.shape}/{v.shape} do not match d={d}")
+        M = self._check_matrix(M)
+        if shifts.shape != (kernel.n_states, d):
+            raise InputError(f"shifts shape {shifts.shape} != ({kernel.n_states}, {d})")
+        pi = stationary(kernel)
+        if np.max(np.abs(pi @ shifts)) > 1e-12:
+            raise InputError("state shifts must have zero stationary mean")
+        self.geometry = geometry
+        self.shifts = shifts
+        self.kernel = kernel
+        self.L = _operator_norm(M, geometry.norm_pair.p)
+        self.sigma = _checked_sigma(geometry, shifts, sigma)
+        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+        return M, v
+
+    def _point(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.geometry.d,):
+            raise InputError(f"x has shape {x.shape}, expected ({self.geometry.d},)")
+        return x
+
+
+class MinProblem(_ShiftedProblem):
     """min over the feasible set of f(x) = x'Ax/2 - b'x, A symmetric PSD.
 
     The stochastic gradient at chain state z is A x - b - c_z with
@@ -60,44 +102,27 @@ class MinProblem:
     """
 
     is_minimization = True
+    _names = "A/b"
 
     def __init__(self, geometry, A, b, shifts, kernel, x_star=None, f_star=None,
                  sigma=None):
-        A = np.array(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        shifts = np.asarray(shifts, dtype=float)
-        d = geometry.d
-        if A.shape != (d, d) or b.shape != (d,):
-            raise InputError(f"A/b shapes {A.shape}/{b.shape} do not match d={d}")
+        self.A, self.b = self._setup(geometry, A, b, shifts, kernel, x_star, sigma)
+        self.f_star = None if f_star is None else float(f_star)
+
+    def _check_matrix(self, A):
         if np.max(np.abs(A - A.T)) > 1e-10:
             raise InputError("A must be symmetric")
         A = 0.5 * (A + A.T)
         if np.min(np.linalg.eigvalsh(A)) < -1e-10:
             raise InputError("A must be positive semidefinite")
-        if shifts.shape != (kernel.n_states, d):
-            raise InputError(f"shifts shape {shifts.shape} != ({kernel.n_states}, {d})")
-        pi = stationary(kernel)
-        if np.max(np.abs(pi @ shifts)) > 1e-12:
-            raise InputError("state shifts must have zero stationary mean")
-        self.geometry = geometry
-        self.A = A
-        self.b = b
-        self.shifts = shifts
-        self.kernel = kernel
-        self.L = _operator_norm(A, geometry.norm_pair.p)
-        self.sigma = _checked_sigma(geometry, shifts, sigma)
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
-        self.f_star = None if f_star is None else float(f_star)
+        return A
 
     def f(self, x):
         x = np.asarray(x, dtype=float)
         return 0.5 * float(x @ self.A @ x) - float(self.b @ x)
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.geometry.d,):
-            raise InputError(f"x has shape {x.shape}, expected ({self.geometry.d},)")
-        return self.A @ x - self.b
+        return self.A @ self._point(x) - self.b
 
     def grad_oracle(self, x, z):
         """Stochastic gradient A x - b - c_z; z may be an int or a state vector."""
@@ -108,7 +133,7 @@ class MinProblem:
         return -self.shifts
 
 
-class ViProblem:
+class ViProblem(_ShiftedProblem):
     """Monotone affine VI F(x) = Qx + c over the feasible set.
 
     Factory-built instances have skew-symmetric Q (two-player zero-sum
@@ -119,42 +144,24 @@ class ViProblem:
     """
 
     is_minimization = False
+    _names = "Q/c"
 
     def __init__(self, geometry, Q, c, shifts, kernel, x_star=None, sigma=None):
-        Q = np.array(Q, dtype=float)
-        c = np.asarray(c, dtype=float)
-        shifts = np.asarray(shifts, dtype=float)
-        d = geometry.d
-        if Q.shape != (d, d) or c.shape != (d,):
-            raise InputError(f"Q/c shapes {Q.shape}/{c.shape} do not match d={d}")
-        sym = 0.5 * (Q + Q.T)
-        if np.min(np.linalg.eigvalsh(sym)) < -1e-10:
-            raise InputError("Q must have PSD symmetric part (monotone operator)")
-        if shifts.shape != (kernel.n_states, d):
-            raise InputError(f"shifts shape {shifts.shape} != ({kernel.n_states}, {d})")
-        pi = stationary(kernel)
-        if np.max(np.abs(pi @ shifts)) > 1e-12:
-            raise InputError("state shifts must have zero stationary mean")
-        self.geometry = geometry
-        self.Q = Q
-        self.c = c
-        self.shifts = shifts
-        self.kernel = kernel
-        self.L = _operator_norm(Q, geometry.norm_pair.p)
+        self.Q, self.c = self._setup(geometry, Q, c, shifts, kernel, x_star, sigma)
         # per-state operators differ from F by a constant, so the uniform
         # per-realization Lipschitz constant coincides with L
         self.L_tilde = self.L
-        self.sigma = _checked_sigma(geometry, shifts, sigma)
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+
+    def _check_matrix(self, Q):
+        if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-10:
+            raise InputError("Q must have PSD symmetric part (monotone operator)")
+        return Q
 
     def is_skew(self, tol=1e-12):
         return bool(np.max(np.abs(self.Q + self.Q.T)) <= tol)
 
     def op(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.geometry.d,):
-            raise InputError(f"x has shape {x.shape}, expected ({self.geometry.d},)")
-        return self.Q @ x + self.c
+        return self.Q @ self._point(x) + self.c
 
     def op_oracle(self, x, z):
         """Stochastic operator Qx + c + e_z; z may be an int or a state vector."""
@@ -321,8 +328,7 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
         target = geo.renormalize(0.5 * rng.dirichlet(np.ones(d)) + 0.5 / d)
     b = A @ target
 
-    pi = stationary(kernel)
-    shifts = _make_shifts(rng, kernel.n_states, d, pi, noise_scale, geo.dual_norm)
+    shifts = _make_shifts(rng, kernel, geo, noise_scale)
     f_star = 0.5 * float(target @ A @ target) - float(b @ target)
     return MinProblem(geo, A, b, shifts, kernel, x_star=target, f_star=f_star,
                       sigma=noise_scale)
@@ -344,8 +350,7 @@ def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0,
     Q[:d1, d1:] = G
     Q[d1:, :d1] = -G.T
     c = affine_scale * lipschitz * rng.normal(size=d)
-    pi = stationary(kernel)
-    shifts = _make_shifts(rng, kernel.n_states, d, pi, noise_scale, geo.dual_norm)
+    shifts = _make_shifts(rng, kernel, geo, noise_scale)
     problem = ViProblem(geo, Q, c, shifts, kernel, sigma=noise_scale)
     problem.x_star = _solve_vi_reference(problem)
     return problem
@@ -370,8 +375,7 @@ def matching_pennies(kernel, block_dim=2, noise_scale=0.0, seed=0, scale=1.0):
     Q[block_dim:, :block_dim] = -G.T
     geo = SimplexGeometry((block_dim, block_dim))
     rng = np.random.default_rng(seed)
-    pi = stationary(kernel)
-    shifts = _make_shifts(rng, kernel.n_states, d, pi, noise_scale, geo.dual_norm)
+    shifts = _make_shifts(rng, kernel, geo, noise_scale)
     problem = ViProblem(geo, Q, np.zeros(d), shifts, kernel, x_star=geo.center(),
                         sigma=noise_scale)
 

@@ -1,19 +1,21 @@
 """Mirror-descent and mirror-prox solvers driven by a Markov chain cursor.
 
-Two families:
+Two families, each one loop that takes its estimators as arguments:
 
 * accelerated stochastic mirror descent for smooth minimization
-  (`mamd_unbatched` / `mamd_batched`), with momentum/stepsize schedules
-  built by the factory functions below;
+  (`mamd_unbatched` / `mamd_batched`), with the momentum/stepsize
+  schedule `MamdSchedule(c, tau)` built by the factory functions below;
 * stochastic mirror prox for monotone VIs and matrix games
   (`mmp_unbatched` / `mmp_batched`) with a constant stepsize.
 
-The unbatched variants consume one correlated chain state per oracle
-evaluation; the batched variants replace the single draw with a batch
+The unbatched variants consume one correlated chain state per
+iteration; the batched variants replace the single draw with a batch
 mean and a truncated-geometric multilevel estimate, which restores
 clean stepsize constants at the price of more oracle calls per
-iteration.  With B = M = 1 the batched loops reduce exactly to the
-unbatched ones on the same stream.
+iteration.  With B = M = 1 the batched loops produce the unbatched
+iterates only when the oracle is noiseless: M = 1 truncates every level
+J >= 1 to a single sample yet still advances the cursor by 2^J states,
+so on a noisy problem the two read different states of the stream.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from .chain import mixing_time
 from .errors import InputError, ScheduleError
-from .estimators import MlmcConfig, batch_mean, mlmc_geometric, single_sample
+from .estimators import Estimate, MlmcConfig, batch_mean, mlmc_geometric, single_sample
+from .problems import _oracle
 
 __all__ = [
     "MamdSchedule",
@@ -41,55 +44,44 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MamdSchedule:
     """Momentum/stepsize schedule for accelerated mirror descent.
 
-    beta(t) is the momentum parameter and gamma(t) the mirror stepsize
-    at iteration t; tau is the warmup offset baked into them (0 for the
-    batched variant).
+    beta(t) = max((t - tau)/2 + 1, 1) is the momentum parameter and
+    gamma(t) = c * beta(t) the mirror stepsize at iteration t; tau is the
+    warmup during which beta stays at 1 (0 for the batched variant).
     """
 
-    beta: object
-    gamma: object
+    c: float
     tau: int = 0
 
+    def beta(self, t):
+        """Momentum parameter at iteration t; t may be an integer array."""
+        return np.maximum((t - self.tau) / 2.0 + 1.0, 1.0)
+
+    def gamma(self, t):
+        return self.c * self.beta(t)
+
     def arrays(self, T):
+        """(betas, gammas) for t = 0, ..., T."""
         ts = np.arange(int(T) + 1)
-        betas = np.array([float(self.beta(int(t))) for t in ts])
-        gammas = np.array([float(self.gamma(int(t))) for t in ts])
-        return betas, gammas
+        return self.beta(ts), self.gamma(ts)
 
     def validate(self, L, T):
         """Check the invariants the convergence analysis rests on.
 
-        Raises ScheduleError if beta(tau) != 1, any stepsize is
-        nonpositive, beta_t < 2 gamma_t L, or the telescoping condition
-        (beta_{t+1} - 1) gamma_{t+1} <= beta_t gamma_t fails on [0, T].
+        beta(tau) = 1, beta >= 1 and the telescoping condition
+        (beta_{t+1} - 1) gamma_{t+1} <= beta_t gamma_t hold for every
+        (c, tau), so what is left is 0 < c <= 1/(2L), i.e.
+        beta_t >= 2 gamma_t L at every t <= T.  Raises ScheduleError
+        otherwise.
         """
-        betas, gammas = self.arrays(T)
-        if not (np.all(np.isfinite(betas)) and np.all(np.isfinite(gammas))):
-            raise ScheduleError("schedule produced non-finite beta/gamma")
-        if np.any(gammas <= 0):
-            raise ScheduleError("gamma(t) must be positive")
-        if np.any(betas < 1.0 - 1e-12):
-            raise ScheduleError("beta(t) must be >= 1")
-        if self.tau <= T and abs(float(self.beta(self.tau)) - 1.0) > 1e-9:
-            raise ScheduleError(
-                f"beta(tau) must equal 1, got beta({self.tau}) = {self.beta(self.tau)}"
-            )
-        lhs = (betas[1:] - 1.0) * gammas[1:]
-        rhs = betas[:-1] * gammas[:-1]
-        bad = lhs > rhs * (1 + 1e-9) + 1e-12
-        if np.any(bad):
-            t = int(np.argmax(bad)) + 1
-            raise ScheduleError(
-                f"(beta_t - 1) gamma_t decreased below beta gamma at t = {t}"
-            )
-        bad = betas < 2.0 * gammas * L * (1 - 1e-9) - 1e-12
-        if np.any(bad):
-            t = int(np.argmax(bad))
-            raise ScheduleError(f"beta_t < 2 gamma_t L at t = {t}")
+        c = float(self.c)
+        if not (np.isfinite(c) and c > 0):
+            raise ScheduleError(f"stepsize constant c must be positive and finite, got {c}")
+        if 2.0 * c * L * (1 - 1e-9) > 1.0:
+            raise ScheduleError(f"c = {c} exceeds 1/(2 L) = {0.5 / L}")
 
 
 @dataclass
@@ -113,14 +105,21 @@ class RunRecord:
 
 
 class _Recorder:
-    def __init__(self, T, stride, gap_fn):
-        self.T = int(T)
+    """Rows, kept iterate pairs and the RunRecord of one run described by `config`."""
+
+    def __init__(self, config, gap_fn, stride, keep_iterates):
+        self.config = config
+        self.T = config["T"]
         self.stride = None if stride in (None, 0) else int(stride)
         self.gap_fn = gap_fn
+        self.kept = [] if keep_iterates else None
         self.t0 = time.perf_counter()
         self.rows = []
 
-    def maybe(self, t, calls, steps, point):
+    def maybe(self, t, calls, steps, point, pair):
+        """After iteration t: keep `pair` if asked, record a row at the stride."""
+        if self.kept is not None:
+            self.kept.append((pair[0].copy(), pair[1].copy()))
         if t != self.T and (self.stride is None or t % self.stride != 0):
             return
         if self.gap_fn is None or point is None:
@@ -130,7 +129,7 @@ class _Recorder:
         wall = (time.perf_counter() - self.t0) * 1e3
         self.rows.append((t, calls, steps, gap, wall))
 
-    def finish(self, x_out, x_last, config, iterates):
+    def finish(self, x_out, x_last):
         cols = list(zip(*self.rows)) if self.rows else [[], [], [], [], []]
         return RunRecord(
             t=np.asarray(cols[0], dtype=np.int64),
@@ -140,8 +139,8 @@ class _Recorder:
             wall_ms=np.asarray(cols[4], dtype=float),
             x_out=np.array(x_out, dtype=float),
             x_last=np.array(x_last, dtype=float),
-            config=config,
-            iterates=iterates,
+            config=self.config,
+            iterates=self.kept,
         )
 
 
@@ -150,6 +149,34 @@ def _check_T(T):
     if T < 1:
         raise InputError(f"T must be >= 1, got {T}")
     return T
+
+
+def _check_gamma(gamma, L):
+    gamma = float(gamma)
+    if not gamma > 0:  # also catches NaN
+        raise ScheduleError(f"gamma must be positive, got {gamma}")
+    if gamma > 0.5 / L * (1 + 1e-9):
+        raise ScheduleError(f"gamma = {gamma} exceeds 1/(2 L) = {0.5 / L}")
+    return gamma
+
+
+def _descent(problem, schedule, T, estimate, rec, x0):
+    """Accelerated mirror descent; `estimate(x)` draws the gradient Estimate at x."""
+    betas, gammas = (a.tolist() for a in schedule.arrays(T))
+    geo = problem.geometry
+    x = geo.center() if x0 is None else np.array(x0, dtype=float)
+    x_f = x.copy()
+    calls = steps = 0
+    for t in range(T):
+        inv = 1.0 / betas[t]
+        x_g = inv * x + (1.0 - inv) * x_f
+        est = estimate(x_g)
+        x = geo.prox(x, gammas[t] * est.g)
+        x_f = inv * x + (1.0 - inv) * x_f
+        calls += est.oracle_calls
+        steps += est.chain_steps
+        rec.maybe(t + 1, calls, steps, x_f, (x, x_f))
+    return rec.finish(x_f, x)
 
 
 def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
@@ -163,26 +190,10 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
     schedule.validate(problem.L, T)
     if T < schedule.tau:
         raise ScheduleError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
-    geo = problem.geometry
     oracle = problem.grad_oracle
-    x = geo.center() if x0 is None else np.array(x0, dtype=float)
-    x_f = x.copy()
-    calls = steps = 0
-    rec = _Recorder(T, stride, gap_fn)
-    kept = [] if keep_iterates else None
-    for t in range(T):
-        inv = 1.0 / float(schedule.beta(t))
-        x_g = inv * x + (1.0 - inv) * x_f
-        est = single_sample(oracle, x_g, cursor)
-        x = geo.prox(x, float(schedule.gamma(t)) * est.g)
-        x_f = inv * x + (1.0 - inv) * x_f
-        calls += est.oracle_calls
-        steps += est.chain_steps
-        if kept is not None:
-            kept.append((x.copy(), x_f.copy()))
-        rec.maybe(t + 1, calls, steps, x_f)
     config = {"algorithm": "mamd_unbatched", "T": T, "tau": schedule.tau}
-    return rec.finish(x_f, x, config, kept)
+    return _descent(problem, schedule, T, lambda x: single_sample(oracle, x, cursor),
+                    _Recorder(config, gap_fn, stride, keep_iterates), x0)
 
 
 def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
@@ -194,34 +205,39 @@ def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
     """
     T = _check_T(T)
     schedule.validate(problem.L, T)
-    geo = problem.geometry
     oracle = problem.grad_oracle
-    x = geo.center() if x0 is None else np.array(x0, dtype=float)
-    x_f = x.copy()
-    calls = steps = 0
-    rec = _Recorder(T, stride, gap_fn)
-    kept = [] if keep_iterates else None
-    for t in range(T):
-        inv = 1.0 / float(schedule.beta(t))
-        x_g = inv * x + (1.0 - inv) * x_f
-        est = mlmc_geometric(oracle, x_g, cursor, mlmc, level_rng)
-        x = geo.prox(x, float(schedule.gamma(t)) * est.g)
-        x_f = inv * x + (1.0 - inv) * x_f
-        calls += est.oracle_calls
-        steps += est.chain_steps
-        if kept is not None:
-            kept.append((x.copy(), x_f.copy()))
-        rec.maybe(t + 1, calls, steps, x_f)
     config = {
         "algorithm": "mamd_batched", "T": T, "tau": schedule.tau,
         "B": mlmc.B, "M": mlmc.M,
     }
-    return rec.finish(x_f, x, config, kept)
+    return _descent(problem, schedule, T,
+                    lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng),
+                    _Recorder(config, gap_fn, stride, keep_iterates), x0)
 
 
-def _vi_oracle(problem):
-    op = getattr(problem, "op_oracle", None)
-    return op if op is not None else problem.grad_oracle
+def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
+    """Mirror prox: `half(x)` and `full(x_half)` draw the two operator Estimates.
+
+    Averages the half-step iterates from iteration `avg_start` on.
+    """
+    geo = problem.geometry
+    x = geo.center() if x0 is None else np.array(x0, dtype=float)
+    x_hat = None
+    calls = steps = 0
+    for t in range(T):
+        est_half = half(x)
+        x_half = geo.prox(x, gamma * est_half.g)
+        est_full = full(x_half)
+        x = geo.prox(x, gamma * est_full.g)
+        calls += est_half.oracle_calls + est_full.oracle_calls
+        steps += est_half.chain_steps + est_full.chain_steps
+        if t >= avg_start:
+            if x_hat is None:
+                x_hat = x_half.copy()
+            else:
+                x_hat += (x_half - x_hat) / (t - avg_start + 1)
+        rec.maybe(t + 1, calls, steps, x_hat, (x_half, x))
+    return rec.finish(x_hat, x)
 
 
 def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
@@ -233,12 +249,7 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
     evaluations but a single chain step.
     """
     T = _check_T(T)
-    gamma = float(gamma)
-    L_tilde = float(getattr(problem, "L_tilde", problem.L))
-    if gamma <= 0:
-        raise ScheduleError(f"gamma must be positive, got {gamma}")
-    if gamma > 0.5 / L_tilde * (1 + 1e-9):
-        raise ScheduleError(f"gamma = {gamma} exceeds 1/(2 L) = {0.5 / L_tilde}")
+    gamma = _check_gamma(gamma, float(getattr(problem, "L_tilde", problem.L)))
     if avg_start is None:
         avg_start = mixing_time(cursor.kernel)
     avg_start = int(avg_start)
@@ -246,34 +257,18 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
         raise ScheduleError(
             f"T = {T} leaves an empty averaging window starting at {avg_start}"
         )
-    geo = problem.geometry
-    oracle = _vi_oracle(problem)
-    x = geo.center() if x0 is None else np.array(x0, dtype=float)
-    x_hat = None
-    n_avg = 0
-    calls = steps = 0
-    rec = _Recorder(T, stride, gap_fn)
-    kept = [] if keep_iterates else None
-    for t in range(T):
-        z = int(cursor.advance(1)[0])
-        x_half = geo.prox(x, gamma * np.asarray(oracle(x, z), dtype=float))
-        x = geo.prox(x, gamma * np.asarray(oracle(x_half, z), dtype=float))
-        calls += 2
-        steps += 1
-        if t >= avg_start:
-            n_avg += 1
-            if x_hat is None:
-                x_hat = x_half.copy()
-            else:
-                x_hat += (x_half - x_hat) / n_avg
-        if kept is not None:
-            kept.append((x_half.copy(), x.copy()))
-        rec.maybe(t + 1, calls, steps, x_hat)
+    oracle = _oracle(problem)
     config = {
         "algorithm": "mmp_unbatched", "T": T, "gamma": gamma,
         "avg_start": avg_start,
     }
-    return rec.finish(x_hat, x, config, kept)
+    # the full step re-reads the state the half step drew (cursor.state),
+    # so it costs an oracle call but no chain step
+    return _mirror_prox(problem, gamma, T,
+                        lambda x: single_sample(oracle, x, cursor),
+                        lambda x: Estimate(np.asarray(oracle(x, cursor.state), dtype=float),
+                                           oracle_calls=1, chain_steps=0, level=0),
+                        avg_start, _Recorder(config, gap_fn, stride, keep_iterates), x0)
 
 
 def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
@@ -285,45 +280,23 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
     half-step point.  Averages all half-step iterates from t = 0.
     """
     T = _check_T(T)
-    gamma = float(gamma)
-    L = float(problem.L)
-    if gamma <= 0:
-        raise ScheduleError(f"gamma must be positive, got {gamma}")
-    if gamma > 0.5 / L * (1 + 1e-9):
-        raise ScheduleError(f"gamma = {gamma} exceeds 1/(2 L) = {0.5 / L}")
-    geo = problem.geometry
-    oracle = _vi_oracle(problem)
-    x = geo.center() if x0 is None else np.array(x0, dtype=float)
-    x_hat = None
-    calls = steps = 0
-    rec = _Recorder(T, stride, gap_fn)
-    kept = [] if keep_iterates else None
-    for t in range(T):
-        est_half = batch_mean(oracle, x, cursor, mlmc.B)
-        x_half = geo.prox(x, gamma * est_half.g)
-        est_full = mlmc_geometric(oracle, x_half, cursor, mlmc, level_rng)
-        x = geo.prox(x, gamma * est_full.g)
-        calls += est_half.oracle_calls + est_full.oracle_calls
-        steps += est_half.chain_steps + est_full.chain_steps
-        if x_hat is None:
-            x_hat = x_half.copy()
-        else:
-            x_hat += (x_half - x_hat) / (t + 1)
-        if kept is not None:
-            kept.append((x_half.copy(), x.copy()))
-        rec.maybe(t + 1, calls, steps, x_hat)
+    gamma = _check_gamma(gamma, float(problem.L))
+    oracle = _oracle(problem)
     config = {
         "algorithm": "mmp_batched", "T": T, "gamma": gamma,
         "B": mlmc.B, "M": mlmc.M,
     }
-    return rec.finish(x_hat, x, config, kept)
+    return _mirror_prox(problem, gamma, T,
+                        lambda x: batch_mean(oracle, x, cursor, mlmc.B),
+                        lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng),
+                        0, _Recorder(config, gap_fn, stride, keep_iterates), x0)
 
 
 # ---------------------------------------------------------------------------
 # schedule / stepsize factories
 
 
-def _check_params(L, D, sigma, tau_mix, T):
+def _check_params(L, D, sigma, tau_mix, T, warmup=False):
     if not (L > 0 and np.isfinite(L)):
         raise InputError(f"L must be positive and finite, got {L}")
     if not (D > 0 and np.isfinite(D)):
@@ -333,9 +306,9 @@ def _check_params(L, D, sigma, tau_mix, T):
     tau_mix = int(tau_mix)
     if sigma > 0 and tau_mix < 1:
         raise InputError(f"tau_mix must be >= 1 when sigma > 0, got {tau_mix}")
-    T = int(T)
-    if T < 1:
-        raise InputError(f"T must be >= 1, got {T}")
+    T = _check_T(T)
+    if warmup and T <= tau_mix:
+        raise InputError(f"T = {T} must exceed tau_mix = {tau_mix}")
     return float(L), float(D), float(sigma), tau_mix, T
 
 
@@ -347,20 +320,11 @@ def mamd_unbatched_schedule(L, D, sigma, tau_mix, T):
     balances the smoothness term against the noise accumulated over
     the effective horizon T - tau_mix.
     """
-    L, D, sigma, tau, T = _check_params(L, D, sigma, tau_mix, T)
-    if T <= tau:
-        raise InputError(f"T = {T} must exceed tau_mix = {tau}")
+    L, D, sigma, tau, T = _check_params(L, D, sigma, tau_mix, T, warmup=True)
     c = 0.5 / L
     if sigma > 0:
         c = min(c, D / ((T - tau) ** 1.5 * sigma * tau**1.5))
-
-    def beta(t):
-        return max((t - tau) / 2.0 + 1.0, 1.0)
-
-    def gamma(t):
-        return beta(t) * c
-
-    return MamdSchedule(beta=beta, gamma=gamma, tau=tau)
+    return MamdSchedule(c, tau)
 
 
 def mamd_batched_schedule(L, D, sigma, tau_mix, T):
@@ -374,21 +338,12 @@ def mamd_batched_schedule(L, D, sigma, tau_mix, T):
     c = 0.5 / L
     if sigma > 0:
         c = min(c, D / (T**1.5 * sigma * tau**0.5))
-
-    def beta(t):
-        return t / 2.0 + 1.0
-
-    def gamma(t):
-        return beta(t) * c
-
-    return MamdSchedule(beta=beta, gamma=gamma, tau=0), MlmcConfig(B=1, M=T)
+    return MamdSchedule(c, 0), MlmcConfig(B=1, M=T)
 
 
 def mmp_unbatched_stepsize(L_tilde, D, sigma, tau_mix, T):
     """Constant stepsize for single-sample mirror prox."""
-    L_tilde, D, sigma, tau, T = _check_params(L_tilde, D, sigma, tau_mix, T)
-    if T <= tau:
-        raise InputError(f"T = {T} must exceed tau_mix = {tau}")
+    L_tilde, D, sigma, tau, T = _check_params(L_tilde, D, sigma, tau_mix, T, warmup=True)
     gamma = 0.5 / L_tilde
     if sigma > 0:
         gamma = min(gamma, D / ((T - tau) ** 0.5 * sigma * tau))

@@ -25,7 +25,8 @@ import numpy as np
 
 from .chain import ChainCursor, stationary
 from .errors import InputError, StatisticsError
-from .estimators import _MAX_LEVEL, combine_levels
+from .estimators import _MAX_LEVEL, _eval_rows, combine_levels
+from .problems import _oracle
 
 __all__ = [
     "DEVIATION_SLOPE_WINDOW",
@@ -127,14 +128,9 @@ class ScalingReport:
     slope: float
     constant: float  # exp(mean log(E * N)): the fitted level of E * N
 
-    def rows(self):
-        return [
-            {"N": int(n), "mean": float(m), "se": float(s)}
-            for n, m, s in zip(self.N, self.mean, self.se)
-        ]
-
 
 def _check_centered(kernel, deviations):
+    """(pi, deviations minus their pi-mean) after checking that mean is ~0."""
     pi = stationary(kernel)
     drift = pi @ deviations
     worst = float(np.max(np.abs(drift))) if drift.size else 0.0
@@ -142,7 +138,7 @@ def _check_centered(kernel, deviations):
         raise StatisticsError(
             f"deviations are not centered under the stationary law (max {worst:.3e})"
         )
-    return pi
+    return pi, deviations - drift
 
 
 def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
@@ -159,8 +155,7 @@ def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
     n_trials = int(n_trials)
     if n_trials < 2:
         raise StatisticsError(f"need at least 2 trials, got {n_trials}")
-    pi = _check_centered(kernel, deviations)
-    centered = deviations - pi @ deviations
+    _, centered = _check_centered(kernel, deviations)
     states = kernel.sample_stationary(rng, n_trials)
     sums = np.zeros((n_trials, deviations.shape[1]))
     targets = set(Ns.tolist())
@@ -196,11 +191,6 @@ class BiasReport:
     bias_sq: np.ndarray
     slope: float
 
-    def rows(self):
-        return [
-            {"N": int(n), "bias_sq": float(b)} for n, b in zip(self.N, self.bias_sq)
-        ]
-
 
 def batch_bias_profile(kernel, deviations, norm_pair, Ns):
     """Exact E_z0 ||(1/N) sum_{i<=N} (P^i(z0,:) - pi) Delta||_*^2 for each N.
@@ -213,8 +203,7 @@ def batch_bias_profile(kernel, deviations, norm_pair, Ns):
     Ns = np.asarray(sorted(int(n) for n in Ns), dtype=np.int64)
     if Ns.size < 1 or Ns[0] < 1:
         raise InputError("Ns must be positive lengths")
-    pi = _check_centered(kernel, deviations)
-    centered = deviations - pi @ deviations
+    pi, centered = _check_centered(kernel, deviations)
     cur = centered.copy()
     acc = np.zeros_like(centered)
     targets = set(Ns.tolist())
@@ -236,14 +225,15 @@ def batch_bias_profile(kernel, deviations, norm_pair, Ns):
 # multilevel estimator diagnostics
 
 
-def _problem_oracle(problem):
-    op = getattr(problem, "op_oracle", None)
-    return op if op is not None else problem.grad_oracle
-
-
-def _spawn_rngs(rng, n):
-    seeds = rng.integers(0, 2**63, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]
+def _trial_streams(problem, n_trials, rng, start):
+    """Checked trial count, a cursor and a level generator on independent
+    streams spawned from `rng`, and the problem's oracle."""
+    n_trials = int(n_trials)
+    if n_trials < 2:
+        raise StatisticsError(f"need at least 2 trials, got {n_trials}")
+    rng_chain, rng_level = (np.random.default_rng(int(s)) for s in rng.integers(0, 2**63, size=2))
+    cursor = ChainCursor(problem.kernel, rng_chain, start=start)
+    return n_trials, cursor, rng_level, _oracle(problem)
 
 
 @dataclass
@@ -258,14 +248,9 @@ class MomentReport:
 
 def estimator_moments(problem, x, config, n_trials, rng, start="stationary"):
     """Monte-Carlo mean/variance of the multilevel estimate at a fixed point."""
-    n_trials = int(n_trials)
-    if n_trials < 2:
-        raise StatisticsError(f"need at least 2 trials, got {n_trials}")
     from .estimators import mlmc_geometric
 
-    rng_chain, rng_level = _spawn_rngs(rng, 2)
-    cursor = ChainCursor(problem.kernel, rng_chain, start=start)
-    oracle = _problem_oracle(problem)
+    n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng, start)
     x = np.asarray(x, dtype=float)
     gs = np.empty((n_trials, x.size))
     calls = np.empty(n_trials)
@@ -304,21 +289,14 @@ def unbiasedness_check(problem, x, config, n_trials, rng, start="stationary"):
     conditional on the trajectory, so the per-coordinate t-ratio is a
     calibrated unbiasedness statistic.
     """
-    n_trials = int(n_trials)
-    if n_trials < 2:
-        raise StatisticsError(f"need at least 2 trials, got {n_trials}")
-    rng_chain, rng_level = _spawn_rngs(rng, 2)
-    cursor = ChainCursor(problem.kernel, rng_chain, start=start)
-    oracle = _problem_oracle(problem)
+    n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng, start)
     x = np.asarray(x, dtype=float)
     n_pref = (1 << config.max_level) * config.B
     diffs = np.empty((n_trials, x.size))
     for i in range(n_trials):
         level = min(int(rng_level.geometric(0.5)), _MAX_LEVEL)
         states = cursor.advance(n_pref)
-        vals = np.asarray(oracle(x, states), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[None, :]
+        vals = _eval_rows(oracle, x, states)
         g = combine_levels(vals, level, config.B, config.M)
         diffs[i] = g - vals.mean(axis=0)
     mean = diffs.mean(axis=0)

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from markovmirror.cli import config_hash, main, parse_config_text, resolve_config
+from markovmirror import mamd_batched_schedule, mamd_unbatched_schedule
+from markovmirror.cli import (_resolve_tau, build_kernel, build_problem, config_hash, main,
+                              parse_config_text, resolve_config)
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -74,6 +76,15 @@ def test_bad_enum_value_rejected(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("key", ["B", "M"])
+def test_nonpositive_batch_parameters_rejected(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, RUN_CFG + f"{key} = 0\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be >= 1" in err and "config line 13" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_comments_and_blanks_ignored(tmp_path):
@@ -162,6 +173,48 @@ def test_all_algorithms_run(tmp_path):
         assert any(f.startswith("run_") for f in os.listdir(out))
 
 
+def _factory_c(text):
+    res = resolve_config(parse_config_text(text))
+    kernel = build_kernel(res)
+    problem = build_problem(res, kernel)
+    D = float(np.sqrt(problem.geometry.diameter_sq()))
+    args = (problem.L, D, problem.sigma, _resolve_tau(res, kernel), res["T"])
+    if res["algorithm"] == "mamd":
+        return mamd_unbatched_schedule(*args).c, problem.L
+    return mamd_batched_schedule(*args)[0].c, problem.L
+
+
+def _without_schedule_echo(path):
+    with open(path, "rb") as fh:
+        return [l for l in fh.read().splitlines(keepends=True)
+                if not l.startswith(b"# schedule.")]
+
+
+@pytest.mark.parametrize("algo", ["mamd", "mamd-batched"])
+def test_explicit_schedule_matches_auto(tmp_path, monkeypatch, algo):
+    monkeypatch.setenv("MM_DETERMINISTIC", "1")
+    auto = RUN_CFG.replace("algorithm = mamd-batched", f"algorithm = {algo}")
+    c, _ = _factory_c(auto)
+    explicit = auto + f"schedule.source = explicit\nschedule.c = {c!r}\n"
+    outs = {}
+    for name, text in (("auto", auto), ("explicit", explicit)):
+        cfg = write_config(tmp_path, text, name=f"{name}.cfg")
+        out = tmp_path / name
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+        outs[name] = out / [f for f in os.listdir(out) if f.startswith("run_")][0]
+    # the two configs differ only in the echoed schedule keys
+    assert _without_schedule_echo(outs["auto"]) == _without_schedule_echo(outs["explicit"])
+
+
+@pytest.mark.parametrize("algo", ["mamd", "mamd-batched"])
+def test_explicit_schedule_above_cap_is_config_error(tmp_path, capsys, algo):
+    auto = RUN_CFG.replace("algorithm = mamd-batched", f"algorithm = {algo}")
+    _, L = _factory_c(auto)
+    cfg = write_config(tmp_path, auto + f"schedule.source = explicit\nschedule.c = {0.6 / L!r}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
+    assert "exceeds 1/(2 L)" in capsys.readouterr().err
+
+
 def test_game_problem_runs_with_vi_gap(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -209,6 +262,22 @@ def test_sweep_with_multiple_seeds_reports_ci(tmp_path):
     files = [f for f in os.listdir(out) if f.startswith("sweep_")]
     header, _, _ = read_csv(out / files[0])
     assert any(l.startswith("# rate.ci = ") for l in header)
+
+
+def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
+    monkeypatch.delenv("MM_DETERMINISTIC", raising=False)
+    cfg = write_config(
+        tmp_path,
+        "problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
+        "algorithm = mamd-batched\nsweep.T = 16 32\nseeds = 0 1\n",
+    )
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        name = [f for f in os.listdir(out) if f.startswith("sweep_")][0]
+        texts.append((name, (out / name).read_bytes()))
+    assert texts[0] == texts[1]
 
 
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ from markovmirror import (
     ViProblem,
     err_vi,
     make_min_instance,
+    make_vi_instance,
     mamd_batched,
     mamd_batched_schedule,
     mamd_unbatched,
@@ -21,6 +22,7 @@ from markovmirror import (
     mmp_batched_params,
     mmp_unbatched,
     mmp_unbatched_stepsize,
+    random_ergodic,
     subopt_gap,
 )
 
@@ -84,18 +86,14 @@ def test_factory_schedules_satisfy_invariants(rng):
 
 
 def test_schedule_violations_raise():
-    # beta(tau) != 1
-    with pytest.raises(ScheduleError):
-        MamdSchedule(beta=lambda t: 2.0, gamma=lambda t: 0.1, tau=0).validate(1.0, 10)
-    # nonpositive stepsize
-    with pytest.raises(ScheduleError):
-        MamdSchedule(beta=lambda t: 1.0, gamma=lambda t: 0.0).validate(1.0, 10)
-    # telescoping monotonicity broken: (beta_1 - 1) gamma_1 > beta_0 gamma_0
-    with pytest.raises(ScheduleError):
-        MamdSchedule(beta=lambda t: 1.0 + 10.0 * t, gamma=lambda t: 0.1).validate(0.1, 10)
+    # beta(tau) = 1, beta >= 1 and telescoping hold for every (c, tau);
+    # what is left to reject is a stepsize constant c outside (0, 1/(2L)]
+    for c in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ScheduleError):
+            MamdSchedule(c).validate(1.0, 10)
     # beta < 2 gamma L
     with pytest.raises(ScheduleError):
-        MamdSchedule(beta=lambda t: 1.0, gamma=lambda t: 1.0).validate(5.0, 10)
+        MamdSchedule(1.0).validate(5.0, 10)
 
 
 def test_parameter_validation():
@@ -129,6 +127,16 @@ def test_mmp_stepsize_cap_enforced(two_state):
         mmp_unbatched(p, 0.1, cursor_for(p), 2, avg_start=5)
 
 
+def test_mmp_rejects_non_finite_stepsize(two_state):
+    p = matching_pennies(two_state)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ScheduleError):
+            mmp_unbatched(p, gamma, cursor_for(p), 50, avg_start=0)
+        with pytest.raises(ScheduleError):
+            mmp_batched(p, gamma, cursor_for(p), 50, MlmcConfig(1, 50),
+                        np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # hand-traced dynamics
 
@@ -137,7 +145,7 @@ def test_mamd_hand_trace(two_state):
     # f(x) = x^2/2 on [-1, 1] from x0 = 1 with beta = 1, gamma = 1/2:
     # x_g = x, x <- x - x/2, so the iterate halves each step
     p = one_dim_quadratic(two_state)
-    sched = MamdSchedule(beta=lambda t: 1.0, gamma=lambda t: 0.5)
+    sched = MamdSchedule(0.5, tau=3)  # warmup over the whole run: beta = 1
     rec = mamd_unbatched(p, sched, cursor_for(p), 3, keep_iterates=True,
                          x0=np.array([1.0]))
     xs = [k[0][0] for k in rec.iterates]
@@ -310,7 +318,7 @@ def test_deterministic_mmp_gap_halves_when_T_doubles(two_state):
 
 def test_stride_controls_rows(two_state):
     p = one_dim_quadratic(two_state)
-    sched = MamdSchedule(beta=lambda t: 1.0, gamma=lambda t: 0.25)
+    sched = MamdSchedule(0.25, tau=50)
     rec = mamd_unbatched(p, sched, cursor_for(p), 50, stride=7)
     np.testing.assert_array_equal(rec.t, [7, 14, 21, 28, 35, 42, 49, 50])
     rec1 = mamd_unbatched(p, sched, cursor_for(p), 50)
@@ -320,9 +328,86 @@ def test_stride_controls_rows(two_state):
 
 def test_gap_column_uses_gap_fn(two_state):
     p = one_dim_quadratic(two_state)
-    sched = MamdSchedule(beta=lambda t: 1.0, gamma=lambda t: 0.25)
+    sched = MamdSchedule(0.25, tau=10)
     rec = mamd_unbatched(p, sched, cursor_for(p), 10, stride=1,
                          gap_fn=lambda x: subopt_gap(p, x), x0=np.array([1.0]))
     assert np.all(np.isfinite(rec.gap))
     assert np.all(np.diff(rec.gap) <= 1e-15)  # deterministic run: monotone here
     assert rec.config["algorithm"] == "mamd_unbatched"
+
+
+# ---------------------------------------------------------------------------
+# golden runs: rows and outputs frozen from the four solvers on fixed seeds
+
+
+GOLDEN = {
+    # name: (t, oracle_calls, chain_steps, gap, x_out)
+    "mamd_unbatched": (
+        [6, 12, 18, 24],
+        [6, 12, 18, 24],
+        [6, 12, 18, 24],
+        [0.05698058465079381, 0.05488295796478099, 0.052321018733602564,
+         0.049041790537490415],
+        [0.5087727507384454, 0.5267072180330424, 0.5239204042341017],
+    ),
+    "mamd_batched": (
+        [6, 12, 18, 24],
+        [20, 36, 53, 66],
+        [20, 36, 84, 160],
+        [0.054291888816363765, 0.04959896940138592, 0.04383119112774542,
+         0.03578706285996308],
+        [0.5073183855064108, 0.5784422012163523, 0.5481086724256914],
+    ),
+    "mmp_unbatched": (
+        [6, 12, 18, 24],
+        [12, 24, 36, 48],
+        [6, 12, 18, 24],
+        [0.5800947029007575, 0.5476100251339208, 0.5091816506672749, 0.4750003051399189],
+        [0.43696870630034357, 0.15476709932513347, 0.40826419437452305,
+         0.315112996604059, 0.17730219636644187, 0.5075848070294994],
+    ),
+    "mmp_batched": (
+        [6, 12, 18, 24],
+        [21, 49, 78, 104],
+        [148, 176, 268, 294],
+        [0.5237866867540822, 0.4462522959783206, 0.3770461428982923,
+         0.32306401411545865],
+        [0.5435326032023514, 0.14395289276087075, 0.3125145040367779,
+         0.18491216095095916, 0.10740663514094766, 0.7076812039080932],
+    ),
+}
+
+
+def _golden_runs():
+    T, tau, stride = 24, 3, 6
+    kernel = random_ergodic(6, seed=4)
+
+    def cur(seed):
+        return ChainCursor(kernel, np.random.default_rng(seed))
+
+    box = make_min_instance(3, kernel, noise_scale=0.6, seed=5)
+    game = make_vi_instance((3, 3), kernel, noise_scale=0.6, seed=5)
+    d_box = float(np.sqrt(box.geometry.diameter_sq()))
+    d_game = float(np.sqrt(game.geometry.diameter_sq()))
+    box_kw = dict(gap_fn=lambda x: subopt_gap(box, x), stride=stride)
+    game_kw = dict(gap_fn=lambda x: err_vi(game, x), stride=stride)
+    sched = mamd_unbatched_schedule(box.L, d_box, box.sigma, tau, T)
+    yield "mamd_unbatched", mamd_unbatched(box, sched, cur(1), T, **box_kw)
+    sched, cfg = mamd_batched_schedule(box.L, d_box, box.sigma, tau, T)
+    yield "mamd_batched", mamd_batched(box, sched, cur(2), T, cfg,
+                                       np.random.default_rng(3), **box_kw)
+    gamma = mmp_unbatched_stepsize(game.L_tilde, d_game, game.sigma, tau, T)
+    yield "mmp_unbatched", mmp_unbatched(game, gamma, cur(4), T, avg_start=tau, **game_kw)
+    gamma, cfg = mmp_batched_params(game.L, d_game, game.sigma, tau, T)
+    yield "mmp_batched", mmp_batched(game, gamma, cur(5), T, cfg,
+                                     np.random.default_rng(6), **game_kw)
+
+
+def test_golden_runs_reproduce_frozen_rows():
+    for name, rec in _golden_runs():
+        t, calls, steps, gap, x_out = GOLDEN[name]
+        np.testing.assert_array_equal(rec.t, t, err_msg=name)
+        np.testing.assert_array_equal(rec.oracle_calls, calls, err_msg=name)
+        np.testing.assert_array_equal(rec.chain_steps, steps, err_msg=name)
+        np.testing.assert_allclose(rec.gap, gap, rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(rec.x_out, x_out, rtol=0, atol=1e-12, err_msg=name)
