@@ -191,13 +191,17 @@ def resolve_config(raw):
             res[key] = value
     for key, (_, _, default) in _SCHEMA.items():
         res.setdefault(key, default)
-    if res["problem.noise"] < 0:
-        raise ConfigError("problem.noise must be >= 0", line=raw.get("problem.noise", (None, None))[1])
+    noise = res["problem.noise"]
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ConfigError("problem.noise must be finite and >= 0",
+                          line=raw.get("problem.noise", (None, None))[1])
     for key in ("T", "stride", "B", "M"):
         if res[key] is not None and res[key] < 1:
             raise ConfigError(f"{key} must be >= 1", line=raw.get(key, (None, None))[1])
-    if not res["sweep.T"]:
-        raise ConfigError("sweep.T must be a non-empty grid")
+    # the parser rejects an empty sweep.T list
+    if min(res["sweep.T"]) < 1:
+        raise ConfigError("sweep.T entries must be >= 1",
+                          line=raw.get("sweep.T", (None, None))[1])
     if res["schedule.source"] == "explicit":
         alg = res["algorithm"]
         if alg.startswith("mamd") and res["schedule.c"] is None:

@@ -26,7 +26,7 @@ class ScheduleError(InputError):
 
 
 class SolverError(MarkovMirrorError):
-    """A solve did not reach its tolerance within its iteration cap."""
+    """A solve did not reach its tolerance within its iteration cap, or met a non-finite estimate."""
 
 
 class StatisticsError(MarkovMirrorError):

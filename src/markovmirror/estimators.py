@@ -95,6 +95,15 @@ def combine_levels(values, level, B, M):
     return g0 + float(1 << level) * (g_hi - g_lo)
 
 
+def _draw_level(rng):
+    """Multilevel index J with P{J = j} = 2^-j (j >= 1), clipped at _MAX_LEVEL.
+
+    Exactly one rng.geometric(0.5) call per draw, so level streams stay
+    aligned wherever the draw is made.
+    """
+    return min(int(rng.geometric(0.5)), _MAX_LEVEL)
+
+
 def mlmc_geometric(oracle, x, cursor, config, rng):
     """Truncated-geometric multilevel estimate.
 
@@ -103,8 +112,7 @@ def mlmc_geometric(oracle, x, cursor, config, rng):
     evaluates the oracle on all of them when 2^J <= M or on just the
     first B when the level is truncated.
     """
-    la = int(rng.geometric(0.5))
-    level = min(la, _MAX_LEVEL)
+    level = _draw_level(rng)
     span = (1 << level) * config.B
     if (1 << level) <= config.M:
         states = cursor.advance(span)

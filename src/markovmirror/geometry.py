@@ -7,9 +7,12 @@ simplexes with the negative-entropy map (p = 1).  The entropy map on a
 K-block product is scaled by K so that the Bregman divergence stays
 1-strongly convex with respect to the full l1 norm, not just blockwise.
 
-Every geometry also carries a generic projected-gradient prox solver
-used to cross-check the closed forms, plus the linear-maximization and
-sampling helpers the validation layer needs.
+Public `prox` checks its arguments and then takes the closed-form
+`_step`, which checks nothing; the solvers check their start point once
+and call `_step` directly.  Every geometry also carries a generic
+projected-gradient prox solver used to cross-check the closed forms,
+plus the linear-maximization and sampling helpers the validation layer
+needs.
 """
 
 from __future__ import annotations
@@ -92,8 +95,14 @@ class Geometry:
     def bregman(self, x, y):
         raise NotImplementedError
 
-    def prox(self, x, xi):
+    def _step(self, x, xi):
+        """Closed-form prox step with no input checks; x must be a feasible anchor."""
         raise NotImplementedError
+
+    def prox(self, x, xi):
+        """argmin_y <xi, y> + V(x, y) over the feasible set, after checking x and xi."""
+        x, xi = self._check_prox_args(x, xi)
+        return self._step(x, xi)
 
     def diameter_sq(self):
         raise NotImplementedError
@@ -131,11 +140,15 @@ class Geometry:
             raise InputError(f"{name} contains NaN/Inf")
         return x
 
+    def _check_anchor(self, x, name="x"):
+        """Raise unless the checked point x is one prox steps may start from."""
+        if not self.contains(x):
+            raise InputError(f"prox anchored at infeasible {name}")
+
     def _check_prox_args(self, x, xi):
         x = self._check_point(x)
         xi = self._check_point(xi, "xi")
-        if not self.contains(x):
-            raise InputError("prox anchored at infeasible x")
+        self._check_anchor(x)
         return x, xi
 
     def prox_generic(self, x, xi, tol=1e-10, max_iter=10_000):
@@ -210,8 +223,7 @@ class _EuclideanGeometry(Geometry):
     def _mirror_grad(self, v):
         return v
 
-    def prox(self, x, xi):
-        x, xi = self._check_prox_args(x, xi)
+    def _step(self, x, xi):
         return self.project(x - xi)
 
 
@@ -343,21 +355,25 @@ class SimplexGeometry(Geometry):
         if not 0.0 <= self.nu < 1e-3:
             raise InputError(f"floor mass nu={nu} outside [0, 1e-3)")
         self.n_blocks = len(self.block_dims)
-        self._slices = []
-        start = 0
-        for b in self.block_dims:
-            self._slices.append(slice(start, start + b))
-            start += b
+        dims = np.array(self.block_dims)
+        starts = np.concatenate(([0], np.cumsum(dims)[:-1]))
+        self._slices = [slice(int(a), int(a + b)) for a, b in zip(starts, dims)]
+        # segment reductions over all blocks at once: reduceat over the
+        # block starts, repeated back to coordinates by the block dims
+        self._starts = starts
+        self._dims = dims
+        self._floors = np.repeat(self.nu / dims, dims)
 
     def blocks(self, x):
         return [x[s] for s in self._slices]
 
-    def _floor(self, dim):
-        return self.nu / dim
-
     def _check_interior(self, x):
         if np.min(x) <= 0.0:
             raise GeometryError("entropy mirror map needs a strictly interior base point")
+
+    def _check_anchor(self, x, name="x"):
+        super()._check_anchor(x, name)
+        self._check_interior(x)
 
     def bregman(self, x, y):
         x = self._check_point(x)
@@ -380,51 +396,34 @@ class SimplexGeometry(Geometry):
 
     def renormalize(self, y):
         """Fold a nonnegative blockwise-unit vector onto the floored simplex."""
-        out = np.empty_like(y)
-        for s, b in zip(self._slices, self.block_dims):
-            block = y[s]
-            block = block / np.sum(block)
-            out[s] = (1.0 - self.nu) * block + self._floor(b)
-        return out
+        sums = np.repeat(np.add.reduceat(y, self._starts), self._dims)
+        return (1.0 - self.nu) * (y / sums) + self._floors
 
-    def prox(self, x, xi):
-        x, xi = self._check_prox_args(x, xi)
-        self._check_interior(x)
-        out = np.empty_like(x)
-        for s in self._slices:
-            # exponential reweighting, stabilized by an additive shift
-            a = np.log(x[s]) - xi[s] / self.n_blocks
-            a -= np.max(a)
-            w = np.exp(a)
-            out[s] = w
-        return self.renormalize(out)
+    def _step(self, x, xi):
+        # exponential reweighting, stabilized by subtracting each block's max
+        a = np.log(x) - xi / self.n_blocks
+        a -= np.repeat(np.maximum.reduceat(a, self._starts), self._dims)
+        return self.renormalize(np.exp(a))
 
     def diameter_sq(self):
         # max_y V(center, y) in the nu -> 0 limit: K * sum_k log(dim_k)
         return self.n_blocks * float(sum(np.log(b) for b in self.block_dims))
 
     def center(self):
-        out = np.empty(self.d)
-        for s, b in zip(self._slices, self.block_dims):
-            out[s] = 1.0 / b
-        return out
+        return np.repeat(1.0 / self._dims, self._dims)
 
     def contains(self, x, tol=1e-10):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             return False
-        for s, b in zip(self._slices, self.block_dims):
-            block = x[s]
-            if abs(float(np.sum(block)) - 1.0) > 1e-12 + tol:
-                return False
-            if np.min(block) < self._floor(b) - tol:
-                return False
-        return True
+        sums = np.add.reduceat(x, self._starts)
+        return bool(np.all(np.abs(sums - 1.0) <= 1e-12 + tol)
+                    and np.all(x >= self._floors - tol))
 
     def project(self, v):
         out = np.empty_like(np.asarray(v, dtype=float))
-        for s, b in zip(self._slices, self.block_dims):
-            out[s] = _project_block_simplex(np.asarray(v[s], float), self._floor(b))
+        for s in self._slices:
+            out[s] = _project_block_simplex(np.asarray(v[s], float), self._floors[s.start])
         return out
 
     def linear_argmax(self, coef):

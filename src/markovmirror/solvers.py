@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import mixing_time
-from .errors import InputError, ScheduleError
+from .errors import GeometryError, InputError, ScheduleError, SolverError
 from .estimators import Estimate, MlmcConfig, batch_mean, mlmc_geometric, single_sample
 from .problems import _oracle
 
@@ -160,23 +160,51 @@ def _check_gamma(gamma, L):
     return gamma
 
 
+# The loops below take unchecked prox steps (`Geometry._step`): the start
+# point is checked once, every estimate is checked to be finite, and a
+# step from a feasible point with a finite argument lands in the feasible
+# set, which the final check confirms.
+
+
+def _start(geo, x0):
+    """The center, or x0 once checked to be a finite feasible point (InputError)."""
+    if x0 is None:
+        return geo.center()
+    x = geo._check_point(x0, "x0")
+    geo._check_anchor(x, "x0")
+    return x
+
+
+def _finite(est, t):
+    """The estimate's vector; SolverError if it is not finite."""
+    if not np.isfinite(est.g).all():
+        raise SolverError(f"non-finite estimate at iteration {t}")
+    return est.g
+
+
+def _finish(geo, rec, x_out, x_last):
+    if not geo.contains(x_last):
+        raise GeometryError("final iterate left the feasible set")
+    return rec.finish(x_out, x_last)
+
+
 def _descent(problem, schedule, T, estimate, rec, x0):
     """Accelerated mirror descent; `estimate(x)` draws the gradient Estimate at x."""
     betas, gammas = (a.tolist() for a in schedule.arrays(T))
     geo = problem.geometry
-    x = geo.center() if x0 is None else np.array(x0, dtype=float)
+    x = _start(geo, x0)
     x_f = x.copy()
     calls = steps = 0
     for t in range(T):
         inv = 1.0 / betas[t]
         x_g = inv * x + (1.0 - inv) * x_f
         est = estimate(x_g)
-        x = geo.prox(x, gammas[t] * est.g)
+        x = geo._step(x, gammas[t] * _finite(est, t))
         x_f = inv * x + (1.0 - inv) * x_f
         calls += est.oracle_calls
         steps += est.chain_steps
         rec.maybe(t + 1, calls, steps, x_f, (x, x_f))
-    return rec.finish(x_f, x)
+    return _finish(geo, rec, x_f, x)
 
 
 def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
@@ -221,14 +249,14 @@ def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
     Averages the half-step iterates from iteration `avg_start` on.
     """
     geo = problem.geometry
-    x = geo.center() if x0 is None else np.array(x0, dtype=float)
+    x = _start(geo, x0)
     x_hat = None
     calls = steps = 0
     for t in range(T):
         est_half = half(x)
-        x_half = geo.prox(x, gamma * est_half.g)
+        x_half = geo._step(x, gamma * _finite(est_half, t))
         est_full = full(x_half)
-        x = geo.prox(x, gamma * est_full.g)
+        x = geo._step(x, gamma * _finite(est_full, t))
         calls += est_half.oracle_calls + est_full.oracle_calls
         steps += est_half.chain_steps + est_full.chain_steps
         if t >= avg_start:
@@ -237,7 +265,7 @@ def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
             else:
                 x_hat += (x_half - x_hat) / (t - avg_start + 1)
         rec.maybe(t + 1, calls, steps, x_hat, (x_half, x))
-    return rec.finish(x_hat, x)
+    return _finish(geo, rec, x_hat, x)
 
 
 def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import ChainCursor, stationary
 from .errors import InputError, StatisticsError
-from .estimators import _MAX_LEVEL, _eval_rows, combine_levels
+from .estimators import _draw_level, _eval_rows, combine_levels
 from .problems import _oracle
 
 __all__ = [
@@ -294,7 +294,7 @@ def unbiasedness_check(problem, x, config, n_trials, rng, start="stationary"):
     n_pref = (1 << config.max_level) * config.B
     diffs = np.empty((n_trials, x.size))
     for i in range(n_trials):
-        level = min(int(rng_level.geometric(0.5)), _MAX_LEVEL)
+        level = _draw_level(rng_level)
         states = cursor.advance(n_pref)
         vals = _eval_rows(oracle, x, states)
         g = combine_levels(vals, level, config.B, config.M)

@@ -87,6 +87,24 @@ def test_nonpositive_batch_parameters_rejected(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_non_finite_or_negative_noise_rejected(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, f"problem.d = 3\nproblem.noise = {value}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "problem.noise must be finite and >= 0" in err and "config line 2" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["64 0 128", "-4"])
+def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, f"seeds = 0\nsweep.T = {grid}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.T entries must be >= 1" in err and "config line 2" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_comments_and_blanks_ignored(tmp_path):
     parsed = parse_config_text("# comment\n\nT = 12\n  # indented comment\n")
     assert set(parsed) == {"T"}

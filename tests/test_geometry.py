@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from markovmirror import (
     BallGeometry,
@@ -139,6 +142,42 @@ def test_prox_outputs_feasible(rng):
             x = geo.sample(rng)
             xi = rng.normal(scale=3.0, size=geo.d)
             assert geo.contains(geo.prox(x, xi), tol=1e-9)
+
+
+def _simplex_step_by_blocks(geo, x, xi):
+    """Block-by-block entropy prox, the reference for the one-pass `_step`."""
+    out = np.empty_like(x)
+    for s, b in zip(geo._slices, geo.block_dims):
+        a = np.log(x[s]) - xi[s] / geo.n_blocks
+        a -= np.max(a)
+        w = np.exp(a)
+        out[s] = (1.0 - geo.nu) * (w / np.sum(w)) + geo.nu / b
+    return out
+
+
+STEP_GEOMETRIES = {
+    "box-8": BoxGeometry(8),
+    "box-10": BoxGeometry(10, lo=-2.0, hi=1.5),
+    "ball-8": BallGeometry(8, radius=2.0),
+    "ball-10": BallGeometry(10, radius=0.5, center=np.linspace(-1.0, 1.0, 10)),
+    "simplex-4-4": SimplexGeometry((4, 4)),
+    "simplex-2-3-5": SimplexGeometry((2, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_GEOMETRIES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_unchecked_step_matches_prox_and_stays_feasible(name, data):
+    geo = STEP_GEOMETRIES[name]
+    # projecting an arbitrary vector gives feasible anchors, boundary ones included
+    x = geo.project(data.draw(arrays(float, geo.d, elements=st.floats(-10.0, 10.0))))
+    xi = data.draw(arrays(float, geo.d, elements=st.floats(-1e4, 1e4)))
+    out = geo._step(x, xi)
+    np.testing.assert_allclose(out, geo.prox(x, xi), rtol=0, atol=1e-14)
+    if isinstance(geo, SimplexGeometry):
+        np.testing.assert_allclose(out, _simplex_step_by_blocks(geo, x, xi), rtol=0, atol=1e-14)
+    assert geo.contains(out)
 
 
 def test_closed_form_prox_matches_generic_solver(rng):

@@ -4,11 +4,13 @@ import pytest
 from markovmirror import (
     BoxGeometry,
     ChainCursor,
+    Geometry,
     InputError,
     MamdSchedule,
     MlmcConfig,
     MinProblem,
     ScheduleError,
+    SolverError,
     ViProblem,
     err_vi,
     make_min_instance,
@@ -411,3 +413,85 @@ def test_golden_runs_reproduce_frozen_rows():
         np.testing.assert_array_equal(rec.chain_steps, steps, err_msg=name)
         np.testing.assert_allclose(rec.gap, gap, rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(rec.x_out, x_out, rtol=0, atol=1e-12, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# checks at the solver boundary: x0 once, every estimate finite, no per-step prox checks
+
+
+SOLVERS = ("mamd_unbatched", "mamd_batched", "mmp_unbatched", "mmp_batched")
+
+
+def _boundary_problem(name, kernel):
+    if name.startswith("mamd"):
+        return make_min_instance(3, kernel, noise_scale=0.5, seed=1)
+    return make_vi_instance((2, 3), kernel, noise_scale=0.5, seed=1)
+
+
+def _short_run(name, p, cursor, T=12, **kw):
+    if name == "mamd_unbatched":
+        return mamd_unbatched(p, MamdSchedule(0.5 / p.L, tau=2), cursor, T, **kw)
+    if name == "mamd_batched":
+        return mamd_batched(p, MamdSchedule(0.5 / p.L), cursor, T, MlmcConfig(1, T),
+                            np.random.default_rng(0), **kw)
+    if name == "mmp_unbatched":
+        return mmp_unbatched(p, 0.5 / p.L_tilde, cursor, T, avg_start=2, **kw)
+    return mmp_batched(p, 0.5 / p.L, cursor, T, MlmcConfig(1, T),
+                       np.random.default_rng(0), **kw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_non_finite_estimate_is_solver_error(dense8, name, bad):
+    p = _boundary_problem(name, dense8)
+    clean = _short_run(name, p, cursor_for(p, 3), stride=1)
+    attr = "grad_oracle" if name.startswith("mamd") else "op_oracle"
+    oracle = getattr(p, attr)
+    rows = [0]
+
+    def poisoned(x, z):
+        # every row from the first one of iteration 3 (0-based) on is non-finite
+        out = np.array(oracle(x, z), dtype=float)
+        if rows[0] >= clean.oracle_calls[2]:
+            out[..., 0] = bad
+        rows[0] += np.size(z)
+        return out
+
+    setattr(p, attr, poisoned)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SolverError, match="non-finite estimate at iteration 3$"):
+        _short_run(name, p, cursor_for(p, 3))
+
+
+@pytest.mark.parametrize("case", ["infeasible", "wrong-shape", "nan"])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_bad_start_point_rejected_before_any_draw(dense8, name, case):
+    p = _boundary_problem(name, dense8)
+    x0 = p.geometry.center()
+    if case == "infeasible":
+        x0 = x0 + 5.0
+    elif case == "wrong-shape":
+        x0 = np.append(x0, x0[0])
+    else:
+        x0[0] = np.nan
+    cur = cursor_for(p)
+    with pytest.raises(InputError, match="x0"):
+        _short_run(name, p, cur, x0=x0)
+    assert cur.n_consumed == 0
+
+
+def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
+    seen = []
+    checked = Geometry._check_prox_args
+
+    def counted(self, x, xi):
+        seen.append(self.kind)
+        return checked(self, x, xi)
+
+    monkeypatch.setattr(Geometry, "_check_prox_args", counted)
+    for name in SOLVERS:
+        p = _boundary_problem(name, dense8)
+        _short_run(name, p, cursor_for(p))
+        assert seen == [], name
+    p.geometry.prox(p.geometry.center(), np.zeros(p.geometry.d))
+    assert seen == ["simplex-product"]  # the counter does see a checked step
