@@ -18,6 +18,7 @@ from .errors import ErgodicityError, InputError
 _STATIONARY_TOL = 1e-12
 _STATIONARY_RESIDUAL = 1e-10
 _MAX_POWER_STEPS = 10**6
+_MAX_ALPHA = 0.9999
 
 
 class TransitionKernel:
@@ -106,20 +107,18 @@ class TransitionKernel:
         return f"TransitionKernel(n_states={self.n_states})"
 
 
-def stationary(kernel, tol=_STATIONARY_TOL, max_iter=_MAX_POWER_STEPS):
-    """Stationary distribution by power iteration on the distribution vector."""
+def stationary(kernel):
+    """Stationary law by power iteration to a step change <= 1e-12 in l1, cached on the kernel."""
     if kernel._pi is not None:
         return kernel._pi
     kernel.ensure_ergodic()
     mu = np.full(kernel.n_states, 1.0 / kernel.n_states)
-    for _ in range(max_iter):
-        nxt = mu @ kernel.P
-        if np.abs(nxt - mu).sum() <= tol:
-            mu = nxt
+    for _ in range(_MAX_POWER_STEPS):
+        mu, prev = mu @ kernel.P, mu
+        if np.abs(mu - prev).sum() <= _STATIONARY_TOL:
             break
-        mu = nxt
     else:
-        raise ErgodicityError(f"power iteration did not converge in {max_iter} steps")
+        raise ErgodicityError(f"power iteration did not converge in {_MAX_POWER_STEPS} steps")
     mu = mu / mu.sum()
     if np.abs(mu @ kernel.P - mu).sum() > _STATIONARY_RESIDUAL:
         raise ErgodicityError("stationary residual above 1e-10 after power iteration")
@@ -127,9 +126,29 @@ def stationary(kernel, tol=_STATIONARY_TOL, max_iter=_MAX_POWER_STEPS):
     return mu
 
 
+def _worst_tv(P, pi):
+    """Worst-start TV 0.5 * max_z ||P^t(z, .) - pi||_1 at t = 1, 2, ..., one product each."""
+    Pt = P
+    for _ in range(_MAX_POWER_STEPS):
+        yield 0.5 * np.max(np.abs(Pt - pi).sum(axis=1))
+        Pt = Pt @ P
+    raise ErgodicityError(f"TV scan did not settle in {_MAX_POWER_STEPS} steps")
+
+
+def _scan_to(kernel, threshold):
+    """The kernel's TV scan and its values up to the first one <= threshold."""
+    if not 0.0 < threshold < 1.0:
+        raise InputError(f"threshold must lie in (0, 1), got {threshold}")
+    tvs = _worst_tv(kernel.P, stationary(kernel))
+    curve = [next(tvs)]
+    while curve[-1] > threshold:
+        curve.append(next(tvs))
+    return tvs, curve
+
+
 def mixing_time(kernel, threshold=0.25):
     """Smallest t with max-over-starts TV(P^t(z, .), pi) <= threshold."""
-    return diagnose(kernel, threshold=threshold).tau_mix
+    return len(_scan_to(kernel, threshold)[1])
 
 
 @dataclass
@@ -140,31 +159,16 @@ class ChainDiagnostics:
     threshold: float
 
 
-def diagnose(kernel, threshold=0.25, horizon_factor=2):
+def diagnose(kernel, threshold=0.25):
     """Stationary distribution, mixing time, and the worst-start TV decay curve.
 
-    The curve is extended to horizon_factor * tau_mix so callers can
-    check submultiplicative decay past the threshold crossing.
+    The scan that finds tau_mix goes on to t = 2 * tau_mix, so callers
+    can check submultiplicative decay past the threshold crossing.
     """
-    if not 0.0 < threshold < 1.0:
-        raise InputError(f"threshold must lie in (0, 1), got {threshold}")
-    pi = stationary(kernel)
-    Pt = kernel.P.copy()
-    curve = []
-    tau = None
-    t = 0
-    while True:
-        t += 1
-        tv = 0.5 * np.max(np.abs(Pt - pi).sum(axis=1))
-        curve.append(tv)
-        if tau is None and tv <= threshold:
-            tau = t
-        if tau is not None and t >= horizon_factor * tau:
-            break
-        if t >= _MAX_POWER_STEPS:
-            raise ErgodicityError(f"TV did not drop below {threshold} in {t} steps")
-        Pt = Pt @ kernel.P
-    return ChainDiagnostics(pi=pi, tau_mix=tau, tv_curve=np.array(curve), threshold=threshold)
+    tvs, curve = _scan_to(kernel, threshold)
+    tau = len(curve)
+    curve += [next(tvs) for _ in range(tau)]
+    return ChainDiagnostics(stationary(kernel), tau, np.array(curve), threshold)
 
 
 def make_lazy(kernel, alpha):
@@ -176,17 +180,19 @@ def make_lazy(kernel, alpha):
     return TransitionKernel(alpha * np.eye(n) + (1.0 - alpha) * kernel.P)
 
 
-def lazy_for_mixing_time(kernel, target_tau, max_alpha=0.9999):
+def lazy_for_mixing_time(kernel, target_tau):
     """Smallest-laziness variant whose mixing time reaches target_tau.
 
-    Bisects on alpha; returns (lazy_kernel, alpha, achieved_tau).
+    Bisects on alpha in [0, 0.9999]; returns (lazy_kernel, alpha, achieved_tau).
     """
     base_tau = mixing_time(kernel)
     if base_tau >= target_tau:
         return kernel, 0.0, base_tau
-    lo, hi = 0.0, max_alpha
-    if mixing_time(make_lazy(kernel, hi)) < target_tau:
-        raise InputError(f"target mixing time {target_tau} unreachable below alpha={max_alpha}")
+    lo, hi = 0.0, _MAX_ALPHA
+    # unreachable if even the slowest chain mixes sooner; it keeps pi, so scan with the base pi
+    slowest = _worst_tv(make_lazy(kernel, hi).P, stationary(kernel))
+    if any(next(slowest) <= 0.25 for _ in range(target_tau - 1)):
+        raise InputError(f"target mixing time {target_tau} unreachable below alpha={hi}")
     for _ in range(50):
         mid = 0.5 * (lo + hi)
         if mixing_time(make_lazy(kernel, mid)) >= target_tau:

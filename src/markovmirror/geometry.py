@@ -252,7 +252,7 @@ class BoxGeometry(_EuclideanGeometry):
         )
 
     def project(self, v):
-        return np.clip(v, self.lo, self.hi)
+        return np.minimum(np.maximum(v, self.lo), self.hi)
 
     def linear_argmax(self, coef):
         coef = self._check_point(coef, "coef")

@@ -10,7 +10,6 @@ a reference solution verified at construction.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .chain import TransitionKernel, stationary
 from .errors import InputError, SolverError
@@ -218,52 +217,44 @@ def _game_blocks(problem):
 
 
 def _solve_game_lp(G, c1, c2):
-    """Equilibrium of the zero-sum game with payoff G and linear terms, via two LPs."""
+    """Equilibrium of the zero-sum game with payoff G and linear terms: one LP and its duals."""
+    from scipy.optimize import linprog  # the library's only scipy use
+
     d1, d2 = G.shape
     # linear terms fold into the payoff matrix on the product of simplexes
     M = G + np.outer(c1, np.ones(d2)) - np.outer(np.ones(d1), c2)
-
-    # x minimizes max_j (M' x)_j
-    A_ub = np.hstack([M.T, -np.ones((d2, 1))])
-    res_x = linprog(
+    # x minimizes max_j (M' x)_j; the duals of those d2 rows are the maximin y
+    res = linprog(
         c=np.r_[np.zeros(d1), 1.0],
-        A_ub=A_ub,
+        A_ub=np.hstack([M.T, -np.ones((d2, 1))]),
         b_ub=np.zeros(d2),
         A_eq=np.r_[np.ones(d1), 0.0][None, :],
         b_eq=[1.0],
         bounds=[(0, None)] * d1 + [(None, None)],
         method="highs",
     )
-    # y maximizes min_i (M y)_i
-    A_ub = np.hstack([-M, np.ones((d1, 1))])
-    res_y = linprog(
-        c=np.r_[np.zeros(d2), -1.0],
-        A_ub=A_ub,
-        b_ub=np.zeros(d1),
-        A_eq=np.r_[np.ones(d2), 0.0][None, :],
-        b_eq=[1.0],
-        bounds=[(0, None)] * d2 + [(None, None)],
-        method="highs",
-    )
-    if not (res_x.success and res_y.success):
+    if not res.success:
         raise SolverError("game LP failed to solve")
-    x = np.maximum(res_x.x[:d1], 0.0)
-    y = np.maximum(res_y.x[:d2], 0.0)
+    x = np.maximum(res.x[:d1], 0.0)
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
     return np.r_[x / x.sum(), y / y.sum()]
 
 
 def _solve_vi_reference(problem, tol=_REF_VI_TOL, max_iter=_REF_MAX_ITER):
     from .validation import err_vi  # local import to avoid a module cycle
 
+    geo = problem.geometry
     blocks = _game_blocks(problem)
     if blocks is not None:
-        x = problem.geometry.renormalize(_solve_game_lp(*blocks))
-        gap = err_vi(problem, x)
-        if gap > tol:
-            raise SolverError(f"LP equilibrium has gap {gap:.3e} > {tol:g}")
-        return x
+        x = _solve_game_lp(*blocks)
+        # the floor fold (1 - nu) x + nu * center adds <= nu * err_vi(center): err_vi is convex
+        fold = tol + geo.nu * err_vi(problem, geo.center())
+        for point, bound in ((x, tol), (geo.renormalize(x), fold)):
+            gap = err_vi(problem, point)
+            if gap > bound:
+                raise SolverError(f"LP equilibrium has gap {gap:.3e} > {bound:.3e}")
+        return point
     # generic fallback: deterministic Euclidean extragradient with averaging
-    geo = problem.geometry
     L2 = float(np.linalg.norm(problem.Q, 2))
     gamma = 1.0 if L2 == 0.0 else 0.5 / L2
     x = geo.center()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainCursor, stationary
-from .errors import InputError, StatisticsError
+from .errors import GeometryError, InputError, StatisticsError
 from .estimators import _draw_level, _eval_rows, combine_levels
 from .problems import _oracle
 
@@ -100,7 +100,7 @@ def weak_vi_gap(problem, xs, probes=None, n_probes=64, rng=None):
     if probes is None:
         try:
             probes = geo.vertices()
-        except Exception:
+        except GeometryError:  # no vertex list, or too many vertices
             probes = None
         if probes is None or len(probes) == 0 or len(probes) > 4096:
             rng = np.random.default_rng(0) if rng is None else rng

@@ -116,6 +116,16 @@ def test_diagnose_curve_properties(two_state):
     assert curve[2 * diag.tau_mix - 1] <= 4 * curve[diag.tau_mix - 1] ** 2 + 1e-12
 
 
+def test_diagnose_curve_runs_to_twice_tau(dense8):
+    diag = diagnose(dense8)
+    assert diag.tau_mix == mixing_time(dense8)
+    assert len(diag.tv_curve) == 2 * diag.tau_mix
+    Pt, pi = np.eye(8), stationary(dense8)
+    for tv in diag.tv_curve:
+        Pt = Pt @ dense8.P
+        assert tv == pytest.approx(0.5 * np.max(np.abs(Pt - pi).sum(axis=1)), abs=1e-14)
+
+
 def test_diagnose_pi_consistency(dense8):
     diag = diagnose(dense8)
     np.testing.assert_allclose(diag.pi, stationary(dense8), atol=1e-12)
@@ -162,6 +172,25 @@ def test_lazy_for_mixing_time_hits_target(dense8):
     # already-slow chains come back unchanged
     same, alpha0, tau0 = lazy_for_mixing_time(lazy, 5)
     assert alpha0 == 0.0 and tau0 == tau
+
+
+@pytest.mark.parametrize("target, alpha", [
+    (12, 0.87888708445124),
+    (48, 0.9705337236162503),
+    (64, 0.9779504595156523),
+])
+def test_lazy_for_mixing_time_pinned_alpha(target, alpha):
+    # exact floats recorded when reachability was probed with the lazy
+    # chain's own pi; the base-pi probe must not move the bisection
+    lazy, got, tau = lazy_for_mixing_time(random_ergodic(8, seed=3), target)
+    assert got == alpha
+    assert tau == target
+
+
+def test_lazy_for_mixing_time_unreachable_target():
+    # the 0.9999-lazy chain already mixes in far fewer than 20 000 steps
+    with pytest.raises(InputError, match="unreachable"):
+        lazy_for_mixing_time(random_ergodic(8, seed=3), 20_000)
 
 
 # ---------------------------------------------------------------------------

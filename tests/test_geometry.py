@@ -102,6 +102,13 @@ def test_prox_box_clips():
     np.testing.assert_allclose(out, [0.3, 0.7], rtol=0, atol=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, 10, elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_box_projection_equals_clip(v):
+    geo = BoxGeometry(10, lo=-2.0, hi=1.5)
+    np.testing.assert_array_equal(geo.project(v), np.clip(v, -2.0, 1.5))
+
+
 def test_prox_simplex_identity_at_zero_dual():
     geo = SimplexGeometry(3)
     x = np.full(3, 1.0 / 3.0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +84,26 @@ def test_matching_pennies_operator(two_state):
     assert p.is_skew()
     np.testing.assert_allclose(p.x_star, [0.5, 0.5, 0.5, 0.5])
     assert err_vi(p, p.x_star) <= 1e-8
+
+
+@pytest.mark.parametrize("seed, dims", [(14, (3, 5)), (20, (6, 3)), (27, (2, 2))])
+def test_game_reference_accepts_floor_fold(two_state, seed, dims):
+    # the LP point is exact; folding in the nu-floor adds up to
+    # nu * err_vi(center) to the gap, which once tripped a flat 1e-9 check
+    p = make_vi_instance(dims, two_state, seed=seed)
+    geo = p.geometry
+    assert geo.contains(p.x_star)
+    assert err_vi(p, p.x_star) <= 1e-9 + geo.nu * err_vi(p, geo.center())
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs most of a cold import; only the game LP needs it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, markovmirror; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_vi_monotonicity(two_state, rng):

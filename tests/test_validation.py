@@ -5,6 +5,7 @@ from markovmirror import (
     BIAS_SLOPE_WINDOW,
     DEVIATION_SLOPE_WINDOW,
     BoxGeometry,
+    GeometryError,
     InputError,
     MinProblem,
     MlmcConfig,
@@ -91,6 +92,26 @@ def test_weak_gap_with_all_vertices_equals_exact(two_state):
     assert weak_vi_gap(p, x, probes=p.geometry.vertices()) == pytest.approx(
         err_vi(p, x), abs=1e-12
     )
+
+
+def test_weak_gap_probe_fallback_only_on_geometry_error(two_state, monkeypatch):
+    p = matching_pennies(two_state)
+    x = p.geometry.renormalize(np.array([0.8, 0.2, 0.5, 0.5]))
+    rng = np.random.default_rng(0)
+    sampled = weak_vi_gap(p, x, probes=[p.geometry.sample(rng) for _ in range(64)])
+
+    def capped():
+        raise GeometryError("vertex enumeration capped")
+
+    monkeypatch.setattr(p.geometry, "vertices", capped)
+    assert weak_vi_gap(p, x) == sampled
+
+    def broken():
+        raise ZeroDivisionError("a fault inside vertex enumeration")
+
+    monkeypatch.setattr(p.geometry, "vertices", broken)
+    with pytest.raises(ZeroDivisionError):
+        weak_vi_gap(p, x)
 
 
 def test_weak_gap_averages_across_runs(two_state):
