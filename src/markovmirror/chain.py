@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -19,6 +20,11 @@ _STATIONARY_TOL = 1e-12
 _STATIONARY_RESIDUAL = 1e-10
 _MAX_POWER_STEPS = 10**6
 _MAX_ALPHA = 0.9999
+# power-iteration blocks: the first holds 16 products, each next one twice
+# as many up to 1024, so a fast chain does at most twice the products it
+# needs and a slow one at most 1024 more
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 1024
 
 
 class TransitionKernel:
@@ -108,15 +114,27 @@ class TransitionKernel:
 
 
 def stationary(kernel):
-    """Stationary law by power iteration to a step change <= 1e-12 in l1, cached on the kernel."""
+    """Stationary law by power iteration to a step change <= 1e-12 in l1, cached on the kernel.
+
+    The iterates mu_{k+1} = mu_k @ P are formed a block at a time and
+    tested for convergence once per block (`_settled`), which returns
+    the iterate a test after every product would stop at.
+    """
     if kernel._pi is not None:
         return kernel._pi
     kernel.ensure_ergodic()
     mu = np.full(kernel.n_states, 1.0 / kernel.n_states)
-    for _ in range(_MAX_POWER_STEPS):
-        mu, prev = mu @ kernel.P, mu
-        if np.abs(mu - prev).sum() <= _STATIONARY_TOL:
+    done, size = 0, _FIRST_BLOCK
+    while done < _MAX_POWER_STEPS:
+        size = min(size, _MAX_POWER_STEPS - done)
+        block = list(accumulate(repeat(kernel.P, size), np.matmul, initial=mu))
+        k = _settled(block)
+        if k is not None:
+            mu = block[k]
             break
+        mu = block[-1]
+        done += size
+        size = min(2 * size, _MAX_BLOCK)
     else:
         raise ErgodicityError(f"power iteration did not converge in {_MAX_POWER_STEPS} steps")
     mu = mu / mu.sum()
@@ -124,6 +142,22 @@ def stationary(kernel):
         raise ErgodicityError("stationary residual above 1e-10 after power iteration")
     kernel._pi = mu
     return mu
+
+
+def _settled(block):
+    """Index of the first iterate in `block` within 1e-12 (l1) of the one before it, or None.
+
+    Row sums over the stacked block only pick candidates, with a factor-2
+    margin for their summation order; each candidate is decided by the
+    1-D expression a per-product test evaluates, so the stopping index
+    does not depend on how numpy reduces the rows.
+    """
+    rows = np.array(block)
+    near = np.abs(rows[1:] - rows[:-1]).sum(axis=1) <= 2 * _STATIONARY_TOL
+    for k in np.flatnonzero(near).tolist():
+        if np.abs(block[k + 1] - block[k]).sum() <= _STATIONARY_TOL:
+            return k + 1
+    return None
 
 
 def _worst_tv(P, pi):
@@ -193,14 +227,19 @@ def lazy_for_mixing_time(kernel, target_tau):
     slowest = _worst_tv(make_lazy(kernel, hi).P, stationary(kernel))
     if any(next(slowest) <= 0.25 for _ in range(target_tau - 1)):
         raise InputError(f"target mixing time {target_tau} unreachable below alpha={hi}")
+    lazy = None
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if mixing_time(make_lazy(kernel, mid)) >= target_tau:
-            hi = mid
+        candidate = make_lazy(kernel, mid)
+        tau = mixing_time(candidate)
+        if tau >= target_tau:
+            hi, lazy, hi_tau = mid, candidate, tau
         else:
             lo = mid
-    lazy = make_lazy(kernel, hi)
-    return lazy, hi, mixing_time(lazy)
+    if lazy is None:  # hi never moved off the slowest chain
+        lazy = make_lazy(kernel, hi)
+        hi_tau = mixing_time(lazy)
+    return lazy, hi, hi_tau
 
 
 def random_ergodic(n_states, seed):

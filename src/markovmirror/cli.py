@@ -166,8 +166,12 @@ _SCHEMA = {
 }
 
 
-def resolve_config(raw):
-    """Type-check raw strings against the schema and fill defaults."""
+def resolve_config(raw, solve=False):
+    """Type-check raw strings against the schema and fill defaults.
+
+    `solve` marks a config that drives solver runs (run, sweep), whose
+    algorithm must then fit the problem kind.
+    """
     res = {}
     for key, (value, line) in raw.items():
         if key not in _SCHEMA:
@@ -191,17 +195,33 @@ def resolve_config(raw):
             res[key] = value
     for key, (_, _, default) in _SCHEMA.items():
         res.setdefault(key, default)
+
+    def line(key):
+        return raw.get(key, (None, None))[1]
+
     noise = res["problem.noise"]
     if not (np.isfinite(noise) and noise >= 0):
-        raise ConfigError("problem.noise must be finite and >= 0",
-                          line=raw.get("problem.noise", (None, None))[1])
+        raise ConfigError("problem.noise must be finite and >= 0", line=line("problem.noise"))
+    for key in ("problem.smoothness", "problem.lipschitz"):
+        if not np.isfinite(res[key]):
+            raise ConfigError(f"{key} must be finite", line=line(key))
+    if not 0.0 <= res["chain.laziness"] < 1.0:  # also catches NaN
+        raise ConfigError("chain.laziness must lie in [0, 1)", line=line("chain.laziness"))
     for key in ("T", "stride", "B", "M"):
         if res[key] is not None and res[key] < 1:
-            raise ConfigError(f"{key} must be >= 1", line=raw.get(key, (None, None))[1])
-    # the parser rejects an empty sweep.T list
+            raise ConfigError(f"{key} must be >= 1", line=line(key))
+    for key in ("problem.seed", "chain.seed"):
+        if res[key] < 0:
+            raise ConfigError(f"{key} must be >= 0", line=line(key))
+    # the parser rejects empty lists
+    if min(res["seeds"]) < 0:
+        raise ConfigError("seeds must be >= 0", line=line("seeds"))
     if min(res["sweep.T"]) < 1:
-        raise ConfigError("sweep.T entries must be >= 1",
-                          line=raw.get("sweep.T", (None, None))[1])
+        raise ConfigError("sweep.T entries must be >= 1", line=line("sweep.T"))
+    if solve and res["algorithm"].startswith("mamd") and res["problem.kind"] != "quadratic":
+        # mamd needs a gradient oracle; the default algorithm is mamd-batched
+        raise ConfigError(f"algorithm {res['algorithm']} needs problem.kind = quadratic",
+                          line=line("algorithm") or line("problem.kind"))
     if res["schedule.source"] == "explicit":
         alg = res["algorithm"]
         if alg.startswith("mamd") and res["schedule.c"] is None:
@@ -615,7 +635,7 @@ def main(argv=None):
                 text = fh.read()
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}") from None
-        res = resolve_config(parse_config_text(text))
+        res = resolve_config(parse_config_text(text), solve=args.command in ("run", "sweep"))
         if args.seed is not None:
             try:
                 res["seeds"] = [int(s) for s in args.seed.replace(",", " ").split()]
@@ -623,6 +643,8 @@ def main(argv=None):
                 raise ConfigError(f"--seed expects integers, got {args.seed!r}") from None
             if not res["seeds"]:
                 raise ConfigError("--seed list is empty")
+            if min(res["seeds"]) < 0:
+                raise ConfigError("--seed entries must be >= 0")
         if args.stride is not None:
             if args.stride < 1:
                 raise ConfigError("--stride must be >= 1")

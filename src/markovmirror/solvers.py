@@ -9,13 +9,14 @@ Two families, each one loop that takes its estimators as arguments:
   (`mmp_unbatched` / `mmp_batched`) with a constant stepsize.
 
 The unbatched variants consume one correlated chain state per
-iteration; the batched variants replace the single draw with a batch
-mean and a truncated-geometric multilevel estimate, which restores
-clean stepsize constants at the price of more oracle calls per
-iteration.  With B = M = 1 the batched loops produce the unbatched
-iterates only when the oracle is noiseless: M = 1 truncates every level
-J >= 1 to a single sample yet still advances the cursor by 2^J states,
-so on a noisy problem the two read different states of the stream.
+iteration, drawn from the cursor in chunks (`estimators._states`); the
+batched variants replace the single draw with a batch mean and a
+truncated-geometric multilevel estimate, which restores clean stepsize
+constants at the price of more oracle calls per iteration.  With
+B = M = 1 the batched loops produce the unbatched iterates only when the
+oracle is noiseless: M = 1 truncates every level J >= 1 to a single
+sample yet still advances the cursor by 2^J states, so on a noisy
+problem the two read different states of the stream.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .chain import mixing_time
 from .errors import GeometryError, InputError, ScheduleError, SolverError
-from .estimators import Estimate, MlmcConfig, batch_mean, mlmc_geometric, single_sample
+from .estimators import Estimate, MlmcConfig, _states, batch_mean, mlmc_geometric
 from .problems import _oracle
 
 __all__ = [
@@ -182,6 +183,12 @@ def _finite(est, t):
     return est.g
 
 
+def _at_state(oracle, x, state, steps):
+    """One oracle evaluation at a chain state the caller drew; `steps` chain steps charged."""
+    return Estimate(np.asarray(oracle(x, state), dtype=float), oracle_calls=1,
+                    chain_steps=steps, level=0)
+
+
 def _finish(geo, rec, x_out, x_last):
     if not geo.contains(x_last):
         raise GeometryError("final iterate left the feasible set")
@@ -219,8 +226,9 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
     if T < schedule.tau:
         raise ScheduleError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
     oracle = problem.grad_oracle
+    states = _states(cursor, T)
     config = {"algorithm": "mamd_unbatched", "T": T, "tau": schedule.tau}
-    return _descent(problem, schedule, T, lambda x: single_sample(oracle, x, cursor),
+    return _descent(problem, schedule, T, lambda x: _at_state(oracle, x, next(states), 1),
                     _Recorder(config, gap_fn, stride, keep_iterates), x0)
 
 
@@ -286,16 +294,21 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
             f"T = {T} leaves an empty averaging window starting at {avg_start}"
         )
     oracle = _oracle(problem)
+    states = _states(cursor, T)
+    state = None
     config = {
         "algorithm": "mmp_unbatched", "T": T, "gamma": gamma,
         "avg_start": avg_start,
     }
-    # the full step re-reads the state the half step drew (cursor.state),
-    # so it costs an oracle call but no chain step
-    return _mirror_prox(problem, gamma, T,
-                        lambda x: single_sample(oracle, x, cursor),
-                        lambda x: Estimate(np.asarray(oracle(x, cursor.state), dtype=float),
-                                           oracle_calls=1, chain_steps=0, level=0),
+
+    def half(x):
+        nonlocal state
+        state = next(states)
+        return _at_state(oracle, x, state, 1)
+
+    # the full step re-reads the state the half step drew, so it costs an
+    # oracle call but no chain step
+    return _mirror_prox(problem, gamma, T, half, lambda x: _at_state(oracle, x, state, 0),
                         avg_start, _Recorder(config, gap_fn, stride, keep_iterates), x0)
 
 

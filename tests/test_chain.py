@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovmirror import (
     ChainCursor,
@@ -14,6 +16,7 @@ from markovmirror import (
     sample_paths,
     stationary,
 )
+from markovmirror import chain
 
 
 def eigen_stationary(P):
@@ -86,6 +89,50 @@ def test_stationary_matches_eigen_oracle(dense8):
     # fixed-point residual contract
     assert np.abs(pi @ dense8.P - pi).sum() <= 1e-10
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def per_product_stationary(P):
+    """Reference: power iteration testing the l1 step change after every product.
+
+    Returns the normalized law and the number of products taken.
+    """
+    mu = np.full(P.shape[0], 1.0 / P.shape[0])
+    for k in range(1, 10**6 + 1):
+        mu, prev = mu @ P, mu
+        if np.abs(mu - prev).sum() <= 1e-12:
+            return mu / mu.sum(), k
+    raise AssertionError("reference power iteration did not converge")
+
+
+def random_kernel(n, seed):
+    raw = np.random.default_rng(seed).uniform(size=(n, n)) ** 3 + 1e-3
+    return TransitionKernel(raw / raw.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1),
+       alpha=st.sampled_from([0.0, 0.5, 0.99, 0.9999]))
+def test_blocked_stationary_equals_per_product_loop(n, seed, alpha):
+    kernel = make_lazy(random_kernel(n, seed), alpha)
+    np.testing.assert_array_equal(stationary(kernel), per_product_stationary(kernel.P)[0])
+
+
+@pytest.mark.parametrize("first, cap", [(1, 1), (1, 2), (3, 5), (16, 4096)])
+def test_stationary_block_sizes_do_not_move_pi(dense8, monkeypatch, first, cap):
+    monkeypatch.setattr(chain, "_FIRST_BLOCK", first)
+    monkeypatch.setattr(chain, "_MAX_BLOCK", cap)
+    kernel = make_lazy(dense8, 0.9)
+    np.testing.assert_array_equal(stationary(kernel), per_product_stationary(kernel.P)[0])
+
+
+def test_stationary_product_cap_is_exact(dense8, monkeypatch):
+    P = make_lazy(dense8, 0.99).P
+    steps = per_product_stationary(P)[1]
+    monkeypatch.setattr(chain, "_MAX_POWER_STEPS", steps)
+    stationary(TransitionKernel(P))  # converges on the last allowed product
+    monkeypatch.setattr(chain, "_MAX_POWER_STEPS", steps - 1)
+    with pytest.raises(ErgodicityError, match=f"did not converge in {steps - 1} steps"):
+        stationary(TransitionKernel(P))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +232,24 @@ def test_lazy_for_mixing_time_pinned_alpha(target, alpha):
     lazy, got, tau = lazy_for_mixing_time(random_ergodic(8, seed=3), target)
     assert got == alpha
     assert tau == target
+
+
+def test_lazy_for_mixing_time_keeps_the_last_measured_kernel(monkeypatch):
+    # one base measurement plus one per bisection step; the returned kernel
+    # and tau are the ones measured at the final hi, not recomputed
+    measured = []
+    original = chain.mixing_time
+
+    def counted(kernel, threshold=0.25):
+        tau = original(kernel, threshold)
+        measured.append((kernel, tau))
+        return tau
+
+    monkeypatch.setattr(chain, "mixing_time", counted)
+    lazy, alpha, tau = lazy_for_mixing_time(random_ergodic(8, seed=3), 48)
+    assert len(measured) == 51
+    assert (lazy, tau) in measured
+    np.testing.assert_array_equal(lazy.P, make_lazy(random_ergodic(8, seed=3), alpha).P)
 
 
 def test_lazy_for_mixing_time_unreachable_target():

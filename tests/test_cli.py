@@ -105,6 +105,38 @@ def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, args, line", [
+    ("problem.kind = game\n", [], 1),  # the default algorithm is mamd-batched
+    ("problem.kind = game\nalgorithm = mamd\n", [], 2),
+    ("problem.kind = matching-pennies\nalgorithm = mamd-batched\n", [], 2),
+    ("seeds = 0,-1\n", [], 1),
+    ("", ["--seed", "-2"], None),
+    ("problem.seed = -1\n", [], 1),
+    ("chain.seed = -3\n", [], 1),
+    ("problem.smoothness = nan\n", [], 1),
+    ("problem.smoothness = inf\n", [], 1),
+    ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = -inf\n", [], 3),
+    ("chain.laziness = -0.5\n", [], 1),
+    ("chain.laziness = nan\n", [], 1),
+])
+def test_malformed_config_is_config_error(tmp_path, capsys, text, args, line):
+    cfg = write_config(tmp_path, "T = 20\n" + text)
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *args])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "config error" in err and "Traceback" not in err
+    if line is not None:
+        assert f"config line {line + 1}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_game_config_still_runs_the_check_commands(tmp_path, capsys):
+    # only run/sweep need a mamd algorithm to fit the problem kind
+    cfg = write_config(tmp_path, "problem.kind = game\nproblem.noise = 0.0\nseeds = 0\n")
+    assert main(["check-lemma1", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_comments_and_blanks_ignored(tmp_path):
     parsed = parse_config_text("# comment\n\nT = 12\n  # indented comment\n")
     assert set(parsed) == {"T"}

@@ -61,6 +61,27 @@ def test_config_validation():
     assert MlmcConfig(B=1, M=31).max_level == 4  # floor(log2 31)
 
 
+def test_max_level_is_exact_for_large_caps():
+    # float log2 rounds 2**49 - 1 up to 49
+    assert MlmcConfig(M=2**49 - 1).max_level == 48
+    assert MlmcConfig(M=2**49).max_level == 49
+    assert all(MlmcConfig(M=m).max_level == int(np.floor(np.log2(m))) for m in range(1, 5000))
+
+
+@pytest.mark.parametrize("kw", [{"B": 1.5}, {"M": 2.5}, {"B": np.nan}, {"M": np.inf},
+                                {"B": "2"}])
+def test_non_integral_batch_parameters_rejected(kw):
+    with pytest.raises(InputError, match="integers"):
+        MlmcConfig(**kw)
+
+
+def test_integral_batch_parameters_stored_as_ints():
+    cfg = MlmcConfig(B=2.0, M=np.int64(16))
+    assert (cfg.B, cfg.M) == (2, 16)
+    assert type(cfg.B) is int and type(cfg.M) is int
+    assert MlmcConfig(M=10**400).max_level == (10**400).bit_length() - 1  # no float overflow
+
+
 # ---------------------------------------------------------------------------
 # plain estimators
 
@@ -123,6 +144,25 @@ def test_combine_levels_matches_manual_prefix_means(rng):
 def test_combine_levels_truncates_above_cap(rng):
     values = rng.normal(size=(8, 2))
     np.testing.assert_array_equal(combine_levels(values, 3, 1, 4), values[:1].mean(axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_prefix_means_equal_numpy_mean(dense8, rng, d):
+    # each prefix mean is the add-reduce and divide np.mean does, bit for bit
+    values = rng.normal(size=(24, d))
+    for B, level in ((1, 1), (3, 2), (3, 3), (2, 4)):
+        g0 = values[:B].mean(axis=0)
+        want = g0 if (1 << level) > 8 else g0 + float(1 << level) * (
+            values[:(1 << level) * B].mean(axis=0) - values[:(1 << (level - 1)) * B].mean(axis=0))
+        np.testing.assert_array_equal(combine_levels(values, level, B, 8), want)
+    p = make_min_instance(d, dense8, noise_scale=1.0, seed=2)
+    x = p.geometry.center()
+    vals = p.grad_oracle(x, fresh_cursor(p, 4).advance(7))
+    est = batch_mean(p.grad_oracle, x, fresh_cursor(p, 4), 7)
+    np.testing.assert_array_equal(est.g, vals.mean(axis=0))
+    est = mlmc_geometric(p.grad_oracle, x, fresh_cursor(p, 4), MlmcConfig(B=7, M=1),
+                         ForcedLevels([2]))  # truncated: the first B rows only
+    np.testing.assert_array_equal(est.g, vals.mean(axis=0))
 
 
 def test_mlmc_matches_manual_combination(problem):

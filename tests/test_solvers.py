@@ -4,6 +4,7 @@ import pytest
 from markovmirror import (
     BoxGeometry,
     ChainCursor,
+    Estimate,
     Geometry,
     InputError,
     MamdSchedule,
@@ -25,8 +26,10 @@ from markovmirror import (
     mmp_unbatched,
     mmp_unbatched_stepsize,
     random_ergodic,
+    single_sample,
     subopt_gap,
 )
+from markovmirror import estimators, solvers
 
 
 def cursor_for(problem, seed=0):
@@ -495,3 +498,40 @@ def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
         assert seen == [], name
     p.geometry.prox(p.geometry.center(), np.zeros(p.geometry.d))
     assert seen == ["simplex-product"]  # the counter does see a checked step
+
+
+# ---------------------------------------------------------------------------
+# unbatched solvers draw their states in chunks; runs match one advance(1) per iteration
+
+
+def _per_iteration_run(name, p, cursor, T):
+    """The unbatched loop with a `single_sample` draw on every iteration (the reference)."""
+    oracle = p.grad_oracle if name == "mamd_unbatched" else p.op_oracle
+    rec = solvers._Recorder({"T": T}, None, 1, True)
+    draw = lambda x: single_sample(oracle, x, cursor)  # noqa: E731
+    if name == "mamd_unbatched":
+        return solvers._descent(p, MamdSchedule(0.5 / p.L, tau=2), T, draw, rec, None)
+    reread = lambda x: Estimate(np.asarray(oracle(x, cursor.state), dtype=float),  # noqa: E731
+                                oracle_calls=1, chain_steps=0, level=0)
+    return solvers._mirror_prox(p, 0.5 / p.L_tilde, T, draw, reread, 2, rec, None)
+
+
+@pytest.mark.parametrize("T", [7, 8, 9, 17])
+@pytest.mark.parametrize("name", ["mamd_unbatched", "mmp_unbatched"])
+def test_chunked_states_match_per_iteration_draws(dense8, monkeypatch, name, T):
+    monkeypatch.setattr(estimators, "_CHUNK", 8)
+    p = _boundary_problem(name, dense8)
+    ref_cursor = cursor_for(p, 9)
+    ref = _per_iteration_run(name, p, ref_cursor, T)
+    cur = cursor_for(p, 9)
+    sizes = []
+    advance = cur.advance
+    cur.advance = lambda steps: sizes.append(steps) or advance(steps)
+    rec = _short_run(name, p, cur, T=T, stride=1, keep_iterates=True)
+    for field in ("t", "oracle_calls", "chain_steps", "x_out", "x_last"):
+        np.testing.assert_array_equal(getattr(rec, field), getattr(ref, field), err_msg=field)
+    for got, want in zip(rec.iterates, ref.iterates, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert cur.n_consumed == ref_cursor.n_consumed == T
+    assert cur.state == ref_cursor.state
+    assert max(sizes) <= 8 and sum(sizes) == T
