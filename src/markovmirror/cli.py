@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
+from . import solvers
 from .chain import (ChainCursor, TransitionKernel, diagnose, make_lazy, mixing_time,
                     random_ergodic)
 from .errors import (
@@ -44,17 +47,7 @@ from .errors import (
 )
 from .estimators import MlmcConfig
 from .problems import make_min_instance, make_vi_instance, matching_pennies
-from .solvers import (
-    MamdSchedule,
-    mamd_batched,
-    mamd_batched_schedule,
-    mamd_unbatched,
-    mamd_unbatched_schedule,
-    mmp_batched,
-    mmp_batched_params,
-    mmp_unbatched,
-    mmp_unbatched_stepsize,
-)
+from .solvers import MamdSchedule
 from .validation import (
     BIAS_SLOPE_WINDOW,
     DEVIATION_SLOPE_WINDOW,
@@ -71,9 +64,27 @@ from . import __version__
 
 RUN_COLUMNS = ("t", "oracle_calls", "chain_steps", "gap", "wall_ms")
 
-_ALGORITHMS = ("mamd", "mamd-batched", "mmp", "mmp-batched", "synthetic")
-_PROBLEM_KINDS = ("quadratic", "game", "matching-pennies")
-_GEOMETRIES = ("box", "ball", "simplex")
+
+class _Method(NamedTuple):
+    """How the CLI runs one algorithm; solver and factory are names in `solvers`."""
+
+    solver: str
+    factory: str          # (L, D, sigma, tau_mix, T) -> schedule or stepsize
+    schedule_key: str     # config key an explicit schedule is read from
+    batched: bool         # factory also returns an MlmcConfig; solver also takes a level rng
+    gradient: bool        # needs a gradient oracle, so problem.kind = quadratic
+    tau_keywords: tuple = ()  # solver keywords that take the resolved mixing time
+
+
+# solvers and factories are looked up by name at call time, so rebinding
+# a module attribute (as a tracer does) reaches the CLI too
+_METHODS = {
+    "mamd": _Method("mamd_unbatched", "mamd_unbatched_schedule", "schedule.c", False, True),
+    "mamd-batched": _Method("mamd_batched", "mamd_batched_schedule", "schedule.c", True, True),
+    "mmp": _Method("mmp_unbatched", "mmp_unbatched_stepsize", "schedule.gamma", False, False,
+                   ("avg_start",)),
+    "mmp-batched": _Method("mmp_batched", "mmp_batched_params", "schedule.gamma", True, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -132,102 +143,92 @@ def _parse_matrix(raw, key, line):
     return mat
 
 
+# key: (kind or tuple of choices, default, *rules); a rule such as ">= 0"
+# holds for the value or for every entry of a list, and floats with a rule
+# must also be finite
 _SCHEMA = {
-    "problem.kind": ("enum", _PROBLEM_KINDS, "quadratic"),
-    "problem.d": ("int", None, 10),
-    "problem.blocks": ("ints", None, [2, 2]),
-    "problem.geometry": ("enum", _GEOMETRIES, "box"),
-    "problem.noise": ("float", None, 1.0),
-    "problem.seed": ("int", None, 0),
-    "problem.smoothness": ("float", None, 1.0),
-    "problem.lipschitz": ("float", None, 1.0),
-    "chain.matrix": ("matrix", None, None),
-    "chain.n": ("int", None, 8),
-    "chain.seed": ("int", None, 0),
-    "chain.laziness": ("float", None, 0.0),
-    "chain.tau_mix": ("int", None, None),
-    "algorithm": ("enum", _ALGORITHMS, "mamd-batched"),
-    "schedule.source": ("enum", ("auto", "explicit"), "auto"),
-    "schedule.gamma": ("float", None, None),
-    "schedule.c": ("float", None, None),
-    "T": ("int", None, 256),
-    "B": ("int", None, None),
-    "M": ("int", None, None),
-    "seeds": ("ints", None, [0]),
-    "stride": ("int", None, 1),
-    "out": ("str", None, "."),
-    "metrics": ("enum", ("gap", "none"), "gap"),
-    "sweep.T": ("ints", None, [64, 128, 256, 512, 1024]),
-    "check.N": ("ints", None, [2**k for k in range(4, 13)]),
-    "check.trials": ("int", None, 2000),
-    "check.M": ("ints", None, [4, 16, 64, 256]),
-    "check.B": ("int", None, 1),
-    "synthetic.exponent": ("float", None, -2.0),
+    "problem.kind": (("quadratic", "game", "matching-pennies"), "quadratic"),
+    "problem.d": ("int", 10),
+    "problem.blocks": ("ints", [2, 2]),
+    "problem.geometry": (("box", "ball", "simplex"), "box"),
+    "problem.noise": ("float", 1.0, ">= 0"),
+    "problem.seed": ("int", 0, ">= 0"),
+    "problem.smoothness": ("float", 1.0, "> 0"),
+    "problem.lipschitz": ("float", 1.0, "> 0"),
+    "chain.matrix": ("matrix", None),
+    "chain.n": ("int", 8),
+    "chain.seed": ("int", 0, ">= 0"),
+    "chain.laziness": ("float", 0.0, ">= 0", "< 1"),
+    "chain.tau_mix": ("int", None, ">= 1"),
+    "algorithm": ((*_METHODS, "synthetic"), "mamd-batched"),
+    "schedule.source": (("auto", "explicit"), "auto"),
+    "schedule.gamma": ("float", None),
+    "schedule.c": ("float", None),
+    "T": ("int", 256, ">= 1"),
+    "B": ("int", None, ">= 1"),
+    "M": ("int", None, ">= 1"),
+    "seeds": ("ints", [0], ">= 0"),
+    "stride": ("int", 1, ">= 1"),
+    "out": ("str", "."),
+    "metrics": (("gap", "none"), "gap"),
+    "sweep.T": ("ints", [64, 128, 256, 512, 1024], ">= 1"),
+    "check.N": ("ints", [2**k for k in range(4, 13)]),
+    "check.trials": ("int", 2000),
+    "check.M": ("ints", [4, 16, 64, 256]),
+    "check.B": ("int", 1),
+    "synthetic.exponent": ("float", -2.0),
 }
+
+_PARSERS = {"int": _parse_int, "float": _parse_float, "ints": _parse_int_list,
+            "matrix": _parse_matrix}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+
+
+def _obeys(value, rules):
+    # NaN fails every comparison; a float must be finite as well
+    return ((not isinstance(value, float) or np.isfinite(value))
+            and all(_COMPARE[op](value, float(b)) for op, b in map(str.split, rules)))
+
+
+def _parse(key, value, line):
+    """One raw config value, type-checked and range-checked against the schema."""
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown key {key!r}", line=line)
+    kind, _, *rules = _SCHEMA[key]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {value!r}", line=line)
+        return value
+    if kind in _PARSERS:
+        value = _PARSERS[kind](value, key, line)
+    if rules and not all(_obeys(v, rules) for v in (value if kind == "ints" else [value])):
+        raise ConfigError(f"{key}{' entries' if kind == 'ints' else ''} must be "
+                          f"{'finite and ' if kind == 'float' else ''}{' and '.join(rules)}",
+                          line=line)
+    return value
 
 
 def resolve_config(raw, solve=False):
-    """Type-check raw strings against the schema and fill defaults.
+    """Type- and range-check raw strings against the schema and fill defaults.
 
     `solve` marks a config that drives solver runs (run, sweep), whose
     algorithm must then fit the problem kind.
     """
-    res = {}
-    for key, (value, line) in raw.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key {key!r}", line=line)
-        kind, extra, _ = _SCHEMA[key]
-        if kind == "enum":
-            if value not in extra:
-                raise ConfigError(
-                    f"{key} must be one of {', '.join(extra)}; got {value!r}", line=line
-                )
-            res[key] = value
-        elif kind == "int":
-            res[key] = _parse_int(value, key, line)
-        elif kind == "float":
-            res[key] = _parse_float(value, key, line)
-        elif kind == "ints":
-            res[key] = _parse_int_list(value, key, line)
-        elif kind == "matrix":
-            res[key] = _parse_matrix(value, key, line)
-        else:
-            res[key] = value
-    for key, (_, _, default) in _SCHEMA.items():
+    res = {key: _parse(key, value, line) for key, (value, line) in raw.items()}
+    for key, (_, default, *_) in _SCHEMA.items():
         res.setdefault(key, default)
 
     def line(key):
         return raw.get(key, (None, None))[1]
 
-    noise = res["problem.noise"]
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ConfigError("problem.noise must be finite and >= 0", line=line("problem.noise"))
-    for key in ("problem.smoothness", "problem.lipschitz"):
-        if not np.isfinite(res[key]):
-            raise ConfigError(f"{key} must be finite", line=line(key))
-    if not 0.0 <= res["chain.laziness"] < 1.0:  # also catches NaN
-        raise ConfigError("chain.laziness must lie in [0, 1)", line=line("chain.laziness"))
-    for key in ("T", "stride", "B", "M"):
-        if res[key] is not None and res[key] < 1:
-            raise ConfigError(f"{key} must be >= 1", line=line(key))
-    for key in ("problem.seed", "chain.seed"):
-        if res[key] < 0:
-            raise ConfigError(f"{key} must be >= 0", line=line(key))
-    # the parser rejects empty lists
-    if min(res["seeds"]) < 0:
-        raise ConfigError("seeds must be >= 0", line=line("seeds"))
-    if min(res["sweep.T"]) < 1:
-        raise ConfigError("sweep.T entries must be >= 1", line=line("sweep.T"))
-    if solve and res["algorithm"].startswith("mamd") and res["problem.kind"] != "quadratic":
-        # mamd needs a gradient oracle; the default algorithm is mamd-batched
-        raise ConfigError(f"algorithm {res['algorithm']} needs problem.kind = quadratic",
+    alg = res["algorithm"]
+    method = _METHODS.get(alg)  # None for synthetic
+    if solve and method and method.gradient and res["problem.kind"] != "quadratic":
+        # the default algorithm is mamd-batched, so the algorithm line may be absent
+        raise ConfigError(f"algorithm {alg} needs problem.kind = quadratic",
                           line=line("algorithm") or line("problem.kind"))
-    if res["schedule.source"] == "explicit":
-        alg = res["algorithm"]
-        if alg.startswith("mamd") and res["schedule.c"] is None:
-            raise ConfigError("schedule.source = explicit needs schedule.c for mamd")
-        if alg.startswith("mmp") and res["schedule.gamma"] is None:
-            raise ConfigError("schedule.source = explicit needs schedule.gamma for mmp")
+    if res["schedule.source"] == "explicit" and method and res[method.schedule_key] is None:
+        raise ConfigError(f"schedule.source = explicit needs {method.schedule_key} for {alg}")
     return res
 
 
@@ -325,47 +326,26 @@ def _build_instance(res):
     return problem, tau_mix
 
 
-def _mlmc(res, mlmc):
-    """The factory's MlmcConfig with the config's B and M applied over it."""
-    return MlmcConfig(B=mlmc.B if res["B"] is None else res["B"],
-                      M=mlmc.M if res["M"] is None else res["M"])
-
-
 def _run_solver(res, problem, tau_mix, seed, stride):
-    """One seeded run; returns a RunRecord."""
+    """One seeded run of the configured method; returns a RunRecord."""
     T = res["T"]
-    alg = res["algorithm"]
-    sigma = problem.sigma
+    method = _METHODS[res["algorithm"]]
     D = float(np.sqrt(problem.geometry.diameter_sq()))
-    ss = np.random.SeedSequence(seed)
-    chain_seq, level_seq = ss.spawn(2)
+    chain_seq, level_seq = np.random.SeedSequence(seed).spawn(2)
+    schedule = getattr(solvers, method.factory)(problem.L, D, problem.sigma, tau_mix, T)
+    batch = ()
+    if method.batched:
+        schedule, mlmc = schedule
+        batch = (MlmcConfig(B=mlmc.B if res["B"] is None else res["B"],
+                            M=mlmc.M if res["M"] is None else res["M"]),
+                 np.random.default_rng(level_seq))
+    if res["schedule.source"] == "explicit":
+        value = res[method.schedule_key]
+        schedule = MamdSchedule(value, schedule.tau) if method.gradient else value
     cursor = ChainCursor(problem.kernel, np.random.default_rng(chain_seq), start="stationary")
-    level_rng = np.random.default_rng(level_seq)
-    kw = {"gap_fn": _gap_fn(res, problem), "stride": stride}
-    explicit = res["schedule.source"] == "explicit"
-
-    if alg == "mamd":
-        sched = mamd_unbatched_schedule(problem.L, D, sigma, tau_mix, T)
-        if explicit:
-            sched = MamdSchedule(res["schedule.c"], sched.tau)
-        return mamd_unbatched(problem, sched, cursor, T, **kw)
-    if alg == "mamd-batched":
-        sched, mlmc = mamd_batched_schedule(problem.L, D, sigma, tau_mix, T)
-        if explicit:
-            sched = MamdSchedule(res["schedule.c"], sched.tau)
-        return mamd_batched(problem, sched, cursor, T, _mlmc(res, mlmc), level_rng, **kw)
-    if alg == "mmp":
-        L_tilde = float(getattr(problem, "L_tilde", problem.L))
-        gamma = res["schedule.gamma"] if explicit else mmp_unbatched_stepsize(
-            L_tilde, D, sigma, tau_mix, T
-        )
-        return mmp_unbatched(problem, gamma, cursor, T, avg_start=tau_mix, **kw)
-    if alg == "mmp-batched":
-        gamma, mlmc = mmp_batched_params(problem.L, D, sigma, tau_mix, T)
-        if explicit:
-            gamma = res["schedule.gamma"]
-        return mmp_batched(problem, gamma, cursor, T, _mlmc(res, mlmc), level_rng, **kw)
-    raise MarkovMirrorError(f"no solver for algorithm {alg!r}")
+    return getattr(solvers, method.solver)(
+        problem, schedule, cursor, T, *batch, gap_fn=_gap_fn(res, problem), stride=stride,
+        **dict.fromkeys(method.tau_keywords, tau_mix))
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +355,7 @@ def _run_solver(res, problem, tau_mix, seed, stride):
 def _write_csv(path, header_items, columns, rows):
     lines = [f"# {k} = {v}" for k, v in header_items]
     lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append("%.17g" % float(v))
-        lines.append(",".join(cells))
+    lines.extend(",".join(map(_fmt_value, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -395,7 +368,7 @@ def _header(res, tau_mix, extra=()):
     items = [("markovmirror.version", __version__)]
     items.extend(_echo_items(res))
     items.append(("chain.tau_mix.resolved", str(tau_mix)))
-    items.extend((k, _fmt_value(v) if not isinstance(v, str) else v) for k, v in extra)
+    items.extend((k, _fmt_value(v)) for k, v in extra if v is not None)
     return items
 
 
@@ -404,19 +377,9 @@ def _deterministic():
 
 
 def _record_rows(record, deterministic):
-    rows = []
-    for i in range(record.t.size):
-        wall = 0.0 if deterministic else float(record.wall_ms[i])
-        rows.append(
-            (
-                int(record.t[i]),
-                int(record.oracle_calls[i]),
-                int(record.chain_steps[i]),
-                float(record.gap[i]),
-                wall,
-            )
-        )
-    return rows
+    wall = np.zeros_like(record.wall_ms) if deterministic else record.wall_ms
+    columns = (record.t, record.oracle_calls, record.chain_steps, record.gap, wall)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _worker_run(payload):
@@ -490,9 +453,7 @@ def cmd_sweep(res, jobs, out_dir):
         fit = bootstrap_rate_ci(budgets, gap_matrix, rng=np.random.default_rng(0))
     else:
         fit = rate_fit(budgets, gap_matrix[0])
-    extra = [("rate.slope", "%.17g" % fit.slope)]
-    if fit.ci is not None:
-        extra.append(("rate.ci", "%.17g,%.17g" % fit.ci))
+    extra = [("rate.slope", fit.slope), ("rate.ci", fit.ci)]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"sweep_{h}.csv")
     _write_csv(
@@ -510,7 +471,7 @@ def cmd_diagnose_chain(res):
     kernel = build_kernel(res)
     diag = diagnose(kernel)
     extra = [
-        ("pi", ",".join("%.17g" % p for p in diag.pi)),
+        ("pi", diag.pi.tolist()),
         ("tau_mix", str(diag.tau_mix)),
     ]
     rows = [(t + 1, float(tv)) for t, tv in enumerate(diag.tv_curve)]
@@ -518,92 +479,77 @@ def cmd_diagnose_chain(res):
     return 0
 
 
-def _check_inputs(res, out_dir, name):
-    """Instance, resolved mixing time, noise deviations and CSV path of a check command."""
-    kernel = build_kernel(res)
-    problem = build_problem(res, kernel)
-    tau_mix = _resolve_tau(res, kernel)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}_{config_hash(res)}.csv")
-    return problem, tau_mix, problem.noise_deviations(), path
-
-
-def cmd_check_lemma1(res, out_dir):
-    problem, tau_mix, deviations, path = _check_inputs(res, out_dir, "lemma1")
-    lo, hi = DEVIATION_SLOPE_WINDOW
-    if np.max(np.abs(deviations)) == 0:
-        extra = [("deviation.slope", "nan"), ("deviation.window", f"{lo},{hi}"),
-                 ("deviation.note", "zero noise; trivial pass")]
-        _write_csv(path, _header(res, tau_mix, extra), ("N", "mean", "se"),
-                   [(int(n), 0.0, 0.0) for n in res["check.N"]])
-        print(f"PASS check-lemma1: zero-noise deviations are identically zero -> {path}")
-        return 0
+def _lemma1(res, problem, deviations, Ns, lo, hi):
     report = deviation_scaling(
         problem.kernel,
         deviations,
         problem.geometry.norm_pair,
-        res["check.N"],
+        Ns,
         res["check.trials"],
         np.random.default_rng(res["seeds"][0]),
     )
     extra = [
-        ("deviation.slope", "%.17g" % report.slope),
-        ("deviation.constant", "%.17g" % report.constant),
+        ("deviation.slope", report.slope),
+        ("deviation.constant", report.constant),
         ("deviation.window", f"{lo},{hi}"),
     ]
-    _write_csv(
-        path,
-        _header(res, tau_mix, extra),
-        ("N", "mean", "se"),
-        [(int(n), float(m), float(s)) for n, m, s in zip(report.N, report.mean, report.se)],
-    )
+    rows = [(int(n), float(m), float(s)) for n, m, s in zip(report.N, report.mean, report.se)]
     ok = lo <= report.slope <= hi
-    print(
-        f"{'PASS' if ok else 'FAIL'} check-lemma1: slope = {report.slope:.4f}, "
-        f"window [{lo}, {hi}] -> {path}"
-    )
-    return 0 if ok else 1
+    return extra, rows, ok, f"slope = {report.slope:.4f}, window [{lo}, {hi}]"
 
 
-def cmd_check_lemma2(res, out_dir):
-    problem, tau_mix, deviations, path = _check_inputs(res, out_dir, "lemma2")
-    lo, hi = BIAS_SLOPE_WINDOW
-    if np.max(np.abs(deviations)) == 0:
-        extra = [("bias.slope", "nan"), ("bias.window", f"{lo},{hi}"),
-                 ("bias.note", "zero noise; trivial pass")]
-        _write_csv(path, _header(res, tau_mix, extra), ("N", "bias_sq"),
-                   [(int(m) * res["check.B"], 0.0) for m in res["check.M"]])
-        print(f"PASS check-lemma2: zero-noise estimates are exact -> {path}")
-        return 0
-    B = res["check.B"]
-    Ns = [int(m) * B for m in res["check.M"]]
+def _lemma2(res, problem, deviations, Ns, lo, hi):
     report = batch_bias_profile(problem.kernel, deviations, problem.geometry.norm_pair, Ns)
     pairing = unbiasedness_check(
         problem,
         problem.geometry.center(),
-        MlmcConfig(B=B, M=max(res["check.M"])),
+        MlmcConfig(B=res["check.B"], M=max(res["check.M"])),
         res["check.trials"],
         np.random.default_rng(res["seeds"][0]),
     )
     extra = [
-        ("bias.slope", "%.17g" % report.slope),
+        ("bias.slope", report.slope),
         ("bias.window", f"{lo},{hi}"),
-        ("pairing.max_t_ratio", "%.17g" % pairing.max_abs_ratio),
+        ("pairing.max_t_ratio", pairing.max_abs_ratio),
         ("pairing.trials", str(pairing.n_trials)),
     ]
-    _write_csv(
-        path,
-        _header(res, tau_mix, extra),
-        ("N", "bias_sq"),
-        [(int(n), float(b)) for n, b in zip(report.N, report.bias_sq)],
-    )
-    slope_ok = lo <= report.slope <= hi
-    pair_ok = pairing.max_abs_ratio <= 4.0
-    ok = slope_ok and pair_ok
-    print(
-        f"{'PASS' if ok else 'FAIL'} check-lemma2: bias slope = {report.slope:.4f} "
-        f"(window [{lo}, {hi}]), pairing t-ratio = {pairing.max_abs_ratio:.3f} (<= 4) -> {path}"
-    )
+    rows = [(int(n), float(b)) for n, b in zip(report.N, report.bias_sq)]
+    ok = lo <= report.slope <= hi and pairing.max_abs_ratio <= 4.0
+    return extra, rows, ok, (f"bias slope = {report.slope:.4f} (window [{lo}, {hi}]), "
+                             f"pairing t-ratio = {pairing.max_abs_ratio:.3f} (<= 4)")
+
+
+# command: (header prefix, slope window, columns, sample sizes, zero-noise summary,
+# measure(res, problem, deviations, sizes, lo, hi) -> (header extra, rows, ok, summary))
+_CHECKS = {
+    "check-lemma1": ("deviation", DEVIATION_SLOPE_WINDOW, ("N", "mean", "se"),
+                     lambda res: res["check.N"], "zero-noise deviations are identically zero",
+                     _lemma1),
+    "check-lemma2": ("bias", BIAS_SLOPE_WINDOW, ("N", "bias_sq"),
+                     lambda res: [int(m) * res["check.B"] for m in res["check.M"]],
+                     "zero-noise estimates are exact", _lemma2),
+}
+
+
+def cmd_check(res, out_dir, command):
+    """One check command: its CSV and a PASS/FAIL line; exit 1 outside the window."""
+    prefix, (lo, hi), columns, sizes, trivial, measure = _CHECKS[command]
+    kernel = build_kernel(res)
+    problem = build_problem(res, kernel)
+    tau_mix = _resolve_tau(res, kernel)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{command.removeprefix('check-')}_{config_hash(res)}.csv")
+    deviations = problem.noise_deviations()
+    Ns = sizes(res)
+    if np.max(np.abs(deviations)) == 0:
+        extra = [(f"{prefix}.slope", "nan"), (f"{prefix}.window", f"{lo},{hi}"),
+                 (f"{prefix}.note", "zero noise; trivial pass")]
+        rows = [(int(n),) + (0.0,) * (len(columns) - 1) for n in Ns]
+        ok, summary = True, trivial
+    else:
+        extra, rows, ok, summary = measure(res, problem, deviations, Ns, lo, hi)
+    _write_csv(path, _header(res, tau_mix, extra), columns, rows)
+    print(f"{'PASS' if ok else 'FAIL'} {command}: {summary} -> {path}")
     return 0 if ok else 1
 
 
@@ -617,13 +563,13 @@ def _build_parser():
         description="Mirror-descent/mirror-prox experiments under Markovian noise.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "diagnose-chain", "check-lemma1", "check-lemma2"):
+    for name in ("run", "sweep", "diagnose-chain", *_CHECKS):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to dotted-key config")
         sp.add_argument("--seed", default=None, help="comma-separated seed list override")
         sp.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--stride", type=int, default=None, help="record every k-th iteration")
+        sp.add_argument("--stride", default=None, help="record every k-th iteration")
     return p
 
 
@@ -635,34 +581,21 @@ def main(argv=None):
                 text = fh.read()
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}") from None
-        res = resolve_config(parse_config_text(text), solve=args.command in ("run", "sweep"))
-        if args.seed is not None:
-            try:
-                res["seeds"] = [int(s) for s in args.seed.replace(",", " ").split()]
-            except ValueError:
-                raise ConfigError(f"--seed expects integers, got {args.seed!r}") from None
-            if not res["seeds"]:
-                raise ConfigError("--seed list is empty")
-            if min(res["seeds"]) < 0:
-                raise ConfigError("--seed entries must be >= 0")
-        if args.stride is not None:
-            if args.stride < 1:
-                raise ConfigError("--stride must be >= 1")
-            res["stride"] = args.stride
-        out_dir = args.out if args.out is not None else res["out"]
+        raw = parse_config_text(text)
+        # the flags replace their config keys and are checked like them
+        for key, flag in (("seeds", args.seed), ("stride", args.stride), ("out", args.out)):
+            if flag is not None:
+                raw[key] = (flag, None)
+        res = resolve_config(raw, solve=args.command in ("run", "sweep"))
         jobs = 1 if _deterministic() else max(1, args.jobs)
 
         if args.command == "run":
-            return cmd_run(res, jobs, out_dir)
+            return cmd_run(res, jobs, res["out"])
         if args.command == "sweep":
-            return cmd_sweep(res, jobs, out_dir)
+            return cmd_sweep(res, jobs, res["out"])
         if args.command == "diagnose-chain":
             return cmd_diagnose_chain(res)
-        if args.command == "check-lemma1":
-            return cmd_check_lemma1(res, out_dir)
-        if args.command == "check-lemma2":
-            return cmd_check_lemma2(res, out_dir)
-        raise MarkovMirrorError(f"unknown command {args.command!r}")
+        return cmd_check(res, res["out"], args.command)
     except ErgodicityError as e:
         print(f"ergodicity error: {e}", file=sys.stderr)
         return 4

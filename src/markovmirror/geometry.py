@@ -18,6 +18,7 @@ needs.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -300,14 +301,22 @@ class BallGeometry(_EuclideanGeometry):
         r = np.linalg.norm(off)
         if r <= self.radius:
             return np.asarray(v, dtype=float).copy()
-        return self._center + off * (self.radius / r)
+        return self._on_sphere(off, r)
 
     def linear_argmax(self, coef):
         coef = self._check_point(coef, "coef")
         r = np.linalg.norm(coef)
         if r == 0.0:
             return self.center()
-        return self._center + coef * (self.radius / r)
+        return self._on_sphere(coef, r)
+
+    def _on_sphere(self, off, r):
+        """The sphere point in the direction of `off`, whose norm is r."""
+        if not math.isfinite(r):
+            # the norm of a finite vector overflowed; scale it down first
+            off = off / np.max(np.abs(off))
+            r = np.linalg.norm(off)
+        return self._center + off * (self.radius / r)
 
     def sample(self, rng, n=None):
         m = 1 if n is None else n

@@ -51,6 +51,11 @@ def _make_shifts(rng, kernel, geometry, scale):
     return g * (scale / peak)
 
 
+def _check_scale(value, name):
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
 def _oracle(problem):
     """The stochastic oracle(x, z) of a problem: op_oracle for a VI, else grad_oracle."""
     return getattr(problem, "op_oracle", None) or problem.grad_oracle
@@ -286,6 +291,7 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
     uniform-[0.05, 1] * smoothness spectrum (its max is pinned to
     `smoothness` otherwise).
     """
+    _check_scale(smoothness, "smoothness")
     rng = np.random.default_rng(seed)
     if geometry_kind == "box":
         geo = BoxGeometry(d, 0.0, 1.0)
@@ -328,6 +334,7 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
 def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0,
                      lipschitz=1.0, affine_scale=0.1):
     """Random two-player zero-sum game as a skew VI over a simplex product."""
+    _check_scale(lipschitz, "lipschitz")
     block_dims = tuple(int(b) for b in block_dims)
     if len(block_dims) != 2:
         raise InputError(f"game instances need two blocks, got {block_dims}")

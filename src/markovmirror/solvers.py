@@ -29,7 +29,7 @@ import numpy as np
 from .chain import mixing_time
 from .errors import GeometryError, InputError, ScheduleError, SolverError
 from .estimators import Estimate, MlmcConfig, _states, batch_mean, mlmc_geometric
-from .problems import _oracle
+from .problems import _check_scale, _oracle
 
 __all__ = [
     "MamdSchedule",
@@ -78,11 +78,7 @@ class MamdSchedule:
         beta_t >= 2 gamma_t L at every t <= T.  Raises ScheduleError
         otherwise.
         """
-        c = float(self.c)
-        if not (np.isfinite(c) and c > 0):
-            raise ScheduleError(f"stepsize constant c must be positive and finite, got {c}")
-        if 2.0 * c * L * (1 - 1e-9) > 1.0:
-            raise ScheduleError(f"c = {c} exceeds 1/(2 L) = {0.5 / L}")
+        _check_step(self.c, L, "stepsize constant c")
 
 
 @dataclass
@@ -152,19 +148,20 @@ def _check_T(T):
     return T
 
 
-def _check_gamma(gamma, L):
-    gamma = float(gamma)
-    if not gamma > 0:  # also catches NaN
-        raise ScheduleError(f"gamma must be positive, got {gamma}")
-    if gamma > 0.5 / L * (1 + 1e-9):
-        raise ScheduleError(f"gamma = {gamma} exceeds 1/(2 L) = {0.5 / L}")
-    return gamma
+def _check_step(value, L, name):
+    """`value` as a float if it lies in (0, 1/(2L)]; ScheduleError otherwise."""
+    value = float(value)
+    if not (np.isfinite(value) and value > 0):
+        raise ScheduleError(f"{name} must be positive and finite, got {value}")
+    if value > 0.5 / L * (1 + 1e-9):
+        raise ScheduleError(f"{name} = {value} exceeds 1/(2 L) = {0.5 / L}")
+    return value
 
 
 # The loops below take unchecked prox steps (`Geometry._step`): the start
-# point is checked once, every estimate is checked to be finite, and a
-# step from a feasible point with a finite argument lands in the feasible
-# set, which the final check confirms.
+# point is checked once, every stepped estimate gamma * g is checked to be
+# finite, and a step from a feasible point with a finite argument lands in
+# the feasible set, which the final check confirms.
 
 
 def _start(geo, x0):
@@ -176,11 +173,12 @@ def _start(geo, x0):
     return x
 
 
-def _finite(est, t):
-    """The estimate's vector; SolverError if it is not finite."""
-    if not np.isfinite(est.g).all():
+def _stepped(gamma, est, t):
+    """gamma times the estimate, the argument of one prox step; SolverError if not finite."""
+    xi = gamma * est.g
+    if not np.isfinite(xi).all():
         raise SolverError(f"non-finite estimate at iteration {t}")
-    return est.g
+    return xi
 
 
 def _at_state(oracle, x, state, steps):
@@ -206,7 +204,7 @@ def _descent(problem, schedule, T, estimate, rec, x0):
         inv = 1.0 / betas[t]
         x_g = inv * x + (1.0 - inv) * x_f
         est = estimate(x_g)
-        x = geo._step(x, gammas[t] * _finite(est, t))
+        x = geo._step(x, _stepped(gammas[t], est, t))
         x_f = inv * x + (1.0 - inv) * x_f
         calls += est.oracle_calls
         steps += est.chain_steps
@@ -262,9 +260,9 @@ def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
     calls = steps = 0
     for t in range(T):
         est_half = half(x)
-        x_half = geo._step(x, gamma * _finite(est_half, t))
+        x_half = geo._step(x, _stepped(gamma, est_half, t))
         est_full = full(x_half)
-        x = geo._step(x, gamma * _finite(est_full, t))
+        x = geo._step(x, _stepped(gamma, est_full, t))
         calls += est_half.oracle_calls + est_full.oracle_calls
         steps += est_half.chain_steps + est_full.chain_steps
         if t >= avg_start:
@@ -285,7 +283,7 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
     evaluations but a single chain step.
     """
     T = _check_T(T)
-    gamma = _check_gamma(gamma, float(getattr(problem, "L_tilde", problem.L)))
+    gamma = _check_step(gamma, float(getattr(problem, "L_tilde", problem.L)), "gamma")
     if avg_start is None:
         avg_start = mixing_time(cursor.kernel)
     avg_start = int(avg_start)
@@ -321,7 +319,7 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
     half-step point.  Averages all half-step iterates from t = 0.
     """
     T = _check_T(T)
-    gamma = _check_gamma(gamma, float(problem.L))
+    gamma = _check_step(gamma, float(problem.L), "gamma")
     oracle = _oracle(problem)
     config = {
         "algorithm": "mmp_batched", "T": T, "gamma": gamma,
@@ -338,10 +336,8 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
 
 
 def _check_params(L, D, sigma, tau_mix, T, warmup=False):
-    if not (L > 0 and np.isfinite(L)):
-        raise InputError(f"L must be positive and finite, got {L}")
-    if not (D > 0 and np.isfinite(D)):
-        raise InputError(f"D must be positive and finite, got {D}")
+    _check_scale(L, "L")
+    _check_scale(D, "D")
     if sigma < 0:
         raise InputError(f"sigma must be >= 0, got {sigma}")
     tau_mix = int(tau_mix)
@@ -353,6 +349,12 @@ def _check_params(L, D, sigma, tau_mix, T, warmup=False):
     return float(L), float(D), float(sigma), tau_mix, T
 
 
+def _capped(L, D, sigma, tau, horizon, a):
+    """min(1/(2L), D / (horizon * sigma * tau^a)), the stepsize every factory caps by."""
+    cap = 0.5 / L
+    return min(cap, D / (horizon * sigma * tau**a)) if sigma > 0 else cap
+
+
 def mamd_unbatched_schedule(L, D, sigma, tau_mix, T):
     """Warmup schedule for single-sample accelerated mirror descent.
 
@@ -362,10 +364,7 @@ def mamd_unbatched_schedule(L, D, sigma, tau_mix, T):
     the effective horizon T - tau_mix.
     """
     L, D, sigma, tau, T = _check_params(L, D, sigma, tau_mix, T, warmup=True)
-    c = 0.5 / L
-    if sigma > 0:
-        c = min(c, D / ((T - tau) ** 1.5 * sigma * tau**1.5))
-    return MamdSchedule(c, tau)
+    return MamdSchedule(_capped(L, D, sigma, tau, (T - tau) ** 1.5, 1.5), tau)
 
 
 def mamd_batched_schedule(L, D, sigma, tau_mix, T):
@@ -376,25 +375,16 @@ def mamd_batched_schedule(L, D, sigma, tau_mix, T):
     with B = 1 and truncation cap M = T.
     """
     L, D, sigma, tau, T = _check_params(L, D, sigma, tau_mix, T)
-    c = 0.5 / L
-    if sigma > 0:
-        c = min(c, D / (T**1.5 * sigma * tau**0.5))
-    return MamdSchedule(c, 0), MlmcConfig(B=1, M=T)
+    return MamdSchedule(_capped(L, D, sigma, tau, T**1.5, 0.5), 0), MlmcConfig(B=1, M=T)
 
 
 def mmp_unbatched_stepsize(L_tilde, D, sigma, tau_mix, T):
     """Constant stepsize for single-sample mirror prox."""
     L_tilde, D, sigma, tau, T = _check_params(L_tilde, D, sigma, tau_mix, T, warmup=True)
-    gamma = 0.5 / L_tilde
-    if sigma > 0:
-        gamma = min(gamma, D / ((T - tau) ** 0.5 * sigma * tau))
-    return gamma
+    return _capped(L_tilde, D, sigma, tau, (T - tau) ** 0.5, 1)
 
 
 def mmp_batched_params(L, D, sigma, tau_mix, T):
     """Constant stepsize plus estimator config for batched mirror prox."""
     L, D, sigma, tau, T = _check_params(L, D, sigma, tau_mix, T)
-    gamma = 0.5 / L
-    if sigma > 0:
-        gamma = min(gamma, D / (T**0.5 * sigma * tau**0.5))
-    return gamma, MlmcConfig(B=1, M=T)
+    return _capped(L, D, sigma, tau, T**0.5, 0.5), MlmcConfig(B=1, M=T)

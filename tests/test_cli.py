@@ -118,6 +118,12 @@ def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
     ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = -inf\n", [], 3),
     ("chain.laziness = -0.5\n", [], 1),
     ("chain.laziness = nan\n", [], 1),
+    ("problem.smoothness = 0\n", [], 1),
+    ("problem.smoothness = -1\n", [], 1),
+    ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = 0\n", [], 3),
+    ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = -1\n", [], 3),
+    ("chain.tau_mix = 0\n", [], 1),
+    ("problem.noise = 0\nalgorithm = mmp\nchain.tau_mix = -5\n", [], 3),
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, text, args, line):
     cfg = write_config(tmp_path, "T = 20\n" + text)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -185,6 +185,24 @@ def test_unchecked_step_matches_prox_and_stays_feasible(name, data):
     if isinstance(geo, SimplexGeometry):
         np.testing.assert_allclose(out, _simplex_step_by_blocks(geo, x, xi), rtol=0, atol=1e-14)
     assert geo.contains(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(direction=arrays(float, st.integers(1, 12), elements=st.floats(-1.0, 1.0)),
+       exponent=st.integers(12, 308), radius=st.floats(0.5, 4.0))
+def test_ball_steps_of_huge_duals_reach_the_boundary(direction, exponent, radius):
+    # |xi| from 1e12 up to 1e308, past where the norm of xi overflows
+    assume(np.max(np.abs(direction)) >= 0.1)
+    geo = BallGeometry(direction.size, radius=radius, center=np.full(direction.size, 0.25))
+    xi = direction * 10.0**exponent
+    with np.errstate(over="ignore"):
+        out = geo.prox(geo.center(), xi)
+    assert geo.contains(out)
+    unit = direction / np.linalg.norm(direction)
+    np.testing.assert_allclose(out, geo.center() - radius * unit, rtol=0, atol=1e-12)
+    with np.errstate(over="ignore"):
+        top = geo.linear_argmax(xi)
+    np.testing.assert_allclose(top, geo.center() + radius * unit, rtol=0, atol=1e-12)
 
 
 def test_closed_form_prox_matches_generic_solver(rng):

@@ -183,6 +183,14 @@ def test_smoothness_simplex_is_max_entry(dense8):
     assert g.L_tilde == g.L
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_non_positive_or_non_finite_scale_rejected(dense8, value):
+    with pytest.raises(InputError, match="smoothness must be positive and finite"):
+        make_min_instance(4, dense8, smoothness=value)
+    with pytest.raises(InputError, match="lipschitz must be positive and finite"):
+        make_vi_instance((2, 3), dense8, lipschitz=value)
+
+
 def test_sigma_is_exact(dense8):
     for scale in (0.0, 0.5, 2.0):
         p = make_min_instance(5, dense8, noise_scale=scale, seed=6)

@@ -425,10 +425,10 @@ def test_golden_runs_reproduce_frozen_rows():
 SOLVERS = ("mamd_unbatched", "mamd_batched", "mmp_unbatched", "mmp_batched")
 
 
-def _boundary_problem(name, kernel):
+def _boundary_problem(name, kernel, scale=1.0):
     if name.startswith("mamd"):
-        return make_min_instance(3, kernel, noise_scale=0.5, seed=1)
-    return make_vi_instance((2, 3), kernel, noise_scale=0.5, seed=1)
+        return make_min_instance(3, kernel, noise_scale=0.5, seed=1, smoothness=scale)
+    return make_vi_instance((2, 3), kernel, noise_scale=0.5, seed=1, lipschitz=scale)
 
 
 def _short_run(name, p, cursor, T=12, **kw):
@@ -443,17 +443,18 @@ def _short_run(name, p, cursor, T=12, **kw):
                        np.random.default_rng(0), **kw)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e307])
 @pytest.mark.parametrize("name", SOLVERS)
 def test_non_finite_estimate_is_solver_error(dense8, name, bad):
-    p = _boundary_problem(name, dense8)
+    # at L = 0.01 the stepsizes exceed 20, so the finite 1e307 overflows in gamma * g
+    p = _boundary_problem(name, dense8, scale=0.01)
     clean = _short_run(name, p, cursor_for(p, 3), stride=1)
     attr = "grad_oracle" if name.startswith("mamd") else "op_oracle"
     oracle = getattr(p, attr)
     rows = [0]
 
     def poisoned(x, z):
-        # every row from the first one of iteration 3 (0-based) on is non-finite
+        # every row from the first one of iteration 3 (0-based) on is poisoned
         out = np.array(oracle(x, z), dtype=float)
         if rows[0] >= clean.oracle_calls[2]:
             out[..., 0] = bad
@@ -461,7 +462,7 @@ def test_non_finite_estimate_is_solver_error(dense8, name, bad):
         return out
 
     setattr(p, attr, poisoned)
-    with np.errstate(invalid="ignore"), \
+    with np.errstate(invalid="ignore", over="ignore"), \
             pytest.raises(SolverError, match="non-finite estimate at iteration 3$"):
         _short_run(name, p, cursor_for(p, 3))
 
