@@ -8,103 +8,21 @@ estimates (single, batch-mean, or truncated multilevel); `solvers` run
 accelerated mirror descent or mirror prox on top; and `validation`
 measures what came out.  The ``markovmirror`` console script drives
 experiments from dotted-key config files.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+all of them.
 """
 
-from .chain import (
-    ChainCursor,
-    ChainDiagnostics,
-    TransitionKernel,
-    diagnose,
-    lazy_for_mixing_time,
-    make_lazy,
-    mixing_time,
-    random_ergodic,
-    sample_paths,
-    stationary,
-)
-from .errors import (
-    ConfigError,
-    ErgodicityError,
-    GeometryError,
-    InputError,
-    MarkovMirrorError,
-    ScheduleError,
-    SolverError,
-    StatisticsError,
-)
-from .estimators import (Estimate, MlmcConfig, batch_mean, combine_levels,
-                         mlmc_geometric, single_sample)
-from .geometry import (
-    BallGeometry,
-    BoxGeometry,
-    Geometry,
-    NormPair,
-    SimplexGeometry,
-    prox_nonexpansive_check,
-)
-from .problems import (
-    MinProblem,
-    ViProblem,
-    load_instance,
-    make_min_instance,
-    make_vi_instance,
-    matching_pennies,
-    reference_solution,
-    save_instance,
-)
-from .solvers import (
-    MamdSchedule,
-    RunRecord,
-    mamd_batched,
-    mamd_batched_schedule,
-    mamd_unbatched,
-    mamd_unbatched_schedule,
-    mmp_batched,
-    mmp_batched_params,
-    mmp_unbatched,
-    mmp_unbatched_stepsize,
-)
-from .validation import (
-    BIAS_SLOPE_WINDOW,
-    DEVIATION_SLOPE_WINDOW,
-    TAU_RATIO_WINDOW,
-    batch_bias_profile,
-    bootstrap_rate_ci,
-    deviation_scaling,
-    err_vi,
-    estimator_moments,
-    rate_fit,
-    subopt_gap,
-    unbiasedness_check,
-    weak_vi_gap,
-)
+from . import chain, errors, estimators, geometry, problems, solvers, validation
+from .chain import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .problems import *  # noqa: F403
+from .solvers import *  # noqa: F403
+from .validation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "MarkovMirrorError", "InputError", "GeometryError", "ErgodicityError",
-    "ScheduleError", "SolverError", "StatisticsError", "ConfigError",
-    # geometry
-    "NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeometry",
-    "prox_nonexpansive_check",
-    # chain
-    "TransitionKernel", "ChainCursor", "ChainDiagnostics", "stationary",
-    "mixing_time", "diagnose", "make_lazy", "lazy_for_mixing_time",
-    "random_ergodic", "sample_paths",
-    # problems
-    "MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
-    "matching_pennies", "reference_solution", "save_instance", "load_instance",
-    # estimators
-    "Estimate", "MlmcConfig", "single_sample", "batch_mean", "combine_levels", "mlmc_geometric",
-    # solvers
-    "MamdSchedule", "RunRecord", "mamd_unbatched", "mamd_batched",
-    "mmp_unbatched", "mmp_batched", "mamd_unbatched_schedule",
-    "mamd_batched_schedule", "mmp_unbatched_stepsize", "mmp_batched_params",
-    # validation
-    "subopt_gap", "err_vi", "weak_vi_gap", "deviation_scaling",
-    "batch_bias_profile", "estimator_moments", "unbiasedness_check",
-    "rate_fit", "bootstrap_rate_ci", "DEVIATION_SLOPE_WINDOW",
-    "TAU_RATIO_WINDOW", "BIAS_SLOPE_WINDOW",
-]
+__all__ = ["__version__", *(name for module in (chain, errors, estimators, geometry, problems,
+                                                solvers, validation) for name in module.__all__)]

@@ -16,10 +16,15 @@ import numpy as np
 
 from .errors import ErgodicityError, InputError
 
+__all__ = ["TransitionKernel", "ChainCursor", "ChainDiagnostics", "stationary", "mixing_time",
+           "diagnose", "make_lazy", "lazy_for_mixing_time", "random_ergodic", "sample_paths"]
+
 _STATIONARY_TOL = 1e-12
 _STATIONARY_RESIDUAL = 1e-10
 _MAX_POWER_STEPS = 10**6
 _MAX_ALPHA = 0.9999
+# the mixing time is tau(1/4): the first t with worst-start TV <= 1/4
+_TV_THRESHOLD = 0.25
 # power-iteration blocks: the first holds 16 products, each next one twice
 # as many up to 1024, so a fast chain does at most twice the products it
 # needs and a slow one at most 1024 more
@@ -39,8 +44,8 @@ class TransitionKernel:
         P = np.array(matrix, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
             raise InputError(f"kernel must be a square matrix, got shape {P.shape}")
-        if np.min(P) < 0.0:
-            raise InputError("kernel has negative entries")
+        if not (np.isfinite(P).all() and np.min(P) >= 0.0):
+            raise InputError("kernel entries must be finite and nonnegative")
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise InputError("kernel rows must sum to 1 within 1e-12")
@@ -169,20 +174,18 @@ def _worst_tv(P, pi):
     raise ErgodicityError(f"TV scan did not settle in {_MAX_POWER_STEPS} steps")
 
 
-def _scan_to(kernel, threshold):
-    """The kernel's TV scan and its values up to the first one <= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise InputError(f"threshold must lie in (0, 1), got {threshold}")
+def _scan_to(kernel):
+    """The kernel's TV scan and its values up to the first one <= 1/4."""
     tvs = _worst_tv(kernel.P, stationary(kernel))
     curve = [next(tvs)]
-    while curve[-1] > threshold:
+    while curve[-1] > _TV_THRESHOLD:
         curve.append(next(tvs))
     return tvs, curve
 
 
-def mixing_time(kernel, threshold=0.25):
-    """Smallest t with max-over-starts TV(P^t(z, .), pi) <= threshold."""
-    return len(_scan_to(kernel, threshold)[1])
+def mixing_time(kernel):
+    """Smallest t with max-over-starts TV(P^t(z, .), pi) <= 1/4."""
+    return len(_scan_to(kernel)[1])
 
 
 @dataclass
@@ -190,19 +193,18 @@ class ChainDiagnostics:
     pi: np.ndarray
     tau_mix: int
     tv_curve: np.ndarray  # worst-case TV at t = 1, 2, ..., len(curve)
-    threshold: float
 
 
-def diagnose(kernel, threshold=0.25):
+def diagnose(kernel):
     """Stationary distribution, mixing time, and the worst-start TV decay curve.
 
     The scan that finds tau_mix goes on to t = 2 * tau_mix, so callers
     can check submultiplicative decay past the threshold crossing.
     """
-    tvs, curve = _scan_to(kernel, threshold)
+    tvs, curve = _scan_to(kernel)
     tau = len(curve)
     curve += [next(tvs) for _ in range(tau)]
-    return ChainDiagnostics(stationary(kernel), tau, np.array(curve), threshold)
+    return ChainDiagnostics(stationary(kernel), tau, np.array(curve))
 
 
 def make_lazy(kernel, alpha):
@@ -225,7 +227,7 @@ def lazy_for_mixing_time(kernel, target_tau):
     lo, hi = 0.0, _MAX_ALPHA
     # unreachable if even the slowest chain mixes sooner; it keeps pi, so scan with the base pi
     slowest = _worst_tv(make_lazy(kernel, hi).P, stationary(kernel))
-    if any(next(slowest) <= 0.25 for _ in range(target_tau - 1)):
+    if any(next(slowest) <= _TV_THRESHOLD for _ in range(target_tau - 1)):
         raise InputError(f"target mixing time {target_tau} unreachable below alpha={hi}")
     lazy = None
     for _ in range(50):

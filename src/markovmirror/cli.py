@@ -51,6 +51,7 @@ from .solvers import MamdSchedule
 from .validation import (
     BIAS_SLOPE_WINDOW,
     DEVIATION_SLOPE_WINDOW,
+    _check_sizes,
     batch_bias_profile,
     bootstrap_rate_ci,
     deviation_scaling,
@@ -140,6 +141,8 @@ def _parse_matrix(raw, key, line):
         raise ConfigError(f"{key} has a non-numeric entry", line=line) from None
     if not mat or any(len(r) != len(mat) for r in mat):
         raise ConfigError(f"{key} must be a square matrix (rows split by ';')", line=line)
+    if not np.isfinite(mat).all():
+        raise ConfigError(f"{key} has a non-finite entry", line=line)
     return mat
 
 
@@ -148,15 +151,15 @@ def _parse_matrix(raw, key, line):
 # must also be finite
 _SCHEMA = {
     "problem.kind": (("quadratic", "game", "matching-pennies"), "quadratic"),
-    "problem.d": ("int", 10),
-    "problem.blocks": ("ints", [2, 2]),
+    "problem.d": ("int", 10, ">= 1"),
+    "problem.blocks": ("ints", [2, 2], ">= 2"),
     "problem.geometry": (("box", "ball", "simplex"), "box"),
     "problem.noise": ("float", 1.0, ">= 0"),
     "problem.seed": ("int", 0, ">= 0"),
     "problem.smoothness": ("float", 1.0, "> 0"),
     "problem.lipschitz": ("float", 1.0, "> 0"),
     "chain.matrix": ("matrix", None),
-    "chain.n": ("int", 8),
+    "chain.n": ("int", 8, ">= 2"),
     "chain.seed": ("int", 0, ">= 0"),
     "chain.laziness": ("float", 0.0, ">= 0", "< 1"),
     "chain.tau_mix": ("int", None, ">= 1"),
@@ -172,10 +175,10 @@ _SCHEMA = {
     "out": ("str", "."),
     "metrics": (("gap", "none"), "gap"),
     "sweep.T": ("ints", [64, 128, 256, 512, 1024], ">= 1"),
-    "check.N": ("ints", [2**k for k in range(4, 13)]),
+    "check.N": ("ints", [2**k for k in range(4, 13)], ">= 1"),
     "check.trials": ("int", 2000),
-    "check.M": ("ints", [4, 16, 64, 256]),
-    "check.B": ("int", 1),
+    "check.M": ("ints", [4, 16, 64, 256], ">= 1"),
+    "check.B": ("int", 1, ">= 1"),
     "synthetic.exponent": ("float", -2.0),
 }
 
@@ -534,13 +537,14 @@ _CHECKS = {
 def cmd_check(res, out_dir, command):
     """One check command: its CSV and a PASS/FAIL line; exit 1 outside the window."""
     prefix, (lo, hi), columns, sizes, trivial, measure = _CHECKS[command]
+    Ns = sizes(res)
+    _check_sizes(Ns, 1)  # the library's sizes check, also for the zero-noise path
     kernel = build_kernel(res)
     problem = build_problem(res, kernel)
     tau_mix = _resolve_tau(res, kernel)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command.removeprefix('check-')}_{config_hash(res)}.csv")
     deviations = problem.noise_deviations()
-    Ns = sizes(res)
     if np.max(np.abs(deviations)) == 0:
         extra = [(f"{prefix}.slope", "nan"), (f"{prefix}.window", f"{lo},{hi}"),
                  (f"{prefix}.note", "zero noise; trivial pass")]

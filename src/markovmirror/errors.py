@@ -4,6 +4,9 @@ The CLI maps these onto stable exit codes, so new failure modes should
 reuse one of the classes below rather than raising bare ValueErrors.
 """
 
+__all__ = ["MarkovMirrorError", "InputError", "GeometryError", "ErgodicityError",
+           "ScheduleError", "SolverError", "StatisticsError", "ConfigError"]
+
 
 class MarkovMirrorError(Exception):
     """Base class for all library errors."""

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import InputError
 
+__all__ = ["Estimate", "MlmcConfig", "single_sample", "batch_mean", "combine_levels",
+           "mlmc_geometric"]
+
 # levels above this are astronomically rare (P ~ 2^-62) and would
 # overflow the span arithmetic, so the geometric draw is clipped
 _MAX_LEVEL = 62
@@ -28,6 +31,11 @@ _SKIP_THRESHOLD = 4096
 # holds a chunk's uniforms as Python floats, and 4096 of them raised a
 # 2^15-step run's peak RSS by 1 MB with no speed gain over 1024
 _CHUNK = 1024
+
+
+def _integral(value):
+    """True for an int or a whole float; False for a fraction, NaN or inf."""
+    return isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())
 
 
 @dataclass
@@ -50,9 +58,7 @@ class MlmcConfig:
     def __post_init__(self):
         for name in ("B", "M"):
             value = getattr(self, name)
-            integral = isinstance(value, Integral) or (
-                isinstance(value, Real) and float(value).is_integer())
-            if not (integral and value >= 1):
+            if not (_integral(value) and value >= 1):
                 raise InputError(
                     f"MlmcConfig needs integers B >= 1 and M >= 1, got B={self.B} M={self.M}"
                 )

@@ -24,10 +24,25 @@ import numpy as np
 
 from .errors import GeometryError, InputError
 
+__all__ = ["NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeometry",
+           "prox_nonexpansive_check"]
+
 # Total probability mass reserved for the simplex floor; after every prox
 # step a simplex block y is replaced by (1 - nu) * y + nu / dim so that
 # entropy gradients stay finite on subsequent steps.
 SIMPLEX_NU = 1e-9
+
+# stopping rule of the generic prox: KKT residual and iteration budget
+_PROX_TOL = 1e-10
+_PROX_MAX_ITER = 10_000
+
+# float slack allowed by the prox nonexpansiveness check
+_NONEXPANSIVE_SLACK = 1e-9
+
+
+def _check_scale(value, name):
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 def dual_exponent(p):
@@ -152,9 +167,9 @@ class Geometry:
         self._check_anchor(x)
         return x, xi
 
-    def prox_generic(self, x, xi, tol=1e-10, max_iter=10_000):
+    def prox_generic(self, x, xi):
         """Fallback prox: projected gradient with backtracking on
-        h(y) = V(x, y) + <xi, y>, stopped at fixed-point (KKT) residual <= tol.
+        h(y) = V(x, y) + <xi, y>, stopped at fixed-point (KKT) residual <= 1e-10.
 
         Independent of the closed forms; used to cross-validate them.
         """
@@ -170,11 +185,11 @@ class Geometry:
         step = 1.0
         mom = 0.0
         t_acc = 1.0
-        for _ in range(max_iter):
+        for _ in range(_PROX_MAX_ITER):
             g_y = self._mirror_grad(y) - gx + xi
             # unit-step fixed-point residual certifies the KKT system
             resid = np.max(np.abs(y - self.project(y - g_y)))
-            if resid <= tol:
+            if resid <= _PROX_TOL:
                 return y
             # momentum keeps the iteration count ~sqrt(kappa); the entropy
             # map's curvature blows up near the floor, so plain projected
@@ -203,7 +218,7 @@ class Geometry:
                 y_prev = y.copy()
             step = min(step * 1.5, 1e6)
         raise GeometryError(
-            f"generic prox did not reach KKT residual {tol:g} in {max_iter} iterations"
+            f"generic prox did not reach KKT residual {_PROX_TOL:g} in {_PROX_MAX_ITER} iterations"
         )
 
 
@@ -237,8 +252,7 @@ class BoxGeometry(_EuclideanGeometry):
         super().__init__(d)
         self.lo = float(lo)
         self.hi = float(hi)
-        if not self.lo < self.hi:
-            raise InputError(f"box needs lo < hi, got [{lo}, {hi}]")
+        _check_scale(self.hi - self.lo, f"box [{lo}, {hi}] width")
 
     def diameter_sq(self):
         return self.d * (self.hi - self.lo) ** 2 / 8.0
@@ -278,8 +292,7 @@ class BallGeometry(_EuclideanGeometry):
     def __init__(self, d, radius=1.0, center=None):
         super().__init__(d)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise InputError(f"ball radius must be positive, got {radius}")
+        _check_scale(self.radius, "ball radius")
         self._center = (
             np.zeros(d) if center is None else self._check_point(np.asarray(center, float))
         )
@@ -364,17 +377,15 @@ class SimplexGeometry(Geometry):
         if not 0.0 <= self.nu < 1e-3:
             raise InputError(f"floor mass nu={nu} outside [0, 1e-3)")
         self.n_blocks = len(self.block_dims)
-        dims = np.array(self.block_dims)
-        starts = np.concatenate(([0], np.cumsum(dims)[:-1]))
-        self._slices = [slice(int(a), int(a + b)) for a, b in zip(starts, dims)]
-        # segment reductions over all blocks at once: reduceat over the
-        # block starts, repeated back to coordinates by the block dims
-        self._starts = starts
-        self._dims = dims
-        self._floors = np.repeat(self.nu / dims, dims)
+        # the block layout: segment reductions over all blocks at once are
+        # reduceat over the block starts, repeated back by the block dims
+        self._dims = np.array(self.block_dims)
+        self._starts = np.concatenate(([0], np.cumsum(self._dims)[:-1]))
+        self._floors = np.repeat(self.nu / self._dims, self._dims)
 
     def blocks(self, x):
-        return [x[s] for s in self._slices]
+        """Views of x's blocks along its trailing axis."""
+        return np.split(x, self._starts[1:], axis=-1)
 
     def _check_interior(self, x):
         if np.min(x) <= 0.0:
@@ -395,8 +406,8 @@ class SimplexGeometry(Geometry):
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(y > 0.0, y * np.log(y / x), 0.0)
         total = 0.0
-        for s in self._slices:
-            total += float(np.sum(terms[s])) + float(np.sum(x[s]) - np.sum(y[s]))
+        for t, xb, yb in zip(self.blocks(terms), self.blocks(x), self.blocks(y)):
+            total += float(np.sum(t)) + float(np.sum(xb) - np.sum(yb))
         return self.n_blocks * total
 
     def _mirror_grad(self, v):
@@ -404,8 +415,8 @@ class SimplexGeometry(Geometry):
         return self.n_blocks * (1.0 + np.log(v))
 
     def renormalize(self, y):
-        """Fold a nonnegative blockwise-unit vector onto the floored simplex."""
-        sums = np.repeat(np.add.reduceat(y, self._starts), self._dims)
+        """Fold nonnegative blockwise-unit rows (trailing axis) onto the floored simplex."""
+        sums = np.repeat(np.add.reduceat(y, self._starts, axis=-1), self._dims, axis=-1)
         return (1.0 - self.nu) * (y / sums) + self._floors
 
     def _step(self, x, xi):
@@ -430,42 +441,35 @@ class SimplexGeometry(Geometry):
                     and np.all(x >= self._floors - tol))
 
     def project(self, v):
-        out = np.empty_like(np.asarray(v, dtype=float))
-        for s in self._slices:
-            out[s] = _project_block_simplex(np.asarray(v[s], float), self._floors[s.start])
+        blocks = self.blocks(np.asarray(v, dtype=float))
+        return np.concatenate([_project_block_simplex(b, f)
+                               for b, f in zip(blocks, self.nu / self._dims)])
+
+    def _one_hot(self, offsets):
+        """The vertex with a 1 at the given offset within each block."""
+        out = np.zeros(self.d)
+        out[self._starts + offsets] = 1.0
         return out
 
     def linear_argmax(self, coef):
         coef = self._check_point(coef, "coef")
-        out = np.zeros(self.d)
-        for s in self._slices:
-            block = coef[s]
-            out[s.start + int(np.argmax(block))] = 1.0
-        return out
+        return self._one_hot([np.argmax(b) for b in self.blocks(coef)])
 
     def sample(self, rng, n=None):
         m = 1 if n is None else n
-        pts = np.empty((m, self.d))
-        for s, b in zip(self._slices, self.block_dims):
-            pts[:, s] = rng.dirichlet(np.ones(b), size=m)
-        pts = np.apply_along_axis(self.renormalize, 1, pts)
+        pts = np.hstack([rng.dirichlet(np.ones(b), size=m) for b in self.block_dims])
+        pts = self.renormalize(pts)
         return pts[0] if n is None else pts
 
     def vertices(self):
         count = int(np.prod(self.block_dims))
         if count > 4096:
             raise GeometryError("vertex enumeration capped at 4096 combinations")
-        out = []
-        for combo in itertools.product(*(range(b) for b in self.block_dims)):
-            v = np.zeros(self.d)
-            for s, i in zip(self._slices, combo):
-                v[s.start + i] = 1.0
-            out.append(v)
-        return out
+        return [self._one_hot(combo) for combo in itertools.product(*map(range, self.block_dims))]
 
 
-def prox_nonexpansive_check(geometry, x, eta, zeta, slack=1e-9):
-    """True iff ||P_x(eta) - P_x(zeta)||_p <= ||eta - zeta||_q + slack."""
+def prox_nonexpansive_check(geometry, x, eta, zeta):
+    """True iff ||P_x(eta) - P_x(zeta)||_p <= ||eta - zeta||_q + 1e-9."""
     lhs = geometry.norm(geometry.prox(x, eta) - geometry.prox(x, zeta))
     rhs = geometry.dual_norm(np.asarray(eta, float) - np.asarray(zeta, float))
-    return bool(lhs <= rhs + slack)
+    return bool(lhs <= rhs + _NONEXPANSIVE_SLACK)

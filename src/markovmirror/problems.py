@@ -13,11 +13,16 @@ import numpy as np
 
 from .chain import TransitionKernel, stationary
 from .errors import InputError, SolverError
-from .geometry import BallGeometry, BoxGeometry, SimplexGeometry
+from .geometry import BallGeometry, BoxGeometry, SimplexGeometry, _check_scale
+
+__all__ = ["MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
+           "matching_pennies", "reference_solution", "save_instance", "load_instance"]
 
 _REF_MIN_TOL = 1e-10
 _REF_VI_TOL = 1e-9
 _REF_MAX_ITER = 10**6
+# scale of a random game's linear term c, relative to its payoff entries
+_AFFINE_SCALE = 0.1
 
 
 def _operator_norm(M, p):
@@ -49,11 +54,6 @@ def _make_shifts(rng, kernel, geometry, scale):
     g -= stationary(kernel) @ g
     peak = np.max(geometry.dual_norm(g, axis=1))
     return g * (scale / peak)
-
-
-def _check_scale(value, name):
-    if not (np.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 def _oracle(problem):
@@ -183,7 +183,7 @@ def _fw_gap(problem, x):
     return float(g @ (x - v))
 
 
-def _solve_min_reference(problem, tol=_REF_MIN_TOL, max_iter=_REF_MAX_ITER):
+def _solve_min_reference(problem):
     """Deterministic accelerated projected-gradient solve, certified by the FW gap."""
     geo = problem.geometry
     L2 = float(np.linalg.eigvalsh(problem.A).max())
@@ -193,9 +193,9 @@ def _solve_min_reference(problem, tol=_REF_MIN_TOL, max_iter=_REF_MAX_ITER):
     x = geo.center()
     y = x.copy()
     t_mom = 1.0
-    for _ in range(max_iter):
+    for _ in range(_REF_MAX_ITER):
         x_new = geo.project(y - problem.grad(y) / L2)
-        if _fw_gap(problem, x_new) <= tol:
+        if _fw_gap(problem, x_new) <= _REF_MIN_TOL:
             return x_new, problem.f(x_new)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
         mom = (t_mom - 1.0) / t_new
@@ -204,7 +204,7 @@ def _solve_min_reference(problem, tol=_REF_MIN_TOL, max_iter=_REF_MAX_ITER):
             t_new, mom = 1.0, 0.0
         y = x_new + mom * (x_new - x)
         x, t_mom = x_new, t_new
-    raise SolverError(f"reference minimization did not reach FW gap {tol:g}")
+    raise SolverError(f"reference minimization did not reach FW gap {_REF_MIN_TOL:g}")
 
 
 def _game_blocks(problem):
@@ -245,7 +245,7 @@ def _solve_game_lp(G, c1, c2):
     return np.r_[x / x.sum(), y / y.sum()]
 
 
-def _solve_vi_reference(problem, tol=_REF_VI_TOL, max_iter=_REF_MAX_ITER):
+def _solve_vi_reference(problem):
     from .validation import err_vi  # local import to avoid a module cycle
 
     geo = problem.geometry
@@ -253,8 +253,8 @@ def _solve_vi_reference(problem, tol=_REF_VI_TOL, max_iter=_REF_MAX_ITER):
     if blocks is not None:
         x = _solve_game_lp(*blocks)
         # the floor fold (1 - nu) x + nu * center adds <= nu * err_vi(center): err_vi is convex
-        fold = tol + geo.nu * err_vi(problem, geo.center())
-        for point, bound in ((x, tol), (geo.renormalize(x), fold)):
+        fold = _REF_VI_TOL + geo.nu * err_vi(problem, geo.center())
+        for point, bound in ((x, _REF_VI_TOL), (geo.renormalize(x), fold)):
             gap = err_vi(problem, point)
             if gap > bound:
                 raise SolverError(f"LP equilibrium has gap {gap:.3e} > {bound:.3e}")
@@ -265,13 +265,13 @@ def _solve_vi_reference(problem, tol=_REF_VI_TOL, max_iter=_REF_MAX_ITER):
     x = geo.center()
     avg = np.zeros(geo.d)
     check_every = 1000
-    for t in range(1, max_iter + 1):
+    for t in range(1, _REF_MAX_ITER + 1):
         half = geo.project(x - gamma * problem.op(x))
         x = geo.project(x - gamma * problem.op(half))
         avg += (half - avg) / t
-        if t % check_every == 0 and err_vi(problem, avg) <= tol:
+        if t % check_every == 0 and err_vi(problem, avg) <= _REF_VI_TOL:
             return avg
-    raise SolverError(f"extragradient reference did not reach gap {tol:g}")
+    raise SolverError(f"extragradient reference did not reach gap {_REF_VI_TOL:g}")
 
 
 def reference_solution(problem):
@@ -331,8 +331,7 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
                       sigma=noise_scale)
 
 
-def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0,
-                     lipschitz=1.0, affine_scale=0.1):
+def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0, lipschitz=1.0):
     """Random two-player zero-sum game as a skew VI over a simplex product."""
     _check_scale(lipschitz, "lipschitz")
     block_dims = tuple(int(b) for b in block_dims)
@@ -347,24 +346,24 @@ def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0,
     Q = np.zeros((d, d))
     Q[:d1, d1:] = G
     Q[d1:, :d1] = -G.T
-    c = affine_scale * lipschitz * rng.normal(size=d)
+    c = _AFFINE_SCALE * lipschitz * rng.normal(size=d)
     shifts = _make_shifts(rng, kernel, geo, noise_scale)
     problem = ViProblem(geo, Q, c, shifts, kernel, sigma=noise_scale)
     problem.x_star = _solve_vi_reference(problem)
     return problem
 
 
-def matching_pennies(kernel, block_dim=2, noise_scale=0.0, seed=0, scale=1.0):
+def matching_pennies(kernel, block_dim=2, noise_scale=0.0, seed=0):
     """Canonical zero-value game with the uniform profile as equilibrium.
 
     block_dim = 2 is the classic sign matrix; larger blocks use the
     cyclic shift game P - P', whose uniform profile is also optimal.
     """
     if block_dim == 2:
-        G = scale * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        G = np.array([[1.0, -1.0], [-1.0, 1.0]])
     elif block_dim >= 3:
         P = np.roll(np.eye(block_dim), 1, axis=1)
-        G = scale * (P - P.T)
+        G = P - P.T
     else:
         raise InputError(f"block_dim must be >= 2, got {block_dim}")
     d = 2 * block_dim

@@ -28,8 +28,9 @@ import numpy as np
 
 from .chain import mixing_time
 from .errors import GeometryError, InputError, ScheduleError, SolverError
-from .estimators import Estimate, MlmcConfig, _states, batch_mean, mlmc_geometric
-from .problems import _check_scale, _oracle
+from .estimators import Estimate, MlmcConfig, _integral, _states, batch_mean, mlmc_geometric
+from .geometry import _check_scale
+from .problems import _oracle
 
 __all__ = [
     "MamdSchedule",
@@ -101,10 +102,15 @@ class RunRecord:
     iterates: list | None = None
 
 
-class _Recorder:
-    """Rows, kept iterate pairs and the RunRecord of one run described by `config`."""
+# RunRecord's row columns, filled from the recorded rows in one conversion
+_ROW = np.dtype([("t", np.int64), ("oracle_calls", np.int64), ("chain_steps", np.int64),
+                 ("gap", float), ("wall_ms", float)])
 
-    def __init__(self, config, gap_fn, stride, keep_iterates):
+
+class _Recorder:
+    """Rows, kept iterate pairs and the RunRecord of one run, described by keywords."""
+
+    def __init__(self, gap_fn, stride, keep_iterates, **config):
         self.config = config
         self.T = config["T"]
         self.stride = None if stride in (None, 0) else int(stride)
@@ -126,14 +132,13 @@ class _Recorder:
         wall = (time.perf_counter() - self.t0) * 1e3
         self.rows.append((t, calls, steps, gap, wall))
 
-    def finish(self, x_out, x_last):
-        cols = list(zip(*self.rows)) if self.rows else [[], [], [], [], []]
+    def finish(self, geo, x_out, x_last):
+        """The RunRecord, once the final iterate is checked to lie in `geo`'s set."""
+        if not geo.contains(x_last):
+            raise GeometryError("final iterate left the feasible set")
+        rows = np.array(self.rows, dtype=_ROW)
         return RunRecord(
-            t=np.asarray(cols[0], dtype=np.int64),
-            oracle_calls=np.asarray(cols[1], dtype=np.int64),
-            chain_steps=np.asarray(cols[2], dtype=np.int64),
-            gap=np.asarray(cols[3], dtype=float),
-            wall_ms=np.asarray(cols[4], dtype=float),
+            **{name: rows[name].copy() for name in _ROW.names},
             x_out=np.array(x_out, dtype=float),
             x_last=np.array(x_last, dtype=float),
             config=self.config,
@@ -141,11 +146,11 @@ class _Recorder:
         )
 
 
-def _check_T(T):
-    T = int(T)
-    if T < 1:
-        raise InputError(f"T must be >= 1, got {T}")
-    return T
+def _count(value, name, least):
+    """`value` as an int if it is integral and >= least; InputError otherwise."""
+    if not (_integral(value) and value >= least):
+        raise InputError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
 
 
 def _check_step(value, L, name):
@@ -187,12 +192,6 @@ def _at_state(oracle, x, state, steps):
                     chain_steps=steps, level=0)
 
 
-def _finish(geo, rec, x_out, x_last):
-    if not geo.contains(x_last):
-        raise GeometryError("final iterate left the feasible set")
-    return rec.finish(x_out, x_last)
-
-
 def _descent(problem, schedule, T, estimate, rec, x0):
     """Accelerated mirror descent; `estimate(x)` draws the gradient Estimate at x."""
     betas, gammas = (a.tolist() for a in schedule.arrays(T))
@@ -209,7 +208,7 @@ def _descent(problem, schedule, T, estimate, rec, x0):
         calls += est.oracle_calls
         steps += est.chain_steps
         rec.maybe(t + 1, calls, steps, x_f, (x, x_f))
-    return _finish(geo, rec, x_f, x)
+    return rec.finish(geo, x_f, x)
 
 
 def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
@@ -219,15 +218,16 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
     Requires T to reach past the schedule's warmup offset; reports the
     accelerated average x_f after T iterations.
     """
-    T = _check_T(T)
+    T = _count(T, "T", 1)
     schedule.validate(problem.L, T)
     if T < schedule.tau:
         raise ScheduleError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
     oracle = problem.grad_oracle
     states = _states(cursor, T)
-    config = {"algorithm": "mamd_unbatched", "T": T, "tau": schedule.tau}
+    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mamd_unbatched", T=T,
+                    tau=schedule.tau)
     return _descent(problem, schedule, T, lambda x: _at_state(oracle, x, next(states), 1),
-                    _Recorder(config, gap_fn, stride, keep_iterates), x0)
+                    rec, x0)
 
 
 def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
@@ -237,16 +237,13 @@ def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
     `mlmc` is an MlmcConfig; `level_rng` draws the geometric levels and
     must be independent of the cursor's stream.
     """
-    T = _check_T(T)
+    T = _count(T, "T", 1)
     schedule.validate(problem.L, T)
     oracle = problem.grad_oracle
-    config = {
-        "algorithm": "mamd_batched", "T": T, "tau": schedule.tau,
-        "B": mlmc.B, "M": mlmc.M,
-    }
+    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mamd_batched", T=T,
+                    tau=schedule.tau, B=mlmc.B, M=mlmc.M)
     return _descent(problem, schedule, T,
-                    lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng),
-                    _Recorder(config, gap_fn, stride, keep_iterates), x0)
+                    lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng), rec, x0)
 
 
 def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
@@ -271,7 +268,7 @@ def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
             else:
                 x_hat += (x_half - x_hat) / (t - avg_start + 1)
         rec.maybe(t + 1, calls, steps, x_hat, (x_half, x))
-    return _finish(geo, rec, x_hat, x)
+    return rec.finish(geo, x_hat, x)
 
 
 def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
@@ -282,32 +279,23 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
     kernel's mixing time) to T-1; each iteration costs two oracle
     evaluations but a single chain step.
     """
-    T = _check_T(T)
+    T = _count(T, "T", 1)
     gamma = _check_step(gamma, float(getattr(problem, "L_tilde", problem.L)), "gamma")
     if avg_start is None:
         avg_start = mixing_time(cursor.kernel)
-    avg_start = int(avg_start)
+    avg_start = _count(avg_start, "avg_start", 0)
     if T <= avg_start:
         raise ScheduleError(
             f"T = {T} leaves an empty averaging window starting at {avg_start}"
         )
     oracle = _oracle(problem)
-    states = _states(cursor, T)
-    state = None
-    config = {
-        "algorithm": "mmp_unbatched", "T": T, "gamma": gamma,
-        "avg_start": avg_start,
-    }
-
-    def half(x):
-        nonlocal state
-        state = next(states)
-        return _at_state(oracle, x, state, 1)
-
-    # the full step re-reads the state the half step drew, so it costs an
-    # oracle call but no chain step
-    return _mirror_prox(problem, gamma, T, half, lambda x: _at_state(oracle, x, state, 0),
-                        avg_start, _Recorder(config, gap_fn, stride, keep_iterates), x0)
+    # each state twice: the full step re-reads the state the half step drew,
+    # so it costs an oracle call but no chain step
+    states = (state for state in _states(cursor, T) for _ in (0, 1))
+    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mmp_unbatched", T=T, gamma=gamma,
+                    avg_start=avg_start)
+    return _mirror_prox(problem, gamma, T, lambda x: _at_state(oracle, x, next(states), 1),
+                        lambda x: _at_state(oracle, x, next(states), 0), avg_start, rec, x0)
 
 
 def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
@@ -318,17 +306,15 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
     draws at x, the update applies the multilevel estimate at the
     half-step point.  Averages all half-step iterates from t = 0.
     """
-    T = _check_T(T)
+    T = _count(T, "T", 1)
     gamma = _check_step(gamma, float(problem.L), "gamma")
     oracle = _oracle(problem)
-    config = {
-        "algorithm": "mmp_batched", "T": T, "gamma": gamma,
-        "B": mlmc.B, "M": mlmc.M,
-    }
+    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mmp_batched", T=T, gamma=gamma,
+                    B=mlmc.B, M=mlmc.M)
     return _mirror_prox(problem, gamma, T,
                         lambda x: batch_mean(oracle, x, cursor, mlmc.B),
                         lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng),
-                        0, _Recorder(config, gap_fn, stride, keep_iterates), x0)
+                        0, rec, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +326,8 @@ def _check_params(L, D, sigma, tau_mix, T, warmup=False):
     _check_scale(D, "D")
     if sigma < 0:
         raise InputError(f"sigma must be >= 0, got {sigma}")
-    tau_mix = int(tau_mix)
-    if sigma > 0 and tau_mix < 1:
-        raise InputError(f"tau_mix must be >= 1 when sigma > 0, got {tau_mix}")
-    T = _check_T(T)
+    tau_mix = _count(tau_mix, "tau_mix", 1 if sigma > 0 else 0)
+    T = _count(T, "T", 1)
     if warmup and T <= tau_mix:
         raise InputError(f"T = {T} must exceed tau_mix = {tau_mix}")
     return float(L), float(D), float(sigma), tau_mix, T

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import ChainCursor, stationary
 from .errors import GeometryError, InputError, StatisticsError
-from .estimators import _draw_level, _eval_rows, combine_levels
+from .estimators import _draw_level, _eval_rows, combine_levels, mlmc_geometric
 from .problems import _oracle
 
 __all__ = [
@@ -54,7 +54,10 @@ DEVIATION_SLOPE_WINDOW = (-1.2, -0.8)
 TAU_RATIO_WINDOW = (1.4, 3.0)
 BIAS_SLOPE_WINDOW = (-1.3, -0.7)
 
+# rate fits leave out cells whose gap is at or below this floor
 _GAP_FLOOR = 1e-13
+# random probe points of weak_vi_gap when the geometry has no vertex list
+_N_PROBES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +92,7 @@ def err_vi(problem, x):
     return float(lin @ u + problem.c @ x)
 
 
-def weak_vi_gap(problem, xs, probes=None, n_probes=64, rng=None):
+def weak_vi_gap(problem, xs, probes=None):
     """max over probe points u of the across-run average of <F(u), x - u>.
 
     `xs` is a single point or a stack of per-run output points; with a
@@ -103,8 +106,8 @@ def weak_vi_gap(problem, xs, probes=None, n_probes=64, rng=None):
         except GeometryError:  # no vertex list, or too many vertices
             probes = None
         if probes is None or len(probes) == 0 or len(probes) > 4096:
-            rng = np.random.default_rng(0) if rng is None else rng
-            probes = [geo.sample(rng) for _ in range(n_probes)]
+            rng = np.random.default_rng(0)
+            probes = [geo.sample(rng) for _ in range(_N_PROBES)]
     best = -np.inf
     for u in probes:
         u = np.asarray(u, dtype=float)
@@ -141,6 +144,14 @@ def _check_centered(kernel, deviations):
     return pi, deviations - drift
 
 
+def _check_sizes(Ns, least):
+    """Ns sorted as int64, if there are at least `least` of them, all distinct and >= 1."""
+    Ns = np.asarray(sorted(int(n) for n in Ns), dtype=np.int64)
+    if Ns.size < least or Ns[0] < 1 or len(set(Ns.tolist())) != Ns.size:
+        raise InputError(f"Ns must be >= {least} distinct positive lengths, got {Ns.tolist()}")
+    return Ns
+
+
 def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
     """Measure E ||(1/N) sum_i Delta(z_i)||_*^2 over stationary-start runs.
 
@@ -149,9 +160,7 @@ def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
     to -1 and the constant (mean * N) tracks sigma^2 tau.
     """
     deviations = np.asarray(deviations, dtype=float)
-    Ns = np.asarray(sorted(int(n) for n in Ns), dtype=np.int64)
-    if Ns.size < 2 or Ns[0] < 1 or len(set(Ns.tolist())) != Ns.size:
-        raise InputError("Ns must be >= 2 distinct positive lengths")
+    Ns = _check_sizes(Ns, 2)
     n_trials = int(n_trials)
     if n_trials < 2:
         raise StatisticsError(f"need at least 2 trials, got {n_trials}")
@@ -200,9 +209,7 @@ def batch_bias_profile(kernel, deviations, norm_pair, Ns):
     mean whose first sample sits one step past the start state.
     """
     deviations = np.asarray(deviations, dtype=float)
-    Ns = np.asarray(sorted(int(n) for n in Ns), dtype=np.int64)
-    if Ns.size < 1 or Ns[0] < 1:
-        raise InputError("Ns must be positive lengths")
+    Ns = _check_sizes(Ns, 1)
     pi, centered = _check_centered(kernel, deviations)
     cur = centered.copy()
     acc = np.zeros_like(centered)
@@ -225,14 +232,14 @@ def batch_bias_profile(kernel, deviations, norm_pair, Ns):
 # multilevel estimator diagnostics
 
 
-def _trial_streams(problem, n_trials, rng, start):
+def _trial_streams(problem, n_trials, rng):
     """Checked trial count, a cursor and a level generator on independent
     streams spawned from `rng`, and the problem's oracle."""
     n_trials = int(n_trials)
     if n_trials < 2:
         raise StatisticsError(f"need at least 2 trials, got {n_trials}")
     rng_chain, rng_level = (np.random.default_rng(int(s)) for s in rng.integers(0, 2**63, size=2))
-    cursor = ChainCursor(problem.kernel, rng_chain, start=start)
+    cursor = ChainCursor(problem.kernel, rng_chain)
     return n_trials, cursor, rng_level, _oracle(problem)
 
 
@@ -246,11 +253,9 @@ class MomentReport:
     n_trials: int
 
 
-def estimator_moments(problem, x, config, n_trials, rng, start="stationary"):
+def estimator_moments(problem, x, config, n_trials, rng):
     """Monte-Carlo mean/variance of the multilevel estimate at a fixed point."""
-    from .estimators import mlmc_geometric
-
-    n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng, start)
+    n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng)
     x = np.asarray(x, dtype=float)
     gs = np.empty((n_trials, x.size))
     calls = np.empty(n_trials)
@@ -280,7 +285,7 @@ class PairingReport:
     n_trials: int
 
 
-def unbiasedness_check(problem, x, config, n_trials, rng, start="stationary"):
+def unbiasedness_check(problem, x, config, n_trials, rng):
     """Couple each multilevel draw with its target mean on one trajectory.
 
     Every trial advances a shared cursor by 2^max_level * B states,
@@ -289,7 +294,7 @@ def unbiasedness_check(problem, x, config, n_trials, rng, start="stationary"):
     conditional on the trajectory, so the per-coordinate t-ratio is a
     calibrated unbiasedness statistic.
     """
-    n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng, start)
+    n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng)
     x = np.asarray(x, dtype=float)
     n_pref = (1 << config.max_level) * config.B
     diffs = np.empty((n_trials, x.size))
@@ -322,13 +327,13 @@ class RateFit:
     floored: bool
 
 
-def rate_fit(budgets, gaps, floor=_GAP_FLOOR):
+def rate_fit(budgets, gaps):
     """Least-squares slope of log gap vs log budget, excluding floored cells."""
     budgets = np.asarray(budgets, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     if budgets.shape != gaps.shape or budgets.ndim != 1:
         raise InputError("budgets and gaps must be matching 1-d arrays")
-    mask = gaps > floor
+    mask = gaps > _GAP_FLOOR
     if mask.sum() < 2:
         raise StatisticsError("fewer than 2 cells above the gap floor; cannot fit a rate")
     slope, intercept = np.polyfit(np.log(budgets[mask]), np.log(gaps[mask]), 1)
@@ -342,7 +347,7 @@ def rate_fit(budgets, gaps, floor=_GAP_FLOOR):
     )
 
 
-def bootstrap_rate_ci(budgets, gap_matrix, n_boot=200, rng=None, floor=_GAP_FLOOR):
+def bootstrap_rate_ci(budgets, gap_matrix, n_boot=200, rng=None):
     """Rate fit on per-budget medians with a bootstrap CI over seeds.
 
     `gap_matrix` has one row per seed and one column per budget.  The
@@ -354,13 +359,13 @@ def bootstrap_rate_ci(budgets, gap_matrix, n_boot=200, rng=None, floor=_GAP_FLOO
     if gap_matrix.shape[1] != budgets.size:
         raise InputError("gap_matrix columns must match budgets")
     rng = np.random.default_rng(0) if rng is None else rng
-    point = rate_fit(budgets, np.median(gap_matrix, axis=0), floor=floor)
+    point = rate_fit(budgets, np.median(gap_matrix, axis=0))
     n_seeds = gap_matrix.shape[0]
     slopes = []
     for _ in range(int(n_boot)):
         idx = rng.integers(0, n_seeds, size=n_seeds)
         med = np.median(gap_matrix[idx], axis=0)
-        mask = med > floor
+        mask = med > _GAP_FLOOR
         if mask.sum() < 2:
             continue
         s, _ = np.polyfit(np.log(budgets[mask]), np.log(med[mask]), 1)

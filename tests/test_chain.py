@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovmirror import (
@@ -51,6 +51,13 @@ def test_kernel_validation_rejects_bad_rows():
         TransitionKernel(np.ones((2, 3)) / 3.0)  # not square
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_with_non_finite_entries_rejected(bad):
+    # NaN passes sign and row-sum tests, and stationary would then run to its product cap
+    with pytest.raises(InputError, match="finite"):
+        TransitionKernel(np.array([[bad, 1.0], [0.5, 0.5]]))
+
+
 def test_kernel_matrix_is_readonly(two_state):
     with pytest.raises(ValueError):
         two_state.P[0, 0] = 0.5
@@ -94,14 +101,15 @@ def test_stationary_matches_eigen_oracle(dense8):
 def per_product_stationary(P):
     """Reference: power iteration testing the l1 step change after every product.
 
-    Returns the normalized law and the number of products taken.
+    Returns the normalized law and the number of products taken, or
+    (None, 10**6) if it does not settle within 10**6 products.
     """
     mu = np.full(P.shape[0], 1.0 / P.shape[0])
     for k in range(1, 10**6 + 1):
         mu, prev = mu @ P, mu
         if np.abs(mu - prev).sum() <= 1e-12:
             return mu / mu.sum(), k
-    raise AssertionError("reference power iteration did not converge")
+    return None, 10**6
 
 
 def random_kernel(n, seed):
@@ -112,9 +120,16 @@ def random_kernel(n, seed):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1),
        alpha=st.sampled_from([0.0, 0.5, 0.99, 0.9999]))
+@example(n=2, seed=2962, alpha=0.9999)  # spectral gap 3.7e-6: no loop settles within the cap
 def test_blocked_stationary_equals_per_product_loop(n, seed, alpha):
     kernel = make_lazy(random_kernel(n, seed), alpha)
-    np.testing.assert_array_equal(stationary(kernel), per_product_stationary(kernel.P)[0])
+    want, steps = per_product_stationary(kernel.P)
+    if want is None:
+        # power iteration cannot settle a chain this slow; both loops stop at the same cap
+        with pytest.raises(ErgodicityError, match=f"did not converge in {steps} steps"):
+            stationary(kernel)
+    else:
+        np.testing.assert_array_equal(stationary(kernel), want)
 
 
 @pytest.mark.parametrize("first, cap", [(1, 1), (1, 2), (3, 5), (16, 4096)])
@@ -240,8 +255,8 @@ def test_lazy_for_mixing_time_keeps_the_last_measured_kernel(monkeypatch):
     measured = []
     original = chain.mixing_time
 
-    def counted(kernel, threshold=0.25):
-        tau = original(kernel, threshold)
+    def counted(kernel):
+        tau = original(kernel)
         measured.append((kernel, tau))
         return tau
 

@@ -124,6 +124,14 @@ def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
     ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = -1\n", [], 3),
     ("chain.tau_mix = 0\n", [], 1),
     ("problem.noise = 0\nalgorithm = mmp\nchain.tau_mix = -5\n", [], 3),
+    ("chain.matrix = nan 1 ; 0.5 0.5\n", [], 1),
+    ("chain.matrix = 0.5 0.5 ; inf 0\n", [], 1),
+    ("problem.d = 0\n", [], 1),
+    ("chain.n = 1\n", [], 1),
+    ("problem.kind = game\nalgorithm = mmp\nproblem.blocks = 1 3\n", [], 3),
+    ("check.N = 16 0 64\n", [], 1),
+    ("check.M = 4 -16\n", [], 1),
+    ("check.B = 0\n", [], 1),
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, text, args, line):
     cfg = write_config(tmp_path, "T = 20\n" + text)
@@ -457,3 +465,20 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "# tau_mix = 3" in proc.stdout
+
+
+@pytest.mark.parametrize("noise", ["1.0", "0"])
+def test_check_lemma2_repeated_cap_is_config_error(tmp_path, capsys, noise):
+    # with zero noise the check used to print PASS and write the row N = 4 twice
+    cfg = write_config(tmp_path, LEMMA2_CFG.replace("check.M = 4 16 64 256", "check.M = 4 4 16 64")
+                       .replace("problem.noise = 1.0", f"problem.noise = {noise}"))
+    assert main(["check-lemma2", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "distinct positive lengths" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_lemma1_zero_batch_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, LEMMA1_CFG + "check.B = 0\n")
+    assert main(["check-lemma1", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "check.B must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,7 @@ from markovmirror import (
     SimplexGeometry,
     prox_nonexpansive_check,
 )
+from markovmirror.geometry import _project_block_simplex
 
 
 def all_geometries():
@@ -154,7 +155,8 @@ def test_prox_outputs_feasible(rng):
 def _simplex_step_by_blocks(geo, x, xi):
     """Block-by-block entropy prox, the reference for the one-pass `_step`."""
     out = np.empty_like(x)
-    for s, b in zip(geo._slices, geo.block_dims):
+    slices = [slice(e - b, e) for e, b in zip(np.cumsum(geo.block_dims), geo.block_dims)]
+    for s, b in zip(slices, geo.block_dims):
         a = np.log(x[s]) - xi[s] / geo.n_blocks
         a -= np.max(a)
         w = np.exp(a)
@@ -346,3 +348,93 @@ def test_scalar_block_dims_equivalent():
     b = SimplexGeometry((3,))
     assert a.d == b.d == 3
     np.testing.assert_allclose(a.center(), b.center())
+
+
+# ---------------------------------------------------------------------------
+# finite sizes and the simplex block layout
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (BallGeometry, {"radius": np.nan}),
+    (BallGeometry, {"radius": np.inf}),
+    (BoxGeometry, {"lo": -np.inf}),
+    (BoxGeometry, {"hi": np.inf}),
+    (BoxGeometry, {"lo": np.nan}),
+    (BoxGeometry, {"lo": -np.inf, "hi": np.inf}),
+], ids=["ball-nan", "ball-inf", "box-lo-inf", "box-hi-inf", "box-lo-nan", "box-both-inf"])
+def test_non_finite_sizes_rejected(cls, kwargs):
+    # a NaN ball did not contain its own center; an infinite box was centered at -inf
+    with pytest.raises(InputError, match="positive and finite"):
+        cls(2, **kwargs)
+
+
+def _block_slices(geo):
+    return [slice(e - b, e) for e, b in zip(np.cumsum(geo.block_dims), geo.block_dims)]
+
+
+def _bregman_by_blocks(geo, x, y):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(y > 0.0, y * np.log(y / x), 0.0)
+    total = 0.0
+    for s in _block_slices(geo):
+        total += float(np.sum(terms[s])) + float(np.sum(x[s]) - np.sum(y[s]))
+    return geo.n_blocks * total
+
+
+def _project_by_blocks(geo, v):
+    out = np.empty(geo.d)
+    for s, b in zip(_block_slices(geo), geo.block_dims):
+        out[s] = _project_block_simplex(v[s], geo.nu / b)
+    return out
+
+
+def _linear_argmax_by_blocks(geo, coef):
+    out = np.zeros(geo.d)
+    for s in _block_slices(geo):
+        out[s.start + int(np.argmax(coef[s]))] = 1.0
+    return out
+
+
+def _sample_by_blocks(geo, rng, n):
+    """Dirichlet draws block by block, each row renormalized on its own."""
+    pts = np.empty((n, geo.d))
+    for s, b in zip(_block_slices(geo), geo.block_dims):
+        pts[:, s] = rng.dirichlet(np.ones(b), size=n)
+    return np.array([geo.renormalize(row) for row in pts])
+
+
+def _vertices_by_blocks(geo):
+    out = []
+    for combo in itertools.product(*(range(b) for b in geo.block_dims)):
+        v = np.zeros(geo.d)
+        for s, i in zip(_block_slices(geo), combo):
+            v[s.start + i] = 1.0
+        out.append(v)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_dims=st.lists(st.integers(2, 40), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@example(block_dims=[9], seed=0)
+@example(block_dims=[9, 2], seed=1)
+@example(block_dims=[17, 3, 12], seed=2)
+@example(block_dims=[33, 8, 16], seed=3)
+def test_simplex_operations_equal_a_loop_over_blocks(block_dims, seed):
+    # one pass over the block layout gives the block-by-block loop's bits,
+    # on blocks longer than 8 too, where summation order starts to matter
+    geo = SimplexGeometry(block_dims)
+    rng = np.random.default_rng(seed)
+    x, y = geo.sample(rng), geo.sample(rng)
+    v, coef = 3.0 * rng.normal(size=(2, geo.d))
+    vertex = geo.linear_argmax(coef)
+    assert geo.bregman(x, y) == _bregman_by_blocks(geo, x, y)
+    assert geo.bregman(x, vertex) == _bregman_by_blocks(geo, x, vertex)
+    np.testing.assert_array_equal(geo.project(v), _project_by_blocks(geo, v))
+    np.testing.assert_array_equal(vertex, _linear_argmax_by_blocks(geo, coef))
+    for n in (None, 1, 5):
+        got = geo.sample(np.random.default_rng(seed), n)
+        want = _sample_by_blocks(geo, np.random.default_rng(seed), 1 if n is None else n)
+        np.testing.assert_array_equal(got, want[0] if n is None else want)
+    if np.prod(block_dims) <= 4096:
+        np.testing.assert_array_equal(geo.vertices(), _vertices_by_blocks(geo))

@@ -508,7 +508,7 @@ def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
 def _per_iteration_run(name, p, cursor, T):
     """The unbatched loop with a `single_sample` draw on every iteration (the reference)."""
     oracle = p.grad_oracle if name == "mamd_unbatched" else p.op_oracle
-    rec = solvers._Recorder({"T": T}, None, 1, True)
+    rec = solvers._Recorder(None, 1, True, T=T)
     draw = lambda x: single_sample(oracle, x, cursor)  # noqa: E731
     if name == "mamd_unbatched":
         return solvers._descent(p, MamdSchedule(0.5 / p.L, tau=2), T, draw, rec, None)
@@ -536,3 +536,51 @@ def test_chunked_states_match_per_iteration_draws(dense8, monkeypatch, name, T):
     assert cur.n_consumed == ref_cursor.n_consumed == T
     assert cur.state == ref_cursor.state
     assert max(sizes) <= 8 and sum(sizes) == T
+
+
+def _run_with_T(name, p, T):
+    cursor, mlmc, level_rng = cursor_for(p, 3), MlmcConfig(1, 4), np.random.default_rng(0)
+    if name == "mamd_unbatched":
+        return mamd_unbatched(p, MamdSchedule(0.5 / p.L), cursor, T)
+    if name == "mamd_batched":
+        return mamd_batched(p, MamdSchedule(0.5 / p.L), cursor, T, mlmc, level_rng)
+    if name == "mmp_unbatched":
+        return mmp_unbatched(p, 0.5 / p.L_tilde, cursor, T, avg_start=0)
+    return mmp_batched(p, 0.5 / p.L, cursor, T, mlmc, level_rng)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, 2.7, 0, -3.0])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_non_integral_or_non_finite_T_is_input_error(dense8, name, T):
+    # T = 2.7 used to run two iterations, and T = nan to raise a bare ValueError
+    p = _boundary_problem(name, dense8)
+    with pytest.raises(InputError, match="T must be an integer >= 1"):
+        _run_with_T(name, p, T)
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_whole_float_T_runs_the_integer_run(dense8, name):
+    p = _boundary_problem(name, dense8)
+    a, b = _run_with_T(name, p, 6), _run_with_T(name, p, 6.0)
+    np.testing.assert_array_equal(a.x_out, b.x_out)
+    np.testing.assert_array_equal(a.t, [6])
+
+
+@pytest.mark.parametrize("tau", [2.7, np.nan, -1])
+def test_non_integral_tau_mix_is_input_error(tau):
+    # tau_mix = 2.7 used to build a tau = 2 schedule, and nan to raise a bare ValueError
+    with pytest.raises(InputError, match="tau_mix must be an integer >= 0"):
+        mamd_unbatched_schedule(1.0, 1.0, 0.0, tau, 100)
+
+
+def test_run_record_columns_are_contiguous_arrays(dense8):
+    rec = _run_with_T("mamd_unbatched", _boundary_problem("mamd_unbatched", dense8), 6)
+    for column in (rec.t, rec.oracle_calls, rec.chain_steps, rec.gap, rec.wall_ms):
+        assert column.flags.c_contiguous and column.base is None
+
+
+def test_negative_avg_start_is_input_error(dense8):
+    # avg_start = -5 used to weight the average by 1 / (t + 6)
+    p = _boundary_problem("mmp_unbatched", dense8)
+    with pytest.raises(InputError, match="avg_start must be an integer >= 0"):
+        mmp_unbatched(p, 0.5 / p.L_tilde, cursor_for(p), 10, avg_start=-5)

@@ -187,6 +187,18 @@ def test_deviation_scaling_input_checks(dense8, rng):
 # batch-mean bias
 
 
+@pytest.mark.parametrize("sizes", [[4, 4, 16, 64], [16, 0], [-4, 8]])
+def test_sample_sizes_must_be_distinct_and_positive(dense8, rng, sizes):
+    # both measurements share one check; a repeated size used to leave an
+    # unwritten np.empty slot in the bias profile
+    p = make_min_instance(4, dense8, noise_scale=1.0, seed=5)
+    dev, norm_pair = p.noise_deviations(), p.geometry.norm_pair
+    with pytest.raises(InputError, match="distinct positive lengths"):
+        batch_bias_profile(dense8, dev, norm_pair, sizes)
+    with pytest.raises(InputError, match="distinct positive lengths"):
+        deviation_scaling(dense8, dev, norm_pair, sizes, 10, rng)
+
+
 def test_bias_profile_fast_chain_decays_quadratically(dense8):
     p = make_min_instance(4, dense8, noise_scale=1.0, seed=5)
     rep = batch_bias_profile(dense8, p.noise_deviations(), p.geometry.norm_pair,
