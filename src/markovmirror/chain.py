@@ -14,7 +14,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .errors import ErgodicityError, InputError
+from .errors import ErgodicityError, InputError, _count
 
 __all__ = ["TransitionKernel", "ChainCursor", "ChainDiagnostics", "stationary", "mixing_time",
            "diagnose", "make_lazy", "lazy_for_mixing_time", "random_ergodic", "sample_paths"]
@@ -92,10 +92,9 @@ class TransitionKernel:
 
     def power_row(self, state, steps):
         """Row of P^steps for the given start state, by binary exponentiation."""
-        if steps < 0:
-            raise InputError("steps must be nonnegative")
+        steps = _count(steps, "steps", 0)
         row = np.zeros(self.n_states)
-        row[state] = 1.0
+        row[_count(state, "state", 0, self.n_states - 1)] = 1.0
         bit = 0
         while steps:
             if bit not in self._pow2:
@@ -221,6 +220,7 @@ def lazy_for_mixing_time(kernel, target_tau):
 
     Bisects on alpha in [0, 0.9999]; returns (lazy_kernel, alpha, achieved_tau).
     """
+    target_tau = _count(target_tau, "target_tau", 1)
     base_tau = mixing_time(kernel)
     if base_tau >= target_tau:
         return kernel, 0.0, base_tau
@@ -246,10 +246,7 @@ def lazy_for_mixing_time(kernel, target_tau):
 
 def random_ergodic(n_states, seed):
     """Random dense kernel with every entry >= 0.01 (hence ergodic)."""
-    if n_states < 2:
-        raise InputError(f"need at least 2 states, got {n_states}")
-    if n_states > 100:
-        raise InputError("entry floor 0.01 is infeasible beyond 100 states")
+    n_states = _count(n_states, "n_states", 2, 100)  # the entry floor needs n <= 100
     rng = np.random.default_rng(seed)
     raw = rng.uniform(size=(n_states, n_states))
     raw /= raw.sum(axis=1, keepdims=True)
@@ -271,17 +268,12 @@ class ChainCursor:
         if start == "stationary":
             self.state = int(kernel.sample_stationary(self.rng))
         else:
-            state = int(start)
-            if not 0 <= state < kernel.n_states:
-                raise InputError(f"start state {start} outside [0, {kernel.n_states})")
-            self.state = state
+            self.state = _count(start, "start state", 0, kernel.n_states - 1)
         self.n_consumed = 0
 
     def advance(self, steps):
         """Sample the next `steps` states; returns them and moves the cursor."""
-        steps = int(steps)
-        if steps < 1:
-            raise InputError(f"advance needs steps >= 1, got {steps}")
+        steps = _count(steps, "advance steps", 1)
         kernel = self.kernel
         kernel._cum_rows()
         cum = kernel._cum_lists
@@ -306,9 +298,7 @@ class ChainCursor:
         caller ever observes is unchanged; only the intermediate states,
         which the caller is discarding anyway, are never instantiated.
         """
-        steps = int(steps)
-        if steps < 0:
-            raise InputError(f"skip needs steps >= 0, got {steps}")
+        steps = _count(steps, "skip steps", 0)
         if steps == 0:
             return
         row = self.kernel.power_row(self.state, steps)
@@ -324,11 +314,13 @@ def sample_paths(kernel, n_steps, n_paths, rng, start="stationary"):
     Returns an (n_paths, n_steps) int matrix.  Memory-heavy for very long
     paths; reduction-style consumers should iterate kernel.step directly.
     """
+    n_steps = _count(n_steps, "n_steps", 1)
+    n_paths = _count(n_paths, "n_paths", 1)
     rng = np.random.default_rng(rng)
     if start == "stationary":
         states = kernel.sample_stationary(rng, n_paths)
     else:
-        states = np.full(n_paths, int(start))
+        states = np.full(n_paths, _count(start, "start state", 0, kernel.n_states - 1))
     out = np.empty((n_paths, n_steps), dtype=np.int16 if kernel.n_states < 2**15 else np.int64)
     for t in range(n_steps):
         states = kernel.step(states, rng)

@@ -386,15 +386,18 @@ def _record_rows(record, deterministic):
 
 
 def _worker_run(payload):
-    """Pool entry point: one (seed, T) cell on the instance the command built."""
-    res, seed, T, problem, tau_mix = payload
+    """Pool entry point: one (seed, T) cell on the instance the command built.
+
+    Rows are recorded at `stride`; None records only the row at T.
+    """
+    res, seed, T, stride, problem, tau_mix = payload
     if res["algorithm"] == "synthetic":
         gap = float(T) ** res["synthetic.exponent"]
         return seed, T, gap, T, [(T, T, T, gap, 0.0)]
     res = dict(res, T=T)
-    record = _run_solver(res, problem, tau_mix, seed, res["stride"])
-    gap = float(record.gap[-1]) if record.gap.size else np.nan
-    calls = int(record.oracle_calls[-1]) if record.oracle_calls.size else 0
+    record = _run_solver(res, problem, tau_mix, seed, stride)
+    gap = float(record.gap[-1])
+    calls = int(record.oracle_calls[-1])
     rows = _record_rows(record, _deterministic())
     return seed, T, gap, calls, rows
 
@@ -418,7 +421,7 @@ def _quartiles(gaps):
 def cmd_run(res, jobs, out_dir):
     problem, tau_mix = _build_instance(res)
     h = config_hash(res)
-    payloads = [(res, seed, res["T"], problem, tau_mix) for seed in res["seeds"]]
+    payloads = [(res, seed, res["T"], res["stride"], problem, tau_mix) for seed in res["seeds"]]
     results = _map_jobs(payloads, jobs)
     os.makedirs(out_dir, exist_ok=True)
     gaps = []
@@ -443,7 +446,8 @@ def cmd_sweep(res, jobs, out_dir):
     problem, tau_mix = _build_instance(res)
     h = config_hash(res)
     grid = sorted(set(res["sweep.T"]))
-    payloads = [(res, seed, T, problem, tau_mix) for T in grid for seed in res["seeds"]]
+    # a sweep writes only each cell's final gap and calls: record the row at T alone
+    payloads = [(res, seed, T, None, problem, tau_mix) for T in grid for seed in res["seeds"]]
     results = _map_jobs(payloads, jobs)
     # results come back in payload order: one block of seeds per T
     shape = (len(grid), len(res["seeds"]))

@@ -10,11 +10,10 @@ cursor always moves 2^J * B states even when the level is truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _count, _integral
 
 __all__ = ["Estimate", "MlmcConfig", "single_sample", "batch_mean", "combine_levels",
            "mlmc_geometric"]
@@ -31,11 +30,6 @@ _SKIP_THRESHOLD = 4096
 # holds a chunk's uniforms as Python floats, and 4096 of them raised a
 # 2^15-step run's peak RSS by 1 MB with no speed gain over 1024
 _CHUNK = 1024
-
-
-def _integral(value):
-    """True for an int or a whole float; False for a fraction, NaN or inf."""
-    return isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())
 
 
 @dataclass
@@ -102,18 +96,15 @@ def _states(cursor, T):
     first state is asked for; a reader that stops early leaves the
     cursor up to one chunk ahead of the states it used.
     """
-    left = int(T)
-    while left > 0:
-        n = min(left, _CHUNK)
+    while T > 0:
+        n = min(T, _CHUNK)
         yield from cursor.advance(n).tolist()
-        left -= n
+        T -= n
 
 
 def batch_mean(oracle, x, cursor, batch):
     """Plain mean over the next `batch` chain states."""
-    batch = int(batch)
-    if batch < 1:
-        raise InputError(f"batch must be >= 1, got {batch}")
+    batch = _count(batch, "batch", 1)
     states = cursor.advance(batch)
     vals = _eval_rows(oracle, x, states)
     return Estimate(g=_prefix_mean(vals, batch), oracle_calls=batch, chain_steps=batch, level=0)

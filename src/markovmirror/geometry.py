@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, _check_scale, _count
 
 __all__ = ["NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeometry",
            "prox_nonexpansive_check"]
@@ -38,11 +38,6 @@ _PROX_MAX_ITER = 10_000
 
 # float slack allowed by the prox nonexpansiveness check
 _NONEXPANSIVE_SLACK = 1e-9
-
-
-def _check_scale(value, name):
-    if not (np.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 def dual_exponent(p):
@@ -95,9 +90,7 @@ class Geometry:
     mirror_map = "abstract"
 
     def __init__(self, d, norm_pair):
-        if d < 1:
-            raise InputError(f"dimension must be >= 1, got {d}")
-        self.d = int(d)
+        self.d = _count(d, "dimension", 1)
         self.norm_pair = norm_pair
 
     # -- norms ---------------------------------------------------------
@@ -291,10 +284,9 @@ class BallGeometry(_EuclideanGeometry):
 
     def __init__(self, d, radius=1.0, center=None):
         super().__init__(d)
-        self.radius = float(radius)
-        _check_scale(self.radius, "ball radius")
+        self.radius = _check_scale(radius, "ball radius")
         self._center = (
-            np.zeros(d) if center is None else self._check_point(np.asarray(center, float))
+            np.zeros(self.d) if center is None else self._check_point(np.asarray(center, float))
         )
 
     def diameter_sq(self):
@@ -367,11 +359,8 @@ class SimplexGeometry(Geometry):
     mirror_map = "negative-entropy"
 
     def __init__(self, block_dims, nu=SIMPLEX_NU):
-        if np.isscalar(block_dims):
-            block_dims = (int(block_dims),)
-        self.block_dims = tuple(int(b) for b in block_dims)
-        if any(b < 2 for b in self.block_dims):
-            raise InputError(f"simplex blocks need dimension >= 2, got {self.block_dims}")
+        self.block_dims = tuple(_count(b, "simplex block dimension", 2)
+                                for b in np.atleast_1d(block_dims))
         super().__init__(sum(self.block_dims), NormPair(1.0))
         self.nu = float(nu)
         if not 0.0 <= self.nu < 1e-3:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import TransitionKernel, stationary
-from .errors import InputError, SolverError
-from .geometry import BallGeometry, BoxGeometry, SimplexGeometry, _check_scale
+from .errors import InputError, SolverError, _check_scale, _count
+from .geometry import BallGeometry, BoxGeometry, SimplexGeometry
 
 __all__ = ["MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
            "matching_pennies", "reference_solution", "save_instance", "load_instance"]
@@ -40,7 +40,7 @@ def _checked_sigma(geometry, shifts, sigma):
     measured = float(np.max(geometry.dual_norm(shifts, axis=1))) if shifts.size else 0.0
     if sigma is None:
         return measured
-    sigma = float(sigma)
+    sigma = _check_scale(sigma, "sigma", zero_ok=True)
     if abs(sigma - measured) > 1e-9 * max(1.0, sigma):
         raise InputError(f"stated sigma {sigma} disagrees with shifts (measured {measured})")
     return sigma
@@ -48,7 +48,7 @@ def _checked_sigma(geometry, shifts, sigma):
 
 def _make_shifts(rng, kernel, geometry, scale):
     """Zero-pi-mean shift vectors with max dual norm exactly `scale`."""
-    if scale == 0.0:
+    if _check_scale(scale, "noise_scale", zero_ok=True) == 0.0:
         return np.zeros((kernel.n_states, geometry.d))
     g = rng.normal(size=(kernel.n_states, geometry.d))
     g -= stationary(kernel) @ g
@@ -65,18 +65,24 @@ class _ShiftedProblem:
     """Shared part of both families: an affine map M x +/- v over a geometry,
     perturbed at chain state z by a shift row of zero stationary mean.
 
-    `_setup` checks shapes and the zero pi-mean of the shifts, records
-    the norm-correct constant L of M, the noise level sigma and x*, and
-    returns (M, v); subclasses name them and check the structure M needs.
+    `_setup` checks shapes, that every given value is finite and the zero
+    pi-mean of the shifts, records the norm-correct constant L of M, the
+    noise level sigma and x*, and returns (M, v); subclasses name them
+    and check the structure M needs.
     """
 
-    def _setup(self, geometry, M, v, shifts, kernel, x_star, sigma):
+    def _setup(self, geometry, M, v, shifts, kernel, x_star, sigma, f_star=None):
         M = np.array(M, dtype=float)
         v = np.asarray(v, dtype=float)
         shifts = np.asarray(shifts, dtype=float)
+        x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         d = geometry.d
         if M.shape != (d, d) or v.shape != (d,):
             raise InputError(f"{self._names} shapes {M.shape}/{v.shape} do not match d={d}")
+        for name, value in ((self._names, M), (self._names, v), ("shifts", shifts),
+                            ("x_star", x_star), ("f_star", f_star)):
+            if value is not None and not np.isfinite(value).all():
+                raise InputError(f"{name} must be finite")
         M = self._check_matrix(M)
         if shifts.shape != (kernel.n_states, d):
             raise InputError(f"shifts shape {shifts.shape} != ({kernel.n_states}, {d})")
@@ -88,7 +94,7 @@ class _ShiftedProblem:
         self.kernel = kernel
         self.L = _operator_norm(M, geometry.norm_pair.p)
         self.sigma = _checked_sigma(geometry, shifts, sigma)
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+        self.x_star = x_star
         return M, v
 
     def _point(self, x):
@@ -110,8 +116,8 @@ class MinProblem(_ShiftedProblem):
 
     def __init__(self, geometry, A, b, shifts, kernel, x_star=None, f_star=None,
                  sigma=None):
-        self.A, self.b = self._setup(geometry, A, b, shifts, kernel, x_star, sigma)
         self.f_star = None if f_star is None else float(f_star)
+        self.A, self.b = self._setup(geometry, A, b, shifts, kernel, x_star, sigma, self.f_star)
 
     def _check_matrix(self, A):
         if np.max(np.abs(A - A.T)) > 1e-10:
@@ -301,6 +307,7 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
         geo = SimplexGeometry(d)
     else:
         raise InputError(f"unknown geometry kind {geometry_kind!r}")
+    d = geo.d
 
     W = rng.normal(size=(d, d))
     V, _ = np.linalg.qr(W)
@@ -310,8 +317,8 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
         eigs *= smoothness
     else:
         eigs = np.asarray(eigenvalues, dtype=float)
-        if eigs.shape != (d,) or np.min(eigs) < 0.0:
-            raise InputError("eigenvalues must be d nonnegative values")
+        if eigs.shape != (d,) or not (np.isfinite(eigs).all() and np.min(eigs) >= 0.0):
+            raise InputError("eigenvalues must be d finite nonnegative values")
     A = (V * eigs) @ V.T
     A = 0.5 * (A + A.T)
 
@@ -334,12 +341,11 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
 def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0, lipschitz=1.0):
     """Random two-player zero-sum game as a skew VI over a simplex product."""
     _check_scale(lipschitz, "lipschitz")
-    block_dims = tuple(int(b) for b in block_dims)
-    if len(block_dims) != 2:
-        raise InputError(f"game instances need two blocks, got {block_dims}")
-    rng = np.random.default_rng(seed)
-    d1, d2 = block_dims
     geo = SimplexGeometry(block_dims)
+    if geo.n_blocks != 2:
+        raise InputError(f"game instances need two blocks, got {geo.block_dims}")
+    rng = np.random.default_rng(seed)
+    d1, d2 = geo.block_dims
     G = rng.normal(size=(d1, d2))
     G *= lipschitz / np.max(np.abs(G))
     d = d1 + d2
@@ -359,13 +365,12 @@ def matching_pennies(kernel, block_dim=2, noise_scale=0.0, seed=0):
     block_dim = 2 is the classic sign matrix; larger blocks use the
     cyclic shift game P - P', whose uniform profile is also optimal.
     """
+    block_dim = _count(block_dim, "block_dim", 2)
     if block_dim == 2:
         G = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    elif block_dim >= 3:
+    else:
         P = np.roll(np.eye(block_dim), 1, axis=1)
         G = P - P.T
-    else:
-        raise InputError(f"block_dim must be >= 2, got {block_dim}")
     d = 2 * block_dim
     Q = np.zeros((d, d))
     Q[:block_dim, block_dim:] = G
@@ -427,47 +432,66 @@ def save_instance(problem, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _values(fields, key):
+    """The numbers of instance field `key`; InputError if it is missing or malformed."""
+    if key not in fields:
+        raise InputError(f"instance file is missing {key!r}")
+    try:
+        return [float(v) for v in fields[key].split()]
+    except ValueError:
+        raise InputError(f"instance field {key!r} has a non-numeric entry") from None
+
+
+def _value(fields, key):
+    values = _values(fields, key)
+    if len(values) != 1:
+        raise InputError(f"instance field {key!r} needs one number, got {len(values)}")
+    return values[0]
+
+
 def _collect_matrix(fields, name):
     rows = []
-    i = 0
-    while f"{name}.row{i}" in fields:
-        rows.append([float(v) for v in fields[f"{name}.row{i}"].split()])
-        i += 1
+    while f"{name}.row{len(rows)}" in fields:
+        rows.append(_values(fields, f"{name}.row{len(rows)}"))
     if not rows:
         raise InputError(f"instance file is missing matrix {name!r}")
+    if len({len(row) for row in rows}) != 1:
+        raise InputError(f"instance matrix {name!r} has rows of different lengths")
     return np.array(rows)
 
 
 def load_instance(path):
-    """Inverse of save_instance."""
+    """Inverse of save_instance; InputError names the field or line a malformed file breaks."""
     fields = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for i, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise InputError(f"instance file line {i}: expected 'key = value'")
             fields[key.strip()] = value.strip()
-    gkind = fields["geometry.kind"]
+    kind, gkind = fields.get("kind"), fields.get("geometry.kind")
+    if kind not in ("min", "vi"):
+        raise InputError(f"instance field 'kind' must be min or vi, got {kind!r}")
     if gkind == "box":
-        geo = BoxGeometry(int(fields["geometry.d"]),
-                          float(fields["geometry.lo"]), float(fields["geometry.hi"]))
+        geo = BoxGeometry(_value(fields, "geometry.d"),
+                          _value(fields, "geometry.lo"), _value(fields, "geometry.hi"))
     elif gkind == "ball":
-        geo = BallGeometry(int(fields["geometry.d"]), float(fields["geometry.radius"]),
-                           [float(v) for v in fields["geometry.center"].split()])
+        geo = BallGeometry(_value(fields, "geometry.d"), _value(fields, "geometry.radius"),
+                           _values(fields, "geometry.center"))
     elif gkind == "simplex-product":
-        geo = SimplexGeometry([int(b) for b in fields["geometry.blocks"].split()],
-                              nu=float(fields["geometry.nu"]))
+        geo = SimplexGeometry(_values(fields, "geometry.blocks"),
+                              nu=_value(fields, "geometry.nu"))
     else:
-        raise InputError(f"unknown geometry kind {gkind!r} in instance file")
+        raise InputError("instance field 'geometry.kind' must be box, ball or simplex-product, "
+                         f"got {gkind!r}")
     kernel = TransitionKernel(_collect_matrix(fields, "chain"))
     shifts = _collect_matrix(fields, "shifts")
-    x_star = np.array([float(v) for v in fields["x_star"].split()])
-    if fields["kind"] == "min":
-        A = _collect_matrix(fields, "A")
-        b = np.array([float(v) for v in fields["b"].split()])
-        return MinProblem(geo, A, b, shifts, kernel,
-                          x_star=x_star, f_star=float(fields["f_star"]))
-    Q = _collect_matrix(fields, "Q")
-    c = np.array([float(v) for v in fields["c"].split()])
-    return ViProblem(geo, Q, c, shifts, kernel, x_star=x_star)
+    x_star = _values(fields, "x_star")
+    if kind == "min":
+        return MinProblem(geo, _collect_matrix(fields, "A"), _values(fields, "b"), shifts, kernel,
+                          x_star=x_star, f_star=_value(fields, "f_star"))
+    return ViProblem(geo, _collect_matrix(fields, "Q"), _values(fields, "c"), shifts, kernel,
+                     x_star=x_star)

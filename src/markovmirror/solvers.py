@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import mixing_time
-from .errors import GeometryError, InputError, ScheduleError, SolverError
-from .estimators import Estimate, MlmcConfig, _integral, _states, batch_mean, mlmc_geometric
-from .geometry import _check_scale
+from .errors import GeometryError, InputError, ScheduleError, SolverError, _check_scale, _count
+from .estimators import Estimate, MlmcConfig, _states, batch_mean, mlmc_geometric
 from .problems import _oracle
 
 __all__ = [
@@ -58,6 +57,9 @@ class MamdSchedule:
     c: float
     tau: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "tau", _count(self.tau, "tau", 0))
+
     def beta(self, t):
         """Momentum parameter at iteration t; t may be an integer array."""
         return np.maximum((t - self.tau) / 2.0 + 1.0, 1.0)
@@ -67,7 +69,7 @@ class MamdSchedule:
 
     def arrays(self, T):
         """(betas, gammas) for t = 0, ..., T."""
-        ts = np.arange(int(T) + 1)
+        ts = np.arange(_count(T, "T", 0) + 1)
         return self.beta(ts), self.gamma(ts)
 
     def validate(self, L, T):
@@ -113,7 +115,8 @@ class _Recorder:
     def __init__(self, gap_fn, stride, keep_iterates, **config):
         self.config = config
         self.T = config["T"]
-        self.stride = None if stride in (None, 0) else int(stride)
+        # stride 0, like None, records only the row at T
+        self.stride = None if stride is None else _count(stride, "stride", 0) or None
         self.gap_fn = gap_fn
         self.kept = [] if keep_iterates else None
         self.t0 = time.perf_counter()
@@ -144,13 +147,6 @@ class _Recorder:
             config=self.config,
             iterates=self.kept,
         )
-
-
-def _count(value, name, least):
-    """`value` as an int if it is integral and >= least; InputError otherwise."""
-    if not (_integral(value) and value >= least):
-        raise InputError(f"{name} must be an integer >= {least}, got {value}")
-    return int(value)
 
 
 def _check_step(value, L, name):
@@ -322,15 +318,13 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
 
 
 def _check_params(L, D, sigma, tau_mix, T, warmup=False):
-    _check_scale(L, "L")
-    _check_scale(D, "D")
-    if sigma < 0:
-        raise InputError(f"sigma must be >= 0, got {sigma}")
+    L, D = _check_scale(L, "L"), _check_scale(D, "D")
+    sigma = _check_scale(sigma, "sigma", zero_ok=True)
     tau_mix = _count(tau_mix, "tau_mix", 1 if sigma > 0 else 0)
     T = _count(T, "T", 1)
     if warmup and T <= tau_mix:
         raise InputError(f"T = {T} must exceed tau_mix = {tau_mix}")
-    return float(L), float(D), float(sigma), tau_mix, T
+    return L, D, sigma, tau_mix, T
 
 
 def _capped(L, D, sigma, tau, horizon, a):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainCursor, stationary
-from .errors import GeometryError, InputError, StatisticsError
+from .errors import GeometryError, InputError, StatisticsError, _count, _integral
 from .estimators import _draw_level, _eval_rows, combine_levels, mlmc_geometric
 from .problems import _oracle
 
@@ -145,11 +145,18 @@ def _check_centered(kernel, deviations):
 
 
 def _check_sizes(Ns, least):
-    """Ns sorted as int64, if there are at least `least` of them, all distinct and >= 1."""
-    Ns = np.asarray(sorted(int(n) for n in Ns), dtype=np.int64)
-    if Ns.size < least or Ns[0] < 1 or len(set(Ns.tolist())) != Ns.size:
-        raise InputError(f"Ns must be >= {least} distinct positive lengths, got {Ns.tolist()}")
-    return Ns
+    """Ns sorted as int64, if there are >= `least` of them, integral, distinct and >= 1."""
+    Ns = list(Ns)
+    if len(Ns) < least or not all(_integral(n) and n >= 1 for n in Ns) or len(set(Ns)) != len(Ns):
+        raise InputError(f"Ns must be >= {least} distinct positive lengths, got {Ns}")
+    return np.asarray(sorted(int(n) for n in Ns), dtype=np.int64)
+
+
+def _trials(n_trials):
+    """n_trials as an int; InputError unless it is integral, StatisticsError below 2."""
+    if _integral(n_trials) and n_trials < 2:
+        raise StatisticsError(f"need at least 2 trials, got {n_trials}")
+    return _count(n_trials, "n_trials", 2)
 
 
 def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
@@ -161,9 +168,7 @@ def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
     """
     deviations = np.asarray(deviations, dtype=float)
     Ns = _check_sizes(Ns, 2)
-    n_trials = int(n_trials)
-    if n_trials < 2:
-        raise StatisticsError(f"need at least 2 trials, got {n_trials}")
+    n_trials = _trials(n_trials)
     _, centered = _check_centered(kernel, deviations)
     states = kernel.sample_stationary(rng, n_trials)
     sums = np.zeros((n_trials, deviations.shape[1]))
@@ -235,9 +240,7 @@ def batch_bias_profile(kernel, deviations, norm_pair, Ns):
 def _trial_streams(problem, n_trials, rng):
     """Checked trial count, a cursor and a level generator on independent
     streams spawned from `rng`, and the problem's oracle."""
-    n_trials = int(n_trials)
-    if n_trials < 2:
-        raise StatisticsError(f"need at least 2 trials, got {n_trials}")
+    n_trials = _trials(n_trials)
     rng_chain, rng_level = (np.random.default_rng(int(s)) for s in rng.integers(0, 2**63, size=2))
     cursor = ChainCursor(problem.kernel, rng_chain)
     return n_trials, cursor, rng_level, _oracle(problem)
@@ -362,7 +365,7 @@ def bootstrap_rate_ci(budgets, gap_matrix, n_boot=200, rng=None):
     point = rate_fit(budgets, np.median(gap_matrix, axis=0))
     n_seeds = gap_matrix.shape[0]
     slopes = []
-    for _ in range(int(n_boot)):
+    for _ in range(_count(n_boot, "n_boot", 0)):
         idx = rng.integers(0, n_seeds, size=n_seeds)
         med = np.median(gap_matrix[idx], axis=0)
         mask = med > _GAP_FLOOR

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from markovmirror import mamd_batched_schedule, mamd_unbatched_schedule
+from markovmirror import cli, mamd_batched_schedule, mamd_unbatched_schedule
 from markovmirror.cli import (_resolve_tau, build_kernel, build_problem, config_hash, main,
                               parse_config_text, resolve_config)
 
@@ -347,6 +347,21 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "sweep.T =\nseeds = 0\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_evaluates_the_gap_once_per_cell(tmp_path, monkeypatch):
+    # a sweep writes only each cell's final gap; at stride 1 it used to
+    # evaluate the gap after every iteration and discard all but the last
+    calls = []
+    gap = cli.subopt_gap
+    monkeypatch.setattr(cli, "subopt_gap", lambda p, x: calls.append(x) or gap(p, x))
+    cfg = write_config(
+        tmp_path,
+        "problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
+        "algorithm = mamd-batched\nsweep.T = 16 32\nseeds = 0 1\nstride = 1\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

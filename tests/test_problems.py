@@ -265,3 +265,53 @@ def test_save_load_round_trip_vi(two_state, tmp_path):
     np.testing.assert_array_equal(q.op(x), p.op(x))
     np.testing.assert_array_equal(q.x_star, p.x_star)
     assert q.is_skew()
+
+
+def _finite_problem(two_state, **bad):
+    """A box MinProblem (or, with Q, a ViProblem) with one argument replaced by `bad`."""
+    geo = BoxGeometry(2, -1.0, 1.0)
+    args = dict(A=np.eye(2), b=np.zeros(2), shifts=zero_shifts(two_state, 2), kernel=two_state,
+                x_star=np.zeros(2), f_star=0.0)
+    if "Q" in bad:
+        return ViProblem(geo, bad["Q"], np.zeros(2), args["shifts"], two_state)
+    args.update(bad)
+    return MinProblem(geo, **args)
+
+
+NAN_ROW = np.array([[np.nan, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [
+    {"shifts": NAN_ROW}, {"b": np.array([np.nan, 0.0])}, {"x_star": np.array([np.nan, 0.0])},
+    {"f_star": np.nan}, {"sigma": np.nan}, {"sigma": np.inf}, {"A": NAN_ROW},
+    {"A": np.array([[np.inf, 0.0], [0.0, 1.0]])}, {"Q": NAN_ROW},
+], ids=["shifts", "b", "x_star", "f_star", "sigma-nan", "sigma-inf", "A-nan", "A-inf", "Q-nan"])
+def test_non_finite_problem_data_is_input_error(two_state, bad):
+    # NaN passed the zero-mean and sigma comparisons; a NaN or inf matrix
+    # entry escaped from eigvalsh as LinAlgError
+    with pytest.raises(InputError, match="finite"):
+        _finite_problem(two_state, **bad)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("kind = min\n", ""), "'kind'"),
+    (lambda text: text.replace("geometry.kind = box\n", ""), "'geometry.kind'"),
+    (lambda text: "\n".join(l for l in text.splitlines() if not l.startswith("f_star")),
+     "'f_star'"),
+    (lambda text: text.replace("b = ", "b = x "), "'b'"),
+    (lambda text: text.replace("A.row1 = ", "A.row1 = 1 "), "'A'"),
+    (lambda text: text.replace("kind = min\n", "kind = min\nno equals sign\n"), "line 3"),
+], ids=["kind", "geometry.kind", "f_star", "non-numeric", "ragged", "no-equals"])
+def test_malformed_instance_file_is_input_error(two_state, tmp_path, edit, message):
+    path = tmp_path / "inst.txt"
+    save_instance(make_min_instance(3, two_state, seed=1), path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(InputError, match=message):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_bad_eigenvalues_rejected(two_state, bad):
+    # a NaN spectrum passed the sign check and built a NaN matrix A
+    with pytest.raises(InputError, match="eigenvalues"):
+        make_min_instance(3, two_state, eigenvalues=[bad, 1.0, 0.5])
