@@ -61,11 +61,12 @@ class TransitionKernel:
         """True iff some power P^k (k <= n^2) has all entries positive."""
         B = self.P > 0.0
         k = 1
-        # positivity is monotone in k for stochastic P, so doubling suffices
+        # positivity is monotone in k for stochastic P, so doubling suffices;
+        # a boolean product is reachability in twice the steps and cannot overflow
         while k < self.n_states**2:
             if B.all():
                 return True
-            B = (B.astype(np.uint8) @ B.astype(np.uint8)) > 0
+            B = B @ B
             k *= 2
         return bool(B.all())
 
@@ -107,14 +108,15 @@ class TransitionKernel:
         return row
 
     def sample_stationary(self, rng, n=None):
-        pi = stationary(self)
-        cum = np.cumsum(pi)
-        u = rng.random() if n is None else rng.random(n)
-        idx = np.searchsorted(cum, u, side="right")
-        return np.minimum(idx, self.n_states - 1)
+        return _inverse_cdf(stationary(self), rng.random() if n is None else rng.random(n))
 
     def __repr__(self):
         return f"TransitionKernel(n_states={self.n_states})"
+
+
+def _inverse_cdf(p, u):
+    """The state(s) law `p` gives uniform(s) `u`: the first whose cumulative mass exceeds u."""
+    return np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1)
 
 
 def stationary(kernel):
@@ -302,9 +304,7 @@ class ChainCursor:
         if steps == 0:
             return
         row = self.kernel.power_row(self.state, steps)
-        cum = np.cumsum(row)
-        idx = int(np.searchsorted(cum, self.rng.random(), side="right"))
-        self.state = min(idx, self.kernel.n_states - 1)
+        self.state = int(_inverse_cdf(row, self.rng.random()))
         self.n_consumed += steps
 
 

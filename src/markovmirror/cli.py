@@ -63,7 +63,7 @@ from .validation import (
 
 from . import __version__
 
-RUN_COLUMNS = ("t", "oracle_calls", "chain_steps", "gap", "wall_ms")
+RUN_COLUMNS = solvers._ROW.names
 
 
 class _Method(NamedTuple):
@@ -159,7 +159,7 @@ _SCHEMA = {
     "problem.smoothness": ("float", 1.0, "> 0"),
     "problem.lipschitz": ("float", 1.0, "> 0"),
     "chain.matrix": ("matrix", None),
-    "chain.n": ("int", 8, ">= 2"),
+    "chain.n": ("int", 8, ">= 2", "<= 100"),  # random_ergodic's entry floor needs n <= 100
     "chain.seed": ("int", 0, ">= 0"),
     "chain.laziness": ("float", 0.0, ">= 0", "< 1"),
     "chain.tau_mix": ("int", None, ">= 1"),
@@ -184,7 +184,7 @@ _SCHEMA = {
 
 _PARSERS = {"int": _parse_int, "float": _parse_float, "ints": _parse_int_list,
             "matrix": _parse_matrix}
-_COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
 def _obeys(value, rules):
@@ -232,12 +232,15 @@ def resolve_config(raw, solve=False):
                           line=line("algorithm") or line("problem.kind"))
     if res["schedule.source"] == "explicit" and method and res[method.schedule_key] is None:
         raise ConfigError(f"schedule.source = explicit needs {method.schedule_key} for {alg}")
+    kind, blocks = res["problem.kind"], res["problem.blocks"]
+    equal = kind == "matching-pennies"  # a square game: both players have the same strategies
+    if kind != "quadratic" and (len(blocks) != 2 or equal and blocks[0] != blocks[1]):
+        raise ConfigError(f"problem.kind = {kind} needs two {'equal ' * equal}problem.blocks "
+                          f"entries, got {blocks}", line=line("problem.blocks"))
     return res
 
 
 def _fmt_value(v):
-    if isinstance(v, bool):
-        return "1" if v else "0"
     if isinstance(v, float):
         return "%.17g" % v
     if isinstance(v, (list, tuple)):
@@ -310,7 +313,7 @@ def _gap_fn(res, problem):
         if problem.f_star is None:
             return None
         return lambda x: subopt_gap(problem, x)
-    if problem.is_skew(1e-10):
+    if problem.is_skew():
         return lambda x: err_vi(problem, x)
     return None
 
@@ -386,20 +389,15 @@ def _record_rows(record, deterministic):
 
 
 def _worker_run(payload):
-    """Pool entry point: one (seed, T) cell on the instance the command built.
+    """Pool entry point: the CSV rows of one (seed, T) cell on the instance the command built.
 
     Rows are recorded at `stride`; None records only the row at T.
     """
     res, seed, T, stride, problem, tau_mix = payload
     if res["algorithm"] == "synthetic":
-        gap = float(T) ** res["synthetic.exponent"]
-        return seed, T, gap, T, [(T, T, T, gap, 0.0)]
-    res = dict(res, T=T)
-    record = _run_solver(res, problem, tau_mix, seed, stride)
-    gap = float(record.gap[-1])
-    calls = int(record.oracle_calls[-1])
-    rows = _record_rows(record, _deterministic())
-    return seed, T, gap, calls, rows
+        return [(T, T, T, float(T) ** res["synthetic.exponent"], 0.0)]
+    return _record_rows(_run_solver(dict(res, T=T), problem, tau_mix, seed, stride),
+                        _deterministic())
 
 
 def _map_jobs(payloads, jobs):
@@ -425,11 +423,11 @@ def cmd_run(res, jobs, out_dir):
     results = _map_jobs(payloads, jobs)
     os.makedirs(out_dir, exist_ok=True)
     gaps = []
-    for seed, _, gap, _, rows in results:
+    for seed, rows in zip(res["seeds"], results):
         path = os.path.join(out_dir, f"run_{h}_seed{seed}.csv")
         _write_csv(path, _header(res, tau_mix, [("seed", str(seed))]), RUN_COLUMNS, rows)
-        gaps.append(gap)
-        print(f"seed {seed}: final gap = {gap:.6g} -> {path}")
+        gaps.append(rows[-1][3])
+        print(f"seed {seed}: final gap = {gaps[-1]:.6g} -> {path}")
     gaps = np.asarray(gaps, dtype=float)
     summary = os.path.join(out_dir, f"summary_{h}.csv")
     _write_csv(
@@ -451,8 +449,8 @@ def cmd_sweep(res, jobs, out_dir):
     results = _map_jobs(payloads, jobs)
     # results come back in payload order: one block of seeds per T
     shape = (len(grid), len(res["seeds"]))
-    gaps_by_T = np.array([r[2] for r in results], dtype=float).reshape(shape)
-    calls_by_T = np.array([r[3] for r in results]).reshape(shape)
+    gaps_by_T = np.array([rows[-1][3] for rows in results], dtype=float).reshape(shape)
+    calls_by_T = np.array([rows[-1][1] for rows in results]).reshape(shape)
     rows = [(T, int(np.median(c)), *_quartiles(g)) for T, c, g in zip(grid, calls_by_T, gaps_by_T)]
     gap_matrix = gaps_by_T.T
     budgets = np.asarray(grid, dtype=float)

@@ -81,11 +81,15 @@ def _prefix_mean(values, n):
     return values[:n].sum(axis=0) / n
 
 
+def _at_state(oracle, x, state, steps):
+    """One oracle evaluation at a chain state the caller drew; `steps` chain steps charged."""
+    return Estimate(np.asarray(oracle(x, state), dtype=float), oracle_calls=1,
+                    chain_steps=steps, level=0)
+
+
 def single_sample(oracle, x, cursor):
     """One oracle evaluation at the next chain state."""
-    state = cursor.advance(1)
-    vals = _eval_rows(oracle, x, state)
-    return Estimate(g=vals[0], oracle_calls=1, chain_steps=1, level=0)
+    return _at_state(oracle, x, int(cursor.advance(1)[0]), 1)
 
 
 def _states(cursor, T):
@@ -145,19 +149,12 @@ def mlmc_geometric(oracle, x, cursor, config, rng):
     """
     level = _draw_level(rng)
     span = (1 << level) * config.B
-    if (1 << level) <= config.M:
-        states = cursor.advance(span)
-        vals = _eval_rows(oracle, x, states)
-        g = combine_levels(vals, level, config.B, config.M)
-        calls = span
-    else:
-        states = cursor.advance(config.B)
-        vals = _eval_rows(oracle, x, states)
-        g = _prefix_mean(vals, config.B)
-        rest = span - config.B
-        if rest > _SKIP_THRESHOLD:
-            cursor.skip(rest)
-        elif rest > 0:
-            cursor.advance(rest)
-        calls = config.B
-    return Estimate(g=g, oracle_calls=calls, chain_steps=span, level=level)
+    calls = span if (1 << level) <= config.M else config.B
+    vals = _eval_rows(oracle, x, cursor.advance(calls))
+    rest = span - calls
+    if rest > _SKIP_THRESHOLD:
+        cursor.skip(rest)
+    elif rest > 0:
+        cursor.advance(rest)
+    return Estimate(g=combine_levels(vals, level, config.B, config.M), oracle_calls=calls,
+                    chain_steps=span, level=level)

@@ -21,6 +21,8 @@ __all__ = ["MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
 _REF_MIN_TOL = 1e-10
 _REF_VI_TOL = 1e-9
 _REF_MAX_ITER = 10**6
+# largest |Q + Q'| entry of an operator that counts as skew
+_SKEW_TOL = 1e-10
 # scale of a random game's linear term c, relative to its payoff entries
 _AFFINE_SCALE = 0.1
 
@@ -167,8 +169,8 @@ class ViProblem(_ShiftedProblem):
             raise InputError("Q must have PSD symmetric part (monotone operator)")
         return Q
 
-    def is_skew(self, tol=1e-12):
-        return bool(np.max(np.abs(self.Q + self.Q.T)) <= tol)
+    def is_skew(self):
+        return bool(np.max(np.abs(self.Q + self.Q.T)) <= _SKEW_TOL)
 
     def op(self, x):
         return self.Q @ self._point(x) + self.c
@@ -218,7 +220,7 @@ def _game_blocks(problem):
     geo = problem.geometry
     if not isinstance(geo, SimplexGeometry) or geo.n_blocks != 2:
         return None
-    if not problem.is_skew(tol=1e-10):
+    if not problem.is_skew():
         return None
     d1, d2 = geo.block_dims
     Q = problem.Q
@@ -251,37 +253,31 @@ def _solve_game_lp(G, c1, c2):
     return np.r_[x / x.sum(), y / y.sum()]
 
 
-def _solve_vi_reference(problem):
+def _solve_vi_reference(problem, x=None):
+    """Certified equilibrium of a two-player zero-sum game: `x` if given, else the game LP's."""
     from .validation import err_vi  # local import to avoid a module cycle
 
-    geo = problem.geometry
     blocks = _game_blocks(problem)
-    if blocks is not None:
+    if blocks is None:
+        raise InputError("reference solutions exist only for two-player zero-sum games: "
+                         "a skew operator over two simplex blocks")
+    if x is None:
+        geo = problem.geometry
         x = _solve_game_lp(*blocks)
         # the floor fold (1 - nu) x + nu * center adds <= nu * err_vi(center): err_vi is convex
         fold = _REF_VI_TOL + geo.nu * err_vi(problem, geo.center())
-        for point, bound in ((x, _REF_VI_TOL), (geo.renormalize(x), fold)):
-            gap = err_vi(problem, point)
-            if gap > bound:
-                raise SolverError(f"LP equilibrium has gap {gap:.3e} > {bound:.3e}")
-        return point
-    # generic fallback: deterministic Euclidean extragradient with averaging
-    L2 = float(np.linalg.norm(problem.Q, 2))
-    gamma = 1.0 if L2 == 0.0 else 0.5 / L2
-    x = geo.center()
-    avg = np.zeros(geo.d)
-    check_every = 1000
-    for t in range(1, _REF_MAX_ITER + 1):
-        half = geo.project(x - gamma * problem.op(x))
-        x = geo.project(x - gamma * problem.op(half))
-        avg += (half - avg) / t
-        if t % check_every == 0 and err_vi(problem, avg) <= _REF_VI_TOL:
-            return avg
-    raise SolverError(f"extragradient reference did not reach gap {_REF_VI_TOL:g}")
+        checks = ((x, _REF_VI_TOL), (geo.renormalize(x), fold))
+    else:
+        checks = ((x, _REF_VI_TOL),)
+    for point, bound in checks:
+        gap = err_vi(problem, point)
+        if gap > bound:
+            raise SolverError(f"game equilibrium has gap {gap:.3e} > {bound:.3e}")
+    return point
 
 
 def reference_solution(problem):
-    """Recompute the reference solution: (x*, f*) for min, (x*, None) for VI."""
+    """Recompute the reference solution: (x*, f*) for min, (x*, None) for a two-player game VI."""
     if problem.is_minimization:
         return _solve_min_reference(problem)
     return _solve_vi_reference(problem), None
@@ -298,17 +294,8 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
     `smoothness` otherwise).
     """
     _check_scale(smoothness, "smoothness")
+    d = _count(d, "dimension", 1)
     rng = np.random.default_rng(seed)
-    if geometry_kind == "box":
-        geo = BoxGeometry(d, 0.0, 1.0)
-    elif geometry_kind == "ball":
-        geo = BallGeometry(d, radius=1.0)
-    elif geometry_kind == "simplex":
-        geo = SimplexGeometry(d)
-    else:
-        raise InputError(f"unknown geometry kind {geometry_kind!r}")
-    d = geo.d
-
     W = rng.normal(size=(d, d))
     V, _ = np.linalg.qr(W)
     if eigenvalues is None:
@@ -323,19 +310,40 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
     A = 0.5 * (A + A.T)
 
     if geometry_kind == "box":
+        geo = BoxGeometry(d, 0.0, 1.0)
         target = geo.center() + 0.35 * rng.uniform(-1.0, 1.0, size=d)
     elif geometry_kind == "ball":
+        geo = BallGeometry(d, radius=1.0)
         direction = rng.normal(size=d)
         direction /= np.linalg.norm(direction)
         target = geo.center() + 0.6 * geo.radius * rng.uniform() ** (1.0 / d) * direction
-    else:
+    elif geometry_kind == "simplex":
+        geo = SimplexGeometry(d)
         target = geo.renormalize(0.5 * rng.dirichlet(np.ones(d)) + 0.5 / d)
+    else:
+        raise InputError(f"unknown geometry kind {geometry_kind!r}")
     b = A @ target
 
     shifts = _make_shifts(rng, kernel, geo, noise_scale)
     f_star = 0.5 * float(target @ A @ target) - float(b @ target)
     return MinProblem(geo, A, b, shifts, kernel, x_star=target, f_star=f_star,
                       sigma=noise_scale)
+
+
+def _game(geo, G, c, kernel, noise_scale, rng, x_star=None):
+    """The zero-sum game with payoff block G over the two blocks of `geo` as a skew ViProblem.
+
+    Its shifts are drawn from `rng` after G and c; x* is `x_star` once
+    certified, or else the game LP's equilibrium.
+    """
+    d1 = G.shape[0]
+    Q = np.zeros((geo.d, geo.d))
+    Q[:d1, d1:] = G
+    Q[d1:, :d1] = -G.T
+    shifts = _make_shifts(rng, kernel, geo, noise_scale)
+    problem = ViProblem(geo, Q, c, shifts, kernel, sigma=noise_scale)
+    problem.x_star = _solve_vi_reference(problem, x_star)
+    return problem
 
 
 def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0, lipschitz=1.0):
@@ -345,18 +353,10 @@ def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0, lipschitz=1.0)
     if geo.n_blocks != 2:
         raise InputError(f"game instances need two blocks, got {geo.block_dims}")
     rng = np.random.default_rng(seed)
-    d1, d2 = geo.block_dims
-    G = rng.normal(size=(d1, d2))
+    G = rng.normal(size=geo.block_dims)
     G *= lipschitz / np.max(np.abs(G))
-    d = d1 + d2
-    Q = np.zeros((d, d))
-    Q[:d1, d1:] = G
-    Q[d1:, :d1] = -G.T
-    c = _AFFINE_SCALE * lipschitz * rng.normal(size=d)
-    shifts = _make_shifts(rng, kernel, geo, noise_scale)
-    problem = ViProblem(geo, Q, c, shifts, kernel, sigma=noise_scale)
-    problem.x_star = _solve_vi_reference(problem)
-    return problem
+    c = _AFFINE_SCALE * lipschitz * rng.normal(size=geo.d)
+    return _game(geo, G, c, kernel, noise_scale, rng)
 
 
 def matching_pennies(kernel, block_dim=2, noise_scale=0.0, seed=0):
@@ -371,63 +371,40 @@ def matching_pennies(kernel, block_dim=2, noise_scale=0.0, seed=0):
     else:
         P = np.roll(np.eye(block_dim), 1, axis=1)
         G = P - P.T
-    d = 2 * block_dim
-    Q = np.zeros((d, d))
-    Q[:block_dim, block_dim:] = G
-    Q[block_dim:, :block_dim] = -G.T
     geo = SimplexGeometry((block_dim, block_dim))
-    rng = np.random.default_rng(seed)
-    shifts = _make_shifts(rng, kernel, geo, noise_scale)
-    problem = ViProblem(geo, Q, np.zeros(d), shifts, kernel, x_star=geo.center(),
-                        sigma=noise_scale)
-
-    from .validation import err_vi
-
-    gap = err_vi(problem, problem.x_star)
-    if gap > _REF_VI_TOL:
-        raise SolverError(f"uniform profile has gap {gap:.3e}, expected ~0")
-    return problem
+    return _game(geo, G, np.zeros(geo.d), kernel, noise_scale, np.random.default_rng(seed),
+                 x_star=geo.center())
 
 
 # -- instance export ----------------------------------------------------
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _line(key, values):
+    """`key = v1 v2 ...`, every number at 17 significant digits, which round-trips a float."""
+    return f"{key} = " + " ".join(format(float(v), ".17g") for v in np.atleast_1d(values))
 
 
-def _write_matrix(lines, name, M):
-    M = np.atleast_2d(M)
-    for i, row in enumerate(M):
-        lines.append(f"{name}.row{i} = " + " ".join(_fmt(v) for v in row))
+def _rows(name, M):
+    return [_line(f"{name}.row{i}", row) for i, row in enumerate(M)]
 
 
 def save_instance(problem, path):
     """Write a problem to line-oriented text for exact re-runs."""
     geo = problem.geometry
-    lines = ["# markovmirror instance v1"]
-    lines.append(f"kind = {'min' if problem.is_minimization else 'vi'}")
-    lines.append(f"geometry.kind = {geo.kind}")
+    lines = ["# markovmirror instance v1", f"kind = {'min' if problem.is_minimization else 'vi'}",
+             f"geometry.kind = {geo.kind}"]
     if isinstance(geo, BoxGeometry):
-        lines.append(f"geometry.d = {geo.d}")
-        lines.append(f"geometry.lo = {_fmt(geo.lo)}")
-        lines.append(f"geometry.hi = {_fmt(geo.hi)}")
+        fields = (("d", geo.d), ("lo", geo.lo), ("hi", geo.hi))
     elif isinstance(geo, BallGeometry):
-        lines.append(f"geometry.d = {geo.d}")
-        lines.append(f"geometry.radius = {_fmt(geo.radius)}")
-        lines.append("geometry.center = " + " ".join(_fmt(v) for v in geo.center()))
+        fields = (("d", geo.d), ("radius", geo.radius), ("center", geo.center()))
     else:
-        lines.append("geometry.blocks = " + " ".join(str(b) for b in geo.block_dims))
-        lines.append(f"geometry.nu = {_fmt(geo.nu)}")
-    _write_matrix(lines, "chain", problem.kernel.P)
+        fields = (("blocks", geo.block_dims), ("nu", geo.nu))
+    lines += [_line(f"geometry.{key}", value) for key, value in fields]
+    lines += _rows("chain", problem.kernel.P)
     if problem.is_minimization:
-        _write_matrix(lines, "A", problem.A)
-        lines.append("b = " + " ".join(_fmt(v) for v in problem.b))
-        lines.append(f"f_star = {_fmt(problem.f_star)}")
+        lines += _rows("A", problem.A) + [_line("b", problem.b), _line("f_star", problem.f_star)]
     else:
-        _write_matrix(lines, "Q", problem.Q)
-        lines.append("c = " + " ".join(_fmt(v) for v in problem.c))
-    _write_matrix(lines, "shifts", problem.shifts)
-    lines.append("x_star = " + " ".join(_fmt(v) for v in problem.x_star))
+        lines += _rows("Q", problem.Q) + [_line("c", problem.c)]
+    lines += _rows("shifts", problem.shifts) + [_line("x_star", problem.x_star)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import mixing_time
 from .errors import GeometryError, InputError, ScheduleError, SolverError, _check_scale, _count
-from .estimators import Estimate, MlmcConfig, _states, batch_mean, mlmc_geometric
+from .estimators import MlmcConfig, _at_state, _states, batch_mean, mlmc_geometric
 from .problems import _oracle
 
 __all__ = [
@@ -180,12 +180,6 @@ def _stepped(gamma, est, t):
     if not np.isfinite(xi).all():
         raise SolverError(f"non-finite estimate at iteration {t}")
     return xi
-
-
-def _at_state(oracle, x, state, steps):
-    """One oracle evaluation at a chain state the caller drew; `steps` chain steps charged."""
-    return Estimate(np.asarray(oracle(x, state), dtype=float), oracle_calls=1,
-                    chain_steps=steps, level=0)
 
 
 def _descent(problem, schedule, T, estimate, rec, x0):

@@ -84,7 +84,7 @@ def err_vi(problem, x):
     Q = getattr(problem, "Q", None)
     if Q is None:
         raise InputError("err_vi needs an affine VI problem")
-    if not problem.is_skew(1e-10):
+    if not problem.is_skew():
         raise InputError("exact VI error requires a skew operator; use weak_vi_gap")
     x = np.asarray(x, dtype=float)
     lin = Q.T @ x - problem.c
@@ -367,12 +367,10 @@ def bootstrap_rate_ci(budgets, gap_matrix, n_boot=200, rng=None):
     slopes = []
     for _ in range(_count(n_boot, "n_boot", 0)):
         idx = rng.integers(0, n_seeds, size=n_seeds)
-        med = np.median(gap_matrix[idx], axis=0)
-        mask = med > _GAP_FLOOR
-        if mask.sum() < 2:
+        try:
+            slopes.append(rate_fit(budgets, np.median(gap_matrix[idx], axis=0)).slope)
+        except StatisticsError:  # a resample with fewer than 2 cells above the floor
             continue
-        s, _ = np.polyfit(np.log(budgets[mask]), np.log(med[mask]), 1)
-        slopes.append(s)
     if slopes:
         lo, hi = np.percentile(slopes, [2.5, 97.5])
         point.ci = (float(lo), float(hi))

@@ -72,6 +72,14 @@ def test_periodic_kernel_fails_ergodicity_checks():
         diagnose(flip)
 
 
+@pytest.mark.parametrize("n", [257, 513])
+def test_primitivity_check_does_not_overflow(n):
+    # (J - I)/(n - 1) is ergodic; counting paths in uint8 wrapped at 256 and read it as not
+    kernel = TransitionKernel((np.ones((n, n)) - np.eye(n)) / (n - 1))
+    assert kernel.is_primitive()
+    np.testing.assert_allclose(stationary(kernel), np.full(n, 1.0 / n), atol=1e-15)
+
+
 def test_reducible_kernel_rejected():
     block = TransitionKernel(np.eye(3))
     assert not block.is_primitive()

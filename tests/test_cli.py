@@ -132,6 +132,11 @@ def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
     ("check.N = 16 0 64\n", [], 1),
     ("check.M = 4 -16\n", [], 1),
     ("check.B = 0\n", [], 1),
+    ("problem.kind = matching-pennies\nalgorithm = mmp\nproblem.blocks = 3 5\n", [], 3),
+    ("problem.kind = matching-pennies\nalgorithm = mmp\nproblem.blocks = 3 4 5\n", [], 3),
+    ("problem.kind = game\nalgorithm = mmp\nproblem.blocks = 3\n", [], 3),
+    ("problem.kind = game\nalgorithm = mmp\nproblem.blocks = 2 3 4\n", [], 3),
+    ("chain.n = 101\n", [], 1),
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, text, args, line):
     cfg = write_config(tmp_path, "T = 20\n" + text)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovmirror import (
     ChainCursor,
@@ -10,6 +12,7 @@ from markovmirror import (
     combine_levels,
     make_min_instance,
     mlmc_geometric,
+    random_ergodic,
     single_sample,
 )
 
@@ -281,3 +284,26 @@ def test_estimate_is_dataclass_record(problem):
     est = single_sample(problem.grad_oracle, x, fresh_cursor(problem))
     assert isinstance(est, Estimate)
     assert est.g.shape == (5,)
+
+
+# one instance for every hypothesis example (a function-scoped fixture is not re-run per example)
+PROPERTY_PROBLEM = make_min_instance(5, random_ergodic(8, seed=7), noise_scale=1.0, seed=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.integers(1, 13), B=st.integers(1, 3), M=st.integers(1, 2**13),
+       seed=st.integers(0, 2**32 - 1))
+def test_mlmc_accounting_matches_a_same_seed_replay(level, B, M, seed):
+    # levels up to 13 reach the skip branch (a remainder above 4096 states) when truncated
+    p = PROPERTY_PROBLEM
+    x = p.geometry.center()
+    cur = fresh_cursor(p, seed)
+    before = cur.n_consumed
+    est = mlmc_geometric(p.grad_oracle, x, cur, MlmcConfig(B=B, M=M), ForcedLevels([level]))
+    span = (1 << level) * B
+    assert est.level == level
+    assert est.chain_steps == span
+    assert cur.n_consumed - before == span
+    assert est.oracle_calls == (span if (1 << level) <= M else B)
+    rows = p.grad_oracle(x, fresh_cursor(p, seed).advance(est.oracle_calls))
+    np.testing.assert_array_equal(est.g, combine_levels(rows, level, B, M))

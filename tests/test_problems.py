@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from markovmirror import (
+    BallGeometry,
     BoxGeometry,
     ChainCursor,
     InputError,
@@ -265,6 +267,42 @@ def test_save_load_round_trip_vi(two_state, tmp_path):
     np.testing.assert_array_equal(q.op(x), p.op(x))
     np.testing.assert_array_equal(q.x_star, p.x_star)
     assert q.is_skew()
+
+
+def test_save_load_round_trip_ball(dense8, tmp_path):
+    p = make_min_instance(6, dense8, geometry_kind="ball", noise_scale=0.4, seed=3)
+    path = tmp_path / "ball.txt"
+    save_instance(p, path)
+    q = load_instance(path)
+    assert isinstance(q.geometry, BallGeometry)
+    assert q.geometry.radius == p.geometry.radius
+    np.testing.assert_array_equal(q.geometry.center(), p.geometry.center())
+    x = p.geometry.sample(np.random.default_rng(2))
+    np.testing.assert_array_equal(q.grad_oracle(x, 5), p.grad_oracle(x, 5))
+    np.testing.assert_array_equal(q.x_star, p.x_star)
+    assert q.f_star == p.f_star
+    save_instance(q, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_text() == path.read_text()
+
+
+def test_reference_solution_of_a_non_game_vi_is_input_error(two_state):
+    # a skew VI on a box is no two-player game; the reference solver is the game LP only
+    Q = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]])
+    p = ViProblem(BoxGeometry(4, -1.0, 1.0), Q, np.full(4, 0.1), zero_shifts(two_state, 4),
+                  two_state)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="two-player zero-sum games"):
+        reference_solution(p)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_skew_uses_the_library_tolerance(two_state):
+    # err_vi, the CLI gap and the game split all accept |Q + Q'| up to 1e-10
+    Q = np.array([[0.0, 1.0], [-1.0 + 5e-11, 0.0]])
+    p = ViProblem(BoxGeometry(2, -1.0, 1.0), Q, np.zeros(2), zero_shifts(two_state, 2), two_state)
+    assert p.is_skew()
+    assert err_vi(p, np.zeros(2)) == pytest.approx(0.0, abs=1e-9)
 
 
 def _finite_problem(two_state, **bad):
