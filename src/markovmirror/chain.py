@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ErgodicityError, InputError, _count
 
 __all__ = ["TransitionKernel", "ChainCursor", "ChainDiagnostics", "stationary", "mixing_time",
-           "diagnose", "make_lazy", "lazy_for_mixing_time", "random_ergodic", "sample_paths"]
+           "diagnose", "make_lazy", "lazy_for_mixing_time", "random_ergodic"]
 
 _STATIONARY_TOL = 1e-12
 _STATIONARY_RESIDUAL = 1e-10
@@ -306,23 +306,3 @@ class ChainCursor:
         row = self.kernel.power_row(self.state, steps)
         self.state = int(_inverse_cdf(row, self.rng.random()))
         self.n_consumed += steps
-
-
-def sample_paths(kernel, n_steps, n_paths, rng, start="stationary"):
-    """Simulate n_paths independent trajectories of length n_steps (vectorized).
-
-    Returns an (n_paths, n_steps) int matrix.  Memory-heavy for very long
-    paths; reduction-style consumers should iterate kernel.step directly.
-    """
-    n_steps = _count(n_steps, "n_steps", 1)
-    n_paths = _count(n_paths, "n_paths", 1)
-    rng = np.random.default_rng(rng)
-    if start == "stationary":
-        states = kernel.sample_stationary(rng, n_paths)
-    else:
-        states = np.full(n_paths, _count(start, "start state", 0, kernel.n_states - 1))
-    out = np.empty((n_paths, n_steps), dtype=np.int16 if kernel.n_states < 2**15 else np.int64)
-    for t in range(n_steps):
-        states = kernel.step(states, rng)
-        out[:, t] = states
-    return out

@@ -309,13 +309,9 @@ def build_problem(res, kernel):
 def _gap_fn(res, problem):
     if res["metrics"] == "none":
         return None
-    if getattr(problem, "is_minimization", False):
-        if problem.f_star is None:
-            return None
+    if problem.is_minimization:
         return lambda x: subopt_gap(problem, x)
-    if problem.is_skew():
-        return lambda x: err_vi(problem, x)
-    return None
+    return lambda x: err_vi(problem, x)
 
 
 def _resolve_tau(res, kernel):

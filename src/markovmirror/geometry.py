@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import GeometryError, InputError, _check_scale, _count
 
-__all__ = ["NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeometry",
-           "prox_nonexpansive_check"]
+__all__ = ["NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeometry"]
 
 # Total probability mass reserved for the simplex floor; after every prox
 # step a simplex block y is replaced by (1 - nu) * y + nu / dim so that
@@ -35,9 +34,6 @@ SIMPLEX_NU = 1e-9
 # stopping rule of the generic prox: KKT residual and iteration budget
 _PROX_TOL = 1e-10
 _PROX_MAX_ITER = 10_000
-
-# float slack allowed by the prox nonexpansiveness check
-_NONEXPANSIVE_SLACK = 1e-9
 
 
 def dual_exponent(p):
@@ -65,20 +61,6 @@ class NormPair:
     def dual_norm(self, v, axis=None):
         return np.linalg.norm(v, ord=self.q, axis=axis)
 
-    def holder_maximizer(self, v):
-        """Unit-p-norm z achieving <v, z> = ||v||_q (used to test the duality identity)."""
-        v = np.asarray(v, dtype=float)
-        if not np.any(v):
-            return np.zeros_like(v)
-        if self.p == 1.0:
-            z = np.zeros_like(v)
-            i = int(np.argmax(np.abs(v)))
-            z[i] = np.sign(v[i])
-            return z
-        q = self.q
-        scale = np.linalg.norm(v, ord=q) ** (q - 1.0)
-        return np.sign(v) * np.abs(v) ** (q - 1.0) / scale
-
     def __repr__(self):
         return f"NormPair(p={self.p})"
 
@@ -87,7 +69,6 @@ class Geometry:
     """Base class: feasible set + mirror map + norm pair."""
 
     kind = "abstract"
-    mirror_map = "abstract"
 
     def __init__(self, d, norm_pair):
         self.d = _count(d, "dimension", 1)
@@ -217,8 +198,6 @@ class Geometry:
 
 class _EuclideanGeometry(Geometry):
     """Half-squared Euclidean mirror map (p = 2): the prox is project(x - xi)."""
-
-    mirror_map = "half-squared-euclidean"
 
     def __init__(self, d):
         super().__init__(d, NormPair(2.0))
@@ -356,7 +335,6 @@ class SimplexGeometry(Geometry):
     """
 
     kind = "simplex-product"
-    mirror_map = "negative-entropy"
 
     def __init__(self, block_dims, nu=SIMPLEX_NU):
         self.block_dims = tuple(_count(b, "simplex block dimension", 2)
@@ -455,10 +433,3 @@ class SimplexGeometry(Geometry):
         if count > 4096:
             raise GeometryError("vertex enumeration capped at 4096 combinations")
         return [self._one_hot(combo) for combo in itertools.product(*map(range, self.block_dims))]
-
-
-def prox_nonexpansive_check(geometry, x, eta, zeta):
-    """True iff ||P_x(eta) - P_x(zeta)||_p <= ||eta - zeta||_q + 1e-9."""
-    lhs = geometry.norm(geometry.prox(x, eta) - geometry.prox(x, zeta))
-    rhs = geometry.dual_norm(np.asarray(eta, float) - np.asarray(zeta, float))
-    return bool(lhs <= rhs + _NONEXPANSIVE_SLACK)

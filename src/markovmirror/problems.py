@@ -4,23 +4,23 @@ Both families share the same noise mechanism: a per-chain-state shift
 vector with zero stationary mean, so the expected oracle equals the
 mean-field gradient/operator exactly.  Constructors record the
 norm-correct smoothness constant and the exact noise level, and attach
-a reference solution verified at construction.
+x*: exact by construction for a quadratic, certified by err_vi for a
+game.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chain import TransitionKernel, stationary
+from .chain import stationary
 from .errors import InputError, SolverError, _check_scale, _count
 from .geometry import BallGeometry, BoxGeometry, SimplexGeometry
 
 __all__ = ["MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
-           "matching_pennies", "reference_solution", "save_instance", "load_instance"]
+           "matching_pennies"]
 
-_REF_MIN_TOL = 1e-10
+# err_vi a game's certified equilibrium must reach
 _REF_VI_TOL = 1e-9
-_REF_MAX_ITER = 10**6
 # largest |Q + Q'| entry of an operator that counts as skew
 _SKEW_TOL = 1e-10
 # scale of a random game's linear term c, relative to its payoff entries
@@ -184,51 +184,6 @@ class ViProblem(_ShiftedProblem):
         return self.shifts
 
 
-def _fw_gap(problem, x):
-    """Frank-Wolfe gap max_v <grad f(x), x - v>; certifies f(x) - f* <= gap."""
-    g = problem.grad(x)
-    v = problem.geometry.linear_argmax(-g)
-    return float(g @ (x - v))
-
-
-def _solve_min_reference(problem):
-    """Deterministic accelerated projected-gradient solve, certified by the FW gap."""
-    geo = problem.geometry
-    L2 = float(np.linalg.eigvalsh(problem.A).max())
-    if L2 <= 0.0:
-        x = geo.center()
-        return x, problem.f(x)
-    x = geo.center()
-    y = x.copy()
-    t_mom = 1.0
-    for _ in range(_REF_MAX_ITER):
-        x_new = geo.project(y - problem.grad(y) / L2)
-        if _fw_gap(problem, x_new) <= _REF_MIN_TOL:
-            return x_new, problem.f(x_new)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        mom = (t_mom - 1.0) / t_new
-        # gradient restart keeps the momentum useful on ill-conditioned spectra
-        if (y - x_new) @ (x_new - x) > 0.0:
-            t_new, mom = 1.0, 0.0
-        y = x_new + mom * (x_new - x)
-        x, t_mom = x_new, t_new
-    raise SolverError(f"reference minimization did not reach FW gap {_REF_MIN_TOL:g}")
-
-
-def _game_blocks(problem):
-    """Split a two-block skew ViProblem into its payoff block, or None."""
-    geo = problem.geometry
-    if not isinstance(geo, SimplexGeometry) or geo.n_blocks != 2:
-        return None
-    if not problem.is_skew():
-        return None
-    d1, d2 = geo.block_dims
-    Q = problem.Q
-    if np.max(np.abs(Q[:d1, :d1])) > 1e-12 or np.max(np.abs(Q[d1:, d1:])) > 1e-12:
-        return None
-    return Q[:d1, d1:], problem.c[:d1], problem.c[d1:]
-
-
 def _solve_game_lp(G, c1, c2):
     """Equilibrium of the zero-sum game with payoff G and linear terms: one LP and its duals."""
     from scipy.optimize import linprog  # the library's only scipy use
@@ -251,36 +206,6 @@ def _solve_game_lp(G, c1, c2):
     x = np.maximum(res.x[:d1], 0.0)
     y = np.maximum(-res.ineqlin.marginals, 0.0)
     return np.r_[x / x.sum(), y / y.sum()]
-
-
-def _solve_vi_reference(problem, x=None):
-    """Certified equilibrium of a two-player zero-sum game: `x` if given, else the game LP's."""
-    from .validation import err_vi  # local import to avoid a module cycle
-
-    blocks = _game_blocks(problem)
-    if blocks is None:
-        raise InputError("reference solutions exist only for two-player zero-sum games: "
-                         "a skew operator over two simplex blocks")
-    if x is None:
-        geo = problem.geometry
-        x = _solve_game_lp(*blocks)
-        # the floor fold (1 - nu) x + nu * center adds <= nu * err_vi(center): err_vi is convex
-        fold = _REF_VI_TOL + geo.nu * err_vi(problem, geo.center())
-        checks = ((x, _REF_VI_TOL), (geo.renormalize(x), fold))
-    else:
-        checks = ((x, _REF_VI_TOL),)
-    for point, bound in checks:
-        gap = err_vi(problem, point)
-        if gap > bound:
-            raise SolverError(f"game equilibrium has gap {gap:.3e} > {bound:.3e}")
-    return point
-
-
-def reference_solution(problem):
-    """Recompute the reference solution: (x*, f*) for min, (x*, None) for a two-player game VI."""
-    if problem.is_minimization:
-        return _solve_min_reference(problem)
-    return _solve_vi_reference(problem), None
 
 
 def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
@@ -333,16 +258,30 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
 def _game(geo, G, c, kernel, noise_scale, rng, x_star=None):
     """The zero-sum game with payoff block G over the two blocks of `geo` as a skew ViProblem.
 
-    Its shifts are drawn from `rng` after G and c; x* is `x_star` once
-    certified, or else the game LP's equilibrium.
+    Its shifts are drawn from `rng` after G and c.  x* is `x_star`, or else
+    the game LP's equilibrium folded onto the simplex floor; err_vi
+    certifies it either way.
     """
+    from .validation import err_vi  # local import to avoid a module cycle
+
     d1 = G.shape[0]
     Q = np.zeros((geo.d, geo.d))
     Q[:d1, d1:] = G
     Q[d1:, :d1] = -G.T
     shifts = _make_shifts(rng, kernel, geo, noise_scale)
     problem = ViProblem(geo, Q, c, shifts, kernel, sigma=noise_scale)
-    problem.x_star = _solve_vi_reference(problem, x_star)
+    if x_star is None:
+        x = _solve_game_lp(G, c[:d1], c[d1:])
+        # the floor fold (1 - nu) x + nu * center adds <= nu * err_vi(center): err_vi is convex
+        fold = _REF_VI_TOL + geo.nu * err_vi(problem, geo.center())
+        checks = ((x, _REF_VI_TOL), (geo.renormalize(x), fold))
+    else:
+        checks = ((x_star, _REF_VI_TOL),)
+    for point, bound in checks:
+        gap = err_vi(problem, point)
+        if gap > bound:
+            raise SolverError(f"game equilibrium has gap {gap:.3e} > {bound:.3e}")
+    problem.x_star = point
     return problem
 
 
@@ -374,101 +313,3 @@ def matching_pennies(kernel, block_dim=2, noise_scale=0.0, seed=0):
     geo = SimplexGeometry((block_dim, block_dim))
     return _game(geo, G, np.zeros(geo.d), kernel, noise_scale, np.random.default_rng(seed),
                  x_star=geo.center())
-
-
-# -- instance export ----------------------------------------------------
-
-def _line(key, values):
-    """`key = v1 v2 ...`, every number at 17 significant digits, which round-trips a float."""
-    return f"{key} = " + " ".join(format(float(v), ".17g") for v in np.atleast_1d(values))
-
-
-def _rows(name, M):
-    return [_line(f"{name}.row{i}", row) for i, row in enumerate(M)]
-
-
-def save_instance(problem, path):
-    """Write a problem to line-oriented text for exact re-runs."""
-    geo = problem.geometry
-    lines = ["# markovmirror instance v1", f"kind = {'min' if problem.is_minimization else 'vi'}",
-             f"geometry.kind = {geo.kind}"]
-    if isinstance(geo, BoxGeometry):
-        fields = (("d", geo.d), ("lo", geo.lo), ("hi", geo.hi))
-    elif isinstance(geo, BallGeometry):
-        fields = (("d", geo.d), ("radius", geo.radius), ("center", geo.center()))
-    else:
-        fields = (("blocks", geo.block_dims), ("nu", geo.nu))
-    lines += [_line(f"geometry.{key}", value) for key, value in fields]
-    lines += _rows("chain", problem.kernel.P)
-    if problem.is_minimization:
-        lines += _rows("A", problem.A) + [_line("b", problem.b), _line("f_star", problem.f_star)]
-    else:
-        lines += _rows("Q", problem.Q) + [_line("c", problem.c)]
-    lines += _rows("shifts", problem.shifts) + [_line("x_star", problem.x_star)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _values(fields, key):
-    """The numbers of instance field `key`; InputError if it is missing or malformed."""
-    if key not in fields:
-        raise InputError(f"instance file is missing {key!r}")
-    try:
-        return [float(v) for v in fields[key].split()]
-    except ValueError:
-        raise InputError(f"instance field {key!r} has a non-numeric entry") from None
-
-
-def _value(fields, key):
-    values = _values(fields, key)
-    if len(values) != 1:
-        raise InputError(f"instance field {key!r} needs one number, got {len(values)}")
-    return values[0]
-
-
-def _collect_matrix(fields, name):
-    rows = []
-    while f"{name}.row{len(rows)}" in fields:
-        rows.append(_values(fields, f"{name}.row{len(rows)}"))
-    if not rows:
-        raise InputError(f"instance file is missing matrix {name!r}")
-    if len({len(row) for row in rows}) != 1:
-        raise InputError(f"instance matrix {name!r} has rows of different lengths")
-    return np.array(rows)
-
-
-def load_instance(path):
-    """Inverse of save_instance; InputError names the field or line a malformed file breaks."""
-    fields = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise InputError(f"instance file line {i}: expected 'key = value'")
-            fields[key.strip()] = value.strip()
-    kind, gkind = fields.get("kind"), fields.get("geometry.kind")
-    if kind not in ("min", "vi"):
-        raise InputError(f"instance field 'kind' must be min or vi, got {kind!r}")
-    if gkind == "box":
-        geo = BoxGeometry(_value(fields, "geometry.d"),
-                          _value(fields, "geometry.lo"), _value(fields, "geometry.hi"))
-    elif gkind == "ball":
-        geo = BallGeometry(_value(fields, "geometry.d"), _value(fields, "geometry.radius"),
-                           _values(fields, "geometry.center"))
-    elif gkind == "simplex-product":
-        geo = SimplexGeometry(_values(fields, "geometry.blocks"),
-                              nu=_value(fields, "geometry.nu"))
-    else:
-        raise InputError("instance field 'geometry.kind' must be box, ball or simplex-product, "
-                         f"got {gkind!r}")
-    kernel = TransitionKernel(_collect_matrix(fields, "chain"))
-    shifts = _collect_matrix(fields, "shifts")
-    x_star = _values(fields, "x_star")
-    if kind == "min":
-        return MinProblem(geo, _collect_matrix(fields, "A"), _values(fields, "b"), shifts, kernel,
-                          x_star=x_star, f_star=_value(fields, "f_star"))
-    return ViProblem(geo, _collect_matrix(fields, "Q"), _values(fields, "c"), shifts, kernel,
-                     x_star=x_star)

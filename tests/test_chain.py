@@ -13,7 +13,6 @@ from markovmirror import (
     make_lazy,
     mixing_time,
     random_ergodic,
-    sample_paths,
     stationary,
 )
 from markovmirror import chain
@@ -376,11 +375,3 @@ def test_random_ergodic_bounds():
         random_ergodic(1, seed=0)
     with pytest.raises(InputError):
         random_ergodic(101, seed=0)
-
-
-def test_sample_paths_shape_and_determinism(dense8):
-    a = sample_paths(dense8, 50, 6, np.random.default_rng(11))
-    b = sample_paths(dense8, 50, 6, np.random.default_rng(11))
-    assert a.shape == (6, 50)
-    np.testing.assert_array_equal(a, b)
-    assert a.min() >= 0 and a.max() < dense8.n_states

@@ -333,6 +333,17 @@ def test_sweep_with_multiple_seeds_reports_ci(tmp_path):
     assert any(l.startswith("# rate.ci = ") for l in header)
 
 
+def test_sweep_without_metrics_exits_2_naming_the_gap(tmp_path, capsys):
+    # with metrics = none every final gap is NaN, which rate_fit rejects as input
+    cfg = write_config(
+        tmp_path,
+        "problem.d = 3\nchain.n = 4\nalgorithm = mamd-batched\nmetrics = none\n"
+        "sweep.T = 16 32\nseeds = 0\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 2
+    assert "gap must be nonnegative and finite, got nan" in capsys.readouterr().err
+
+
 def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
     monkeypatch.delenv("MM_DETERMINISTIC", raising=False)
     cfg = write_config(

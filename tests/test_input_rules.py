@@ -30,15 +30,17 @@ from markovmirror import (
     lazy_for_mixing_time,
     make_min_instance,
     make_vi_instance,
+    mamd_batched,
     mamd_batched_schedule,
     mamd_unbatched,
     mamd_unbatched_schedule,
     matching_pennies,
+    mmp_batched,
     mmp_batched_params,
+    mmp_unbatched,
     mmp_unbatched_stepsize,
     problems,
     random_ergodic,
-    sample_paths,
     solvers,
     unbiasedness_check,
     validation,
@@ -70,6 +72,18 @@ def _solve(stride):
     return mamd_unbatched(QUAD, sched, _cursor(), 12, stride=stride).t
 
 
+# each solver's reported point after T iterations
+SOLVERS = {
+    "mamd_unbatched": lambda T: mamd_unbatched(QUAD, MamdSchedule(0.5 / QUAD.L), _cursor(), T),
+    "mamd_batched": lambda T: mamd_batched(QUAD, MamdSchedule(0.5 / QUAD.L), _cursor(), T,
+                                           MlmcConfig(1, 4), np.random.default_rng(1)),
+    "mmp_unbatched": lambda T: mmp_unbatched(GAME, 0.5 / GAME.L_tilde, _cursor(), T,
+                                             avg_start=0),
+    "mmp_batched": lambda T: mmp_batched(GAME, 0.5 / GAME.L, _cursor(), T, MlmcConfig(1, 4),
+                                         np.random.default_rng(1)),
+}
+
+
 def _bootstrap(n_boot):
     gaps = np.array([[1.0, 0.5, 0.2], [1.1, 0.4, 0.3], [0.9, 0.6, 0.25]])
     return bootstrap_rate_ci([1.0, 2.0, 4.0], gaps, n_boot, np.random.default_rng(0)).ci
@@ -85,10 +99,6 @@ COUNTS = {
     "cursor start": (0, lambda n: ChainCursor(KERNEL, np.random.default_rng(0), start=n).state),
     "random_ergodic n_states": (2, lambda n: random_ergodic(n, seed=0).P),
     "lazy_for_mixing_time target": (1, lambda n: lazy_for_mixing_time(KERNEL, n)[1:]),
-    "sample_paths n_steps": (1, lambda n: sample_paths(KERNEL, n, 3, np.random.default_rng(0))),
-    "sample_paths n_paths": (1, lambda n: sample_paths(KERNEL, 4, n, np.random.default_rng(0))),
-    "sample_paths start": (0, lambda n: sample_paths(KERNEL, 4, 3, np.random.default_rng(0),
-                                                     start=n)),
     "batch_mean batch": (1, lambda n: batch_mean(QUAD.grad_oracle, QUAD.geometry.center(),
                                                  _cursor(), n).g),
     "MlmcConfig B": (1, lambda n: MlmcConfig(B=n).B),
@@ -101,6 +111,11 @@ COUNTS = {
     "game block": (2, lambda n: make_vi_instance((n, 3), KERNEL, seed=0).x_star),
     "matching_pennies block_dim": (2, lambda n: matching_pennies(KERNEL, block_dim=n).Q),
     "solver stride": (0, _solve),
+    **{f"{name} T": (1, lambda n, run=run: run(n).x_out) for name, run in SOLVERS.items()},
+    "mmp_unbatched avg_start": (0, lambda n: mmp_unbatched(
+        GAME, 0.5 / GAME.L_tilde, _cursor(), 12, avg_start=n).x_out),
+    "schedule factory tau_mix": (1, lambda n: mamd_unbatched_schedule(1.0, 1.0, 1.0, n, 64)),
+    "schedule factory T": (1, lambda n: mmp_batched_params(1.0, 1.0, 1.0, 4, n)),
     "MamdSchedule tau": (0, lambda n: MamdSchedule(0.1, n).arrays(8)),
     "MamdSchedule.arrays T": (0, lambda n: MamdSchedule(0.1).arrays(n)),
     "scaling size": (1, lambda n: _deviation(Ns=(n, 16))),

@@ -61,12 +61,11 @@ def test_err_vi_matches_grid_search(two_state):
     p = matching_pennies(two_state)
     x = np.array([0.8, 0.2, 0.4, 0.6])
     exact = err_vi(p, x)
-    # brute force over u = ((a,1-a),(b,1-b)) on a 1e-3 grid
-    best = -np.inf
-    for a in np.linspace(0.0, 1.0, 1001):
-        for b in np.linspace(0.0, 1.0, 1001):
-            u = np.array([a, 1 - a, b, 1 - b])
-            best = max(best, (p.Q @ u) @ (x - u))
+    # brute force over u = ((a,1-a),(b,1-b)) on a 1e-3 grid, one row of U per (a, b)
+    a = np.linspace(0.0, 1.0, 1001)
+    U = np.stack([np.repeat(a, a.size), np.repeat(1 - a, a.size),
+                  np.tile(a, a.size), np.tile(1 - a, a.size)], axis=1)
+    best = np.einsum("ij,ij->i", U @ p.Q.T, x - U).max()
     assert exact >= best - 1e-12
     assert exact <= best + 2e-3
 
@@ -306,6 +305,25 @@ def test_rate_fit_excludes_floored_cells():
         rate_fit(budgets, np.zeros(4))
     with pytest.raises(InputError):
         rate_fit(budgets, np.ones(3))
+
+
+@pytest.mark.parametrize("budgets, gaps, error, message", [
+    ([0.0, 2.0, 4.0], [1.0, 0.5, 0.2], InputError, "budget must be"),
+    ([-1.0, 2.0, 4.0], [1.0, 0.5, 0.2], InputError, "budget must be"),
+    ([np.inf, 2.0, 4.0], [1.0, 0.5, 0.2], InputError, "budget must be"),
+    ([np.nan, 2.0, 4.0], [1.0, 0.5, 0.2], InputError, "budget must be"),
+    ([1.0, 2.0, 4.0], [np.nan, 0.5, 0.2], InputError, "gap must be"),
+    ([1.0, 2.0, 4.0], [-0.5, 0.5, 0.2], InputError, "gap must be"),
+    ([1.0, 2.0, 4.0], [np.inf, 0.5, 0.2], InputError, "gap must be"),
+    ([4.0, 4.0, 4.0], [1.0, 0.5, 0.2], StatisticsError, "fewer than 2 distinct budgets"),
+    ([4.0, 4.0, 8.0], [1.0, 0.5, 0.0], StatisticsError, "fewer than 2 distinct budgets"),
+], ids=["budget-zero", "budget-negative", "budget-inf", "budget-nan", "gap-nan", "gap-negative",
+        "gap-inf", "one-budget", "one-budget-above-floor"])
+def test_rate_fit_bad_input_is_rejected(budgets, gaps, error, message):
+    # a budget <= 0 or inf reached np.log and np.polyfit (LinAlgError), a NaN
+    # gap counted as a floored cell, and equal budgets gave a made-up slope
+    with pytest.raises(error, match=message):
+        rate_fit(budgets, gaps)
 
 
 def test_bootstrap_ci_covers_point(rng):
