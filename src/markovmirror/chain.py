@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -85,11 +84,18 @@ class TransitionKernel:
 
     def step(self, states, rng):
         """Advance a vector of states by one transition (vectorized)."""
-        cum = self._cum_rows()
         states = np.asarray(states)
-        u = rng.random(states.shape[0])
-        nxt = np.sum(cum[states] <= u[:, None], axis=1)
-        return np.minimum(nxt, self.n_states - 1)
+        return self._move(states, rng.random(states.shape[0]))
+
+    def _move(self, states, u):
+        """The states one transition on from `states` given one uniform each.
+
+        State i moves to the first state whose cumulative mass in its row
+        exceeds u[i]; readers that draw the uniforms of several steps at
+        once go through here, so they take the transitions `step` takes.
+        """
+        nxt = (self._cum_rows().take(states, axis=0) <= u[:, None]).sum(axis=1)
+        return np.minimum(nxt, self.n_states - 1, out=nxt)
 
     def power_row(self, state, steps):
         """Row of P^steps for the given start state, by binary exponentiation."""
@@ -122,46 +128,52 @@ def _inverse_cdf(p, u):
 def stationary(kernel):
     """Stationary law by power iteration to a step change <= 1e-12 in l1, cached on the kernel.
 
-    The iterates mu_{k+1} = mu_k @ P are formed a block at a time and
-    tested for convergence once per block (`_settled`), which returns
-    the iterate a test after every product would stop at.
+    The iterates mu_{k+1} = mu_k @ P are formed a block at a time into
+    one preallocated buffer and tested for convergence once per block
+    (`_settled`), which returns the iterate a test after every product
+    would stop at.
     """
     if kernel._pi is not None:
         return kernel._pi
     kernel.ensure_ergodic()
-    mu = np.full(kernel.n_states, 1.0 / kernel.n_states)
+    P = kernel.P
+    # row 0 holds a block's start and row i the iterate i products on, for
+    # the longest block the block-size constants allow
+    buf = np.empty((min(max(_FIRST_BLOCK, _MAX_BLOCK), _MAX_POWER_STEPS) + 1, kernel.n_states))
+    buf[0] = 1.0 / kernel.n_states
+    rows = []  # views of the buffer's rows, made as the blocks first reach them
     done, size = 0, _FIRST_BLOCK
     while done < _MAX_POWER_STEPS:
         size = min(size, _MAX_POWER_STEPS - done)
-        block = list(accumulate(repeat(kernel.P, size), np.matmul, initial=mu))
-        k = _settled(block)
+        rows.extend(buf[len(rows):size + 1])
+        for prev, row in zip(rows[:size], rows[1:size + 1]):
+            prev.dot(P, out=row)
+        k = _settled(buf[:size + 1])
         if k is not None:
-            mu = block[k]
+            mu = buf[k] / buf[k].sum()
             break
-        mu = block[-1]
+        buf[0] = buf[size]
         done += size
         size = min(2 * size, _MAX_BLOCK)
     else:
         raise ErgodicityError(f"power iteration did not converge in {_MAX_POWER_STEPS} steps")
-    mu = mu / mu.sum()
-    if np.abs(mu @ kernel.P - mu).sum() > _STATIONARY_RESIDUAL:
+    if np.abs(mu @ P - mu).sum() > _STATIONARY_RESIDUAL:
         raise ErgodicityError("stationary residual above 1e-10 after power iteration")
     kernel._pi = mu
     return mu
 
 
-def _settled(block):
-    """Index of the first iterate in `block` within 1e-12 (l1) of the one before it, or None.
+def _settled(rows):
+    """Index of the first iterate in `rows` within 1e-12 (l1) of the one before it, or None.
 
     Row sums over the stacked block only pick candidates, with a factor-2
     margin for their summation order; each candidate is decided by the
     1-D expression a per-product test evaluates, so the stopping index
     does not depend on how numpy reduces the rows.
     """
-    rows = np.array(block)
     near = np.abs(rows[1:] - rows[:-1]).sum(axis=1) <= 2 * _STATIONARY_TOL
     for k in np.flatnonzero(near).tolist():
-        if np.abs(block[k + 1] - block[k]).sum() <= _STATIONARY_TOL:
+        if np.abs(rows[k + 1] - rows[k]).sum() <= _STATIONARY_TOL:
             return k + 1
     return None
 

@@ -437,6 +437,9 @@ def cmd_run(res, jobs, out_dir):
 
 
 def cmd_sweep(res, jobs, out_dir):
+    if res["metrics"] == "none" and res["algorithm"] != "synthetic":
+        # without a gap metric every cell's final gap is NaN, which no rate fits
+        raise ConfigError("sweep fits a rate to the final gaps, so it needs metrics = gap")
     problem, tau_mix = _build_instance(res)
     h = config_hash(res)
     grid = sorted(set(res["sweep.T"]))

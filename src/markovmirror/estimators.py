@@ -77,8 +77,12 @@ def _eval_rows(oracle, x, states):
 
 
 def _prefix_mean(values, n):
-    """Mean of the first n rows; np.mean's add-reduce and divide without its wrapper."""
-    return values[:n].sum(axis=0) / n
+    """Mean of the first n rows (axis -2); np.mean's add-reduce and divide without its wrapper.
+
+    A stack of (rows, d) blocks gives one mean per block, each bit-equal
+    to the mean of that block alone.
+    """
+    return values[..., :n, :].sum(axis=-2) / n
 
 
 def _at_state(oracle, x, state, steps):
@@ -118,8 +122,10 @@ def combine_levels(values, level, B, M):
     """Multilevel combination g_0 + 2^J (g_J - g_{J-1}) over prefix means.
 
     `values` holds the oracle rows for at least min(2^level, needed) * B
-    consecutive samples; levels with 2^level > M fall back to g_0.
-    Shared by the production estimator and the paired validation trials.
+    consecutive samples on its last two axes (rows, d), so a stack of
+    trials that drew the same level is combined in one call; levels with
+    2^level > M fall back to g_0.  Shared by the production estimator
+    and the paired validation trials.
     """
     values = np.asarray(values, dtype=float)
     g0 = _prefix_mean(values, B)

@@ -15,6 +15,13 @@ Three groups of tools:
 
 The window constants at the top are the pass bands of the command-line
 checks.  The acceptance suite hard-codes its own frozen windows.
+
+The Monte-Carlo calls read the chain in blocks of at most `_ROW_BUDGET`
+states or transitions: `unbiasedness_check` advances its cursor once per
+block of whole trials, and `deviation_scaling` draws the uniforms of
+several steps in one rng call.  Either way they read the same uniforms
+in the same order as per-trial or per-step reads, so their outputs are
+bit-identical to those loops'.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from .chain import ChainCursor, stationary
 from .errors import GeometryError, InputError, StatisticsError, _check_scale, _count, _integral
-from .estimators import _draw_level, _eval_rows, combine_levels, mlmc_geometric
+from .estimators import _draw_level, _eval_rows, _prefix_mean, combine_levels, mlmc_geometric
 from .problems import _oracle
 
 __all__ = [
@@ -52,6 +59,11 @@ __all__ = [
 DEVIATION_SLOPE_WINDOW = (-1.2, -0.8)
 BIAS_SLOPE_WINDOW = (-1.3, -0.7)
 
+# chain states the statistical calls read at once: unbiasedness_check advances
+# the cursor over whole trials of at most this many states (0.2 MB of oracle
+# rows at d = 6), and deviation_scaling draws at most this many transitions'
+# uniforms per rng call; 1 << 14 ran no faster and held about 3 MB more
+_ROW_BUDGET = 1 << 12
 # rate fits leave out cells whose gap is at or below this floor
 _GAP_FLOOR = 1e-13
 # random probe points of weak_vi_gap when the geometry has no vertex list
@@ -162,7 +174,9 @@ def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
 
     One vectorized pass drives `n_trials` chains to max(Ns), reading off
     each cell on the way; the slope of log mean vs log N should be close
-    to -1 and the constant (mean * N) tracks sigma^2 tau.
+    to -1 and the constant (mean * N) tracks sigma^2 tau.  The uniforms
+    of several steps come from one rng call, at most `_ROW_BUDGET` of
+    them, in the order per-step `kernel.step` calls would draw them.
     """
     deviations = np.asarray(deviations, dtype=float)
     Ns = _check_sizes(Ns, 2)
@@ -173,15 +187,17 @@ def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
     targets = set(Ns.tolist())
     mean = np.empty(Ns.size)
     se = np.empty(Ns.size)
-    k = 0
-    for step in range(1, int(Ns[-1]) + 1):
-        states = kernel.step(states, rng)
-        sums += centered[states]
-        if step in targets:
-            vals = norm_pair.dual_norm(sums / step, axis=1) ** 2
-            mean[k] = vals.mean()
-            se[k] = vals.std(ddof=1) / np.sqrt(n_trials)
-            k += 1
+    last, chunk, k = int(Ns[-1]), max(1, _ROW_BUDGET // n_trials), 0
+    for first in range(1, last + 1, chunk):
+        uniforms = rng.random((min(chunk, last + 1 - first), n_trials))
+        for step, u in enumerate(uniforms, start=first):
+            states = kernel._move(states, u)
+            sums += centered.take(states, axis=0)
+            if step in targets:
+                vals = norm_pair.dual_norm(sums / step, axis=1) ** 2
+                mean[k] = vals.mean()
+                se[k] = vals.std(ddof=1) / np.sqrt(n_trials)
+                k += 1
     logN = np.log(Ns.astype(float))
     if np.any(mean <= 0):
         raise StatisticsError("degenerate (zero) deviation cells; nothing to fit")
@@ -294,17 +310,29 @@ def unbiasedness_check(problem, x, config, n_trials, rng):
     and the full-prefix mean; their difference has exactly zero mean
     conditional on the trajectory, so the per-coordinate t-ratio is a
     calibrated unbiasedness statistic.
+
+    Trials run in blocks of at most `_ROW_BUDGET` chain states: one
+    `advance` and one oracle call per block, and one combination per
+    level drawn in it.  The cursor reads the same uniforms in the same
+    order as one `advance` per trial, so every output is bit-equal to
+    the per-trial loop's.
     """
     n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng)
     x = np.asarray(x, dtype=float)
     n_pref = (1 << config.max_level) * config.B
+    per_block = max(1, _ROW_BUDGET // n_pref)
     diffs = np.empty((n_trials, x.size))
-    for i in range(n_trials):
-        level = _draw_level(rng_level)
-        states = cursor.advance(n_pref)
-        vals = _eval_rows(oracle, x, states)
-        g = combine_levels(vals, level, config.B, config.M)
-        diffs[i] = g - vals.mean(axis=0)
+    for start in range(0, n_trials, per_block):
+        block = diffs[start:start + per_block]
+        levels = [_draw_level(rng_level) for _ in range(len(block))]
+        states = cursor.advance(len(block) * n_pref)
+        vals = _eval_rows(oracle, x, states).reshape(len(block), n_pref, x.size)
+        target = _prefix_mean(vals, n_pref)
+        drawn = np.array(levels)
+        for level in set(levels):
+            drew = drawn == level
+            g = combine_levels(vals[drew], level, config.B, config.M)
+            block[drew] = g - target[drew]
     mean = diffs.mean(axis=0)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(n_trials)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -342,6 +342,52 @@ def test_cursor_skip_counts_and_marginal_law(two_state):
     assert abs(p_hat - row[0]) <= 3.5 * se
 
 
+class _Uniforms:
+    """A stand-in generator whose `random(size)` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def summed_comparison_step(P, states, u):
+    """Reference step: count the cumulative row entries <= u, clamped to the last state."""
+    cum = np.cumsum(P, axis=1)
+    return np.minimum(np.sum(cum[states] <= u[:, None], axis=1), P.shape[0] - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), equal=st.booleans())
+@example(n=10, seed=0, equal=True)  # ten masses 0.1 end the cumulative row at 1 - 2^-53
+def test_step_equals_summed_comparison(n, seed, equal):
+    rng = np.random.default_rng(seed)
+    raw = np.ones((n, n)) if equal else rng.uniform(size=(n, n)) ** 3
+    P = raw / raw.sum(axis=1, keepdims=True)
+    kernel = TransitionKernel(P)
+    cum = np.cumsum(P, axis=1)
+    states = rng.integers(0, n, size=200)
+    # a third of the uniforms sit exactly on a cumulative entry of their row, a
+    # third at the largest double below 1 (past the entry when the row ends below 1)
+    kind = rng.integers(0, 3, size=states.size)
+    u = np.where(kind == 0, rng.random(states.size),
+                 np.where(kind == 1, cum[states, rng.integers(0, n, size=states.size)],
+                          np.nextafter(1.0, 0.0)))
+    if equal and n == 10:
+        assert cum[:, -1].max() < 1.0
+    want = summed_comparison_step(P, states, u)
+    got = kernel.step(states, _Uniforms(u))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    # with a real generator, one uniform per state in the order the states come
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(kernel.step(states, a),
+                                  summed_comparison_step(P, states, b.random(states.size)))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_power_row_matches_matrix_power(dense8):
     for steps in (1, 2, 5, 17, 64):
         expect = np.linalg.matrix_power(dense8.P, steps)[2]

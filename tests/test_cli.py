@@ -333,15 +333,29 @@ def test_sweep_with_multiple_seeds_reports_ci(tmp_path):
     assert any(l.startswith("# rate.ci = ") for l in header)
 
 
-def test_sweep_without_metrics_exits_2_naming_the_gap(tmp_path, capsys):
-    # with metrics = none every final gap is NaN, which rate_fit rejects as input
+def _no_cell(payload):
+    raise AssertionError("a sweep cell ran")
+
+
+def test_sweep_without_metrics_exits_2_naming_the_gap(tmp_path, capsys, monkeypatch):
+    # with metrics = none every final gap would be NaN, which no rate fits:
+    # the config is rejected before any sweep cell runs
+    monkeypatch.setattr(cli, "_worker_run", _no_cell)
     cfg = write_config(
         tmp_path,
         "problem.d = 3\nchain.n = 4\nalgorithm = mamd-batched\nmetrics = none\n"
         "sweep.T = 16 32\nseeds = 0\n",
     )
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 2
-    assert "gap must be nonnegative and finite, got nan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sweep fits a rate to the final gaps, so it needs metrics = gap" in err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_synthetic_sweep_needs_no_metrics(tmp_path):
+    # the synthetic algorithm's gaps are T^exponent whatever the metric
+    cfg = write_config(tmp_path, "algorithm = synthetic\nmetrics = none\nsweep.T = 16 32 64\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
 
 
 def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):

@@ -67,8 +67,19 @@ def test_oracle_mean_over_chain_matches_grad(dense8):
     assert np.all(np.abs(avg - p.grad(x)) <= 3 * 4 * se + 1e-9)
 
 
-def test_vi_oracle_values():
-    pass  # covered concretely below via matching pennies
+def test_vi_oracle_values(two_state):
+    p = make_vi_instance((2, 3), two_state, noise_scale=0.5, seed=4)
+    x = p.geometry.sample(np.random.default_rng(1))
+    F = p.Q @ x + p.c
+    for z in (0, 1):
+        np.testing.assert_array_equal(p.op_oracle(x, z), F + p.shifts[z])
+    states = np.array([1, 0, 0, 1, 1])
+    np.testing.assert_array_equal(p.op_oracle(x, states), F + p.shifts[states])
+    assert p.op_oracle(x, states).shape == (5, 5)
+    # the recorded deviations are what the oracle adds to the mean-field operator
+    rows = p.op_oracle(x, np.arange(two_state.n_states))
+    np.testing.assert_allclose(p.noise_deviations(), rows - p.op(x), rtol=0, atol=1e-15)
+    assert np.abs(p.shifts).max() > 0
 
 
 def test_matching_pennies_operator(two_state):

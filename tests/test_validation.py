@@ -19,6 +19,7 @@ from markovmirror import (
     estimator_moments,
     lazy_for_mixing_time,
     make_min_instance,
+    make_vi_instance,
     matching_pennies,
     mixing_time,
     rate_fit,
@@ -27,6 +28,8 @@ from markovmirror import (
     unbiasedness_check,
     weak_vi_gap,
 )
+from markovmirror import chain, validation
+from markovmirror.estimators import _draw_level, _eval_rows, combine_levels
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +170,41 @@ def test_deviation_constant_grows_with_mixing_time(dense8, rng):
     assert lazy.constant / fast.constant > 1.2
 
 
+def per_step_deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
+    """Reference: one `kernel.step` call and one cell check per chain step."""
+    centered = deviations - stationary(kernel) @ deviations
+    states = kernel.sample_stationary(rng, n_trials)
+    sums = np.zeros((n_trials, deviations.shape[1]))
+    mean, se = [], []
+    for step in range(1, max(Ns) + 1):
+        states = kernel.step(states, rng)
+        sums += centered[states]
+        if step in Ns:
+            vals = norm_pair.dual_norm(sums / step, axis=1) ** 2
+            mean.append(vals.mean())
+            se.append(vals.std(ddof=1) / np.sqrt(n_trials))
+    return np.array(mean), np.array(se)
+
+
+@pytest.mark.parametrize("budget, n_trials", [
+    (validation._ROW_BUDGET, 300),  # 13 steps per rng call, 32 = 2 * 13 + 6
+    (validation._ROW_BUDGET, 5000),  # more trials than the budget: one step per call
+    (7, 3),  # 2 steps per call: the cell at N = 9 falls inside a chunk
+])
+def test_deviation_scaling_equals_per_step_loop(dense8, monkeypatch, budget, n_trials):
+    monkeypatch.setattr(validation, "_ROW_BUDGET", budget)
+    p = make_min_instance(3, dense8, noise_scale=1.0, seed=4)
+    Ns = [4, 8, 9, 32]
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    rep = deviation_scaling(dense8, p.noise_deviations(), p.geometry.norm_pair, Ns,
+                            n_trials, got_rng)
+    mean, se = per_step_deviation_scaling(dense8, p.noise_deviations(), p.geometry.norm_pair,
+                                          Ns, n_trials, want_rng)
+    np.testing.assert_array_equal(rep.mean, mean)
+    np.testing.assert_array_equal(rep.se, se)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_deviation_scaling_input_checks(dense8, rng):
     dev = np.zeros((8, 2))
     geo = BoxGeometry(2, -1.0, 1.0)
@@ -264,6 +302,84 @@ def test_unbiasedness_pairing(dense8, rng):
                              4000, rng)
     assert rep.max_abs_ratio <= 4.0
     assert rep.mean_diff.shape == (4,)
+
+
+def per_trial_unbiasedness(oracle, x, config, n_trials, cursor, rng_level):
+    """Reference: one level draw, one `advance` and one oracle call per trial."""
+    n_pref = (1 << config.max_level) * config.B
+    diffs = np.empty((n_trials, x.size))
+    for i in range(n_trials):
+        level = _draw_level(rng_level)
+        vals = _eval_rows(oracle, x, cursor.advance(n_pref))
+        diffs[i] = combine_levels(vals, level, config.B, config.M) - vals.mean(axis=0)
+    mean = diffs.mean(axis=0)
+    se = diffs.std(axis=0, ddof=1) / np.sqrt(n_trials)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(se > 0, np.abs(mean) / se, np.where(mean == 0, 0.0, np.inf))
+    return mean, se, float(np.max(ratio))
+
+
+def _capture_streams(monkeypatch):
+    """Record the cursor and level generator each unbiasedness_check call makes."""
+    made = []
+
+    def spy(*args):
+        made.append(streams(*args))
+        return made[-1]
+
+    streams = validation._trial_streams
+    monkeypatch.setattr(validation, "_trial_streams", spy)
+    return made
+
+
+@pytest.mark.parametrize("kind", ["min", "vi"])
+@pytest.mark.parametrize("B, M, n_trials", [
+    (1, 64, 37),  # fewer trials than one block of 64
+    (1, 64, 150),  # two full blocks and a part
+    (2, 16, 300),
+    (3, 64, 70),
+    (4, 1, 1500),  # M = 1 and B > 1: every level is truncated
+    (1, 1, 9000),  # blocks of 4096 single-state trials
+])
+def test_blocked_unbiasedness_equals_per_trial_loop(dense8, monkeypatch, kind, B, M, n_trials):
+    p = (make_min_instance(4, dense8, noise_scale=1.0, seed=6) if kind == "min"
+         else make_vi_instance((2, 3), dense8, noise_scale=0.7, seed=3))
+    x = p.geometry.center()
+    config = MlmcConfig(B=B, M=M)
+    made = _capture_streams(monkeypatch)
+    rep = unbiasedness_check(p, x, config, n_trials, np.random.default_rng(5))
+    n_trials, cursor, rng_level, oracle = validation._trial_streams(
+        p, n_trials, np.random.default_rng(5))
+    mean, se, ratio = per_trial_unbiasedness(oracle, x, config, n_trials, cursor, rng_level)
+    np.testing.assert_array_equal(rep.mean_diff, mean)
+    np.testing.assert_array_equal(rep.se_diff, se)
+    assert rep.max_abs_ratio == ratio
+    _, got_cursor, got_level, _ = made[0]
+    assert got_cursor.n_consumed == cursor.n_consumed
+    assert got_cursor.state == cursor.state
+    assert got_cursor.rng.bit_generator.state == cursor.rng.bit_generator.state
+    assert got_level.bit_generator.state == rng_level.bit_generator.state
+
+
+@pytest.mark.parametrize("B, M, n_trials", [(1, 64, 200), (3, 16, 200), (1, 8192, 3)])
+def test_unbiasedness_advance_stays_within_row_budget(dense8, monkeypatch, B, M, n_trials):
+    p = make_min_instance(3, dense8, noise_scale=1.0, seed=8)
+    config = MlmcConfig(B=B, M=M)
+    n_pref = (1 << config.max_level) * B
+    steps = []
+    advance = chain.ChainCursor.advance
+
+    def counting(cursor, n):
+        steps.append(n)
+        return advance(cursor, n)
+
+    monkeypatch.setattr(chain.ChainCursor, "advance", counting)
+    unbiasedness_check(p, p.geometry.center(), config, n_trials, np.random.default_rng(1))
+    per_block = max(1, validation._ROW_BUDGET // n_pref)
+    assert sum(steps) == n_trials * n_pref
+    assert len(steps) == -(-n_trials // per_block)
+    # whole trials per call; a trial longer than the budget is read alone
+    assert all(n % n_pref == 0 and n <= max(validation._ROW_BUDGET, n_pref) for n in steps)
 
 
 def test_unbiasedness_zero_noise_is_degenerate_zero(dense8, rng):
