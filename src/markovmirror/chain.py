@@ -51,8 +51,9 @@ class TransitionKernel:
         P.flags.writeable = False
         self.P = P
         self.n_states = P.shape[0]
-        self._cum_lists = None
-        self._cum = None
+        # cumulative rows for sampling: an array for `_move`, lists for `advance`'s bisect
+        self._cum = np.cumsum(P, axis=1)
+        self._cum_lists = [row.tolist() for row in self._cum]
         self._pow2 = {0: P}
         self._pi = None
 
@@ -75,26 +76,14 @@ class TransitionKernel:
                 "kernel is not irreducible and aperiodic (no power <= n^2 is positive)"
             )
 
-    # -- sampling support ----------------------------------------------
-    def _cum_rows(self):
-        if self._cum is None:
-            self._cum = np.cumsum(self.P, axis=1)
-            self._cum_lists = [row.tolist() for row in self._cum]
-        return self._cum
-
-    def step(self, states, rng):
-        """Advance a vector of states by one transition (vectorized)."""
-        states = np.asarray(states)
-        return self._move(states, rng.random(states.shape[0]))
-
     def _move(self, states, u):
         """The states one transition on from `states` given one uniform each.
 
         State i moves to the first state whose cumulative mass in its row
-        exceeds u[i]; readers that draw the uniforms of several steps at
-        once go through here, so they take the transitions `step` takes.
+        exceeds u[i], the rule `ChainCursor.advance` bisects for; the
+        states are not checked.
         """
-        nxt = (self._cum_rows().take(states, axis=0) <= u[:, None]).sum(axis=1)
+        nxt = (self._cum.take(states, axis=0) <= u[:, None]).sum(axis=1)
         return np.minimum(nxt, self.n_states - 1, out=nxt)
 
     def power_row(self, state, steps):
@@ -288,10 +277,8 @@ class ChainCursor:
     def advance(self, steps):
         """Sample the next `steps` states; returns them and moves the cursor."""
         steps = _count(steps, "advance steps", 1)
-        kernel = self.kernel
-        kernel._cum_rows()
-        cum = kernel._cum_lists
-        last = kernel.n_states - 1
+        cum = self.kernel._cum_lists
+        last = self.kernel.n_states - 1
         u = self.rng.random(steps).tolist()
         out = np.empty(steps, dtype=np.int64)
         s = self.state

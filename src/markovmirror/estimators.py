@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _count, _integral
+from .errors import _count
 
-__all__ = ["Estimate", "MlmcConfig", "single_sample", "batch_mean", "combine_levels",
-           "mlmc_geometric"]
+__all__ = ["Estimate", "MlmcConfig", "batch_mean", "combine_levels", "mlmc_geometric"]
 
 # levels above this are astronomically rare (P ~ 2^-62) and would
 # overflow the span arithmetic, so the geometric draw is clipped
@@ -51,12 +50,7 @@ class MlmcConfig:
 
     def __post_init__(self):
         for name in ("B", "M"):
-            value = getattr(self, name)
-            if not (_integral(value) and value >= 1):
-                raise InputError(
-                    f"MlmcConfig needs integers B >= 1 and M >= 1, got B={self.B} M={self.M}"
-                )
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(getattr(self, name), f"MlmcConfig {name}", 1))
 
     @property
     def max_level(self):
@@ -89,11 +83,6 @@ def _at_state(oracle, x, state, steps):
     """One oracle evaluation at a chain state the caller drew; `steps` chain steps charged."""
     return Estimate(np.asarray(oracle(x, state), dtype=float), oracle_calls=1,
                     chain_steps=steps, level=0)
-
-
-def single_sample(oracle, x, cursor):
-    """One oracle evaluation at the next chain state."""
-    return _at_state(oracle, x, int(cursor.advance(1)[0]), 1)
 
 
 def _states(cursor, T):

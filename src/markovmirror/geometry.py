@@ -74,13 +74,6 @@ class Geometry:
         self.d = _count(d, "dimension", 1)
         self.norm_pair = norm_pair
 
-    # -- norms ---------------------------------------------------------
-    def norm(self, v, axis=None):
-        return self.norm_pair.norm(v, axis=axis)
-
-    def dual_norm(self, v, axis=None):
-        return self.norm_pair.dual_norm(v, axis=axis)
-
     # -- interface filled in by subclasses -----------------------------
     def bregman(self, x, y):
         raise NotImplementedError
@@ -257,35 +250,30 @@ class BoxGeometry(_EuclideanGeometry):
 
 
 class BallGeometry(_EuclideanGeometry):
-    """Euclidean ball with the half-squared Euclidean mirror map (p = 2)."""
+    """Origin-centred Euclidean ball with the half-squared Euclidean mirror map (p = 2)."""
 
     kind = "ball"
 
-    def __init__(self, d, radius=1.0, center=None):
+    def __init__(self, d, radius=1.0):
         super().__init__(d)
         self.radius = _check_scale(radius, "ball radius")
-        self._center = (
-            np.zeros(self.d) if center is None else self._check_point(np.asarray(center, float))
-        )
 
     def diameter_sq(self):
         return self.radius**2 / 2.0
 
     def center(self):
-        return self._center.copy()
+        return np.zeros(self.d)
 
     def contains(self, x, tol=1e-10):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             return False
-        return bool(np.linalg.norm(x - self._center) <= self.radius + tol)
+        return bool(np.linalg.norm(x) <= self.radius + tol)
 
     def project(self, v):
-        off = v - self._center
-        r = np.linalg.norm(off)
-        if r <= self.radius:
-            return np.asarray(v, dtype=float).copy()
-        return self._on_sphere(off, r)
+        v = np.asarray(v, dtype=float)
+        r = np.linalg.norm(v)
+        return v.copy() if r <= self.radius else self._on_sphere(v, r)
 
     def linear_argmax(self, coef):
         coef = self._check_point(coef, "coef")
@@ -300,14 +288,14 @@ class BallGeometry(_EuclideanGeometry):
             # the norm of a finite vector overflowed; scale it down first
             off = off / np.max(np.abs(off))
             r = np.linalg.norm(off)
-        return self._center + off * (self.radius / r)
+        return off * (self.radius / r)
 
     def sample(self, rng, n=None):
         m = 1 if n is None else n
         g = rng.normal(size=(m, self.d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = self.radius * rng.uniform(size=(m, 1)) ** (1.0 / self.d)
-        pts = self._center + g * radii
+        pts = g * radii
         return pts[0] if n is None else pts
 
 
@@ -336,13 +324,11 @@ class SimplexGeometry(Geometry):
 
     kind = "simplex-product"
 
-    def __init__(self, block_dims, nu=SIMPLEX_NU):
+    def __init__(self, block_dims):
         self.block_dims = tuple(_count(b, "simplex block dimension", 2)
                                 for b in np.atleast_1d(block_dims))
         super().__init__(sum(self.block_dims), NormPair(1.0))
-        self.nu = float(nu)
-        if not 0.0 <= self.nu < 1e-3:
-            raise InputError(f"floor mass nu={nu} outside [0, 1e-3)")
+        self.nu = SIMPLEX_NU
         self.n_blocks = len(self.block_dims)
         # the block layout: segment reductions over all blocks at once are
         # reduceat over the block starts, repeated back by the block dims

@@ -39,7 +39,7 @@ def _operator_norm(M, p):
 
 def _checked_sigma(geometry, shifts, sigma):
     """Recorded noise level: the stated value if consistent, else the recomputed max."""
-    measured = float(np.max(geometry.dual_norm(shifts, axis=1))) if shifts.size else 0.0
+    measured = float(np.max(geometry.norm_pair.dual_norm(shifts, axis=1))) if shifts.size else 0.0
     if sigma is None:
         return measured
     sigma = _check_scale(sigma, "sigma", zero_ok=True)
@@ -54,7 +54,7 @@ def _make_shifts(rng, kernel, geometry, scale):
         return np.zeros((kernel.n_states, geometry.d))
     g = rng.normal(size=(kernel.n_states, geometry.d))
     g -= stationary(kernel) @ g
-    peak = np.max(geometry.dual_norm(g, axis=1))
+    peak = np.max(geometry.norm_pair.dual_norm(g, axis=1))
     return g * (scale / peak)
 
 

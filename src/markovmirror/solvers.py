@@ -72,13 +72,13 @@ class MamdSchedule:
         ts = np.arange(_count(T, "T", 0) + 1)
         return self.beta(ts), self.gamma(ts)
 
-    def validate(self, L, T):
+    def validate(self, L):
         """Check the invariants the convergence analysis rests on.
 
         beta(tau) = 1, beta >= 1 and the telescoping condition
         (beta_{t+1} - 1) gamma_{t+1} <= beta_t gamma_t hold for every
         (c, tau), so what is left is 0 < c <= 1/(2L), i.e.
-        beta_t >= 2 gamma_t L at every t <= T.  Raises ScheduleError
+        beta_t >= 2 gamma_t L at every t.  Raises ScheduleError
         otherwise.
         """
         _check_step(self.c, L, "stepsize constant c")
@@ -209,7 +209,7 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
     accelerated average x_f after T iterations.
     """
     T = _count(T, "T", 1)
-    schedule.validate(problem.L, T)
+    schedule.validate(problem.L)
     if T < schedule.tau:
         raise ScheduleError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
     oracle = problem.grad_oracle
@@ -228,7 +228,7 @@ def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
     must be independent of the cursor's stream.
     """
     T = _count(T, "T", 1)
-    schedule.validate(problem.L, T)
+    schedule.validate(problem.L)
     oracle = problem.grad_oracle
     rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mamd_batched", T=T,
                     tau=schedule.tau, B=mlmc.B, M=mlmc.M)

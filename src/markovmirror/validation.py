@@ -176,7 +176,7 @@ def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
     each cell on the way; the slope of log mean vs log N should be close
     to -1 and the constant (mean * N) tracks sigma^2 tau.  The uniforms
     of several steps come from one rng call, at most `_ROW_BUDGET` of
-    them, in the order per-step `kernel.step` calls would draw them.
+    them, in the order one `rng.random(n_trials)` call per step would draw them.
     """
     deviations = np.asarray(deviations, dtype=float)
     Ns = _check_sizes(Ns, 2)

@@ -343,14 +343,45 @@ def test_cursor_skip_counts_and_marginal_law(two_state):
 
 
 class _Uniforms:
-    """A stand-in generator whose `random(size)` returns the given uniforms."""
+    """A stand-in generator whose `random(size)` returns the given uniforms (one for no size)."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        assert size == len(self.u)
+    def random(self, size=None):
+        assert size == (None if np.ndim(self.u) == 0 else len(self.u))
         return self.u
+
+
+@pytest.mark.parametrize("steps", [1, 6, 4097])
+def test_skip_end_state_law_is_the_power_row(dense8, steps):
+    start = 2
+    row = dense8.power_row(start, steps)
+    np.testing.assert_allclose(row, np.linalg.matrix_power(dense8.P, steps)[start], atol=1e-12)
+    # skip reads one uniform; each of a fine grid of uniforms must end where the
+    # row's cumulative masses put it, so the grid's end-state counts are the row
+    # up to one grid point per state
+    grid = (np.arange(2**13) + 0.5) / 2**13
+    cur = ChainCursor(dense8, 0, start=start)
+    ends = []
+    for u in grid:
+        cur.state, cur.rng = start, _Uniforms(float(u))
+        cur.skip(steps)
+        ends.append(cur.state)
+    want = np.minimum((np.cumsum(row) <= grid[:, None]).sum(axis=1), dense8.n_states - 1)
+    np.testing.assert_array_equal(ends, want)
+    freq = np.bincount(ends, minlength=dense8.n_states) / grid.size
+    assert np.all(np.abs(freq - row) <= 1.0 / grid.size + 1e-12)
+
+
+def test_advance_last_state_follows_the_power_row(dense8):
+    start, steps, trials = 2, 6, 20_000
+    rng = np.random.default_rng(5)
+    ends = [ChainCursor(dense8, rng, start=start).advance(steps)[-1] for _ in range(trials)]
+    freq = np.bincount(ends, minlength=dense8.n_states) / trials
+    row = dense8.power_row(start, steps)
+    se = np.sqrt(row * (1 - row) / trials)
+    assert np.all(np.abs(freq - row) <= 4 * se + 1e-12)
 
 
 def summed_comparison_step(P, states, u):
@@ -378,14 +409,40 @@ def test_step_equals_summed_comparison(n, seed, equal):
     if equal and n == 10:
         assert cum[:, -1].max() < 1.0
     want = summed_comparison_step(P, states, u)
-    got = kernel.step(states, _Uniforms(u))
+    got = kernel._move(states, u)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     # with a real generator, one uniform per state in the order the states come
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    np.testing.assert_array_equal(kernel.step(states, a),
+    np.testing.assert_array_equal(kernel._move(states, a.random(states.size)),
                                   summed_comparison_step(P, states, b.random(states.size)))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), equal=st.booleans())
+@example(n=10, seed=0, equal=True)  # ten masses 0.1 end the cumulative row at 1 - 2^-53
+def test_advance_takes_the_transitions_move_takes(n, seed, equal):
+    # the cursor bisects lists and `_move` sums comparisons over rows: one rule, two implementations
+    rng = np.random.default_rng(seed)
+    raw = np.ones((n, n)) if equal else rng.uniform(size=(n, n)) ** 3
+    P = raw / raw.sum(axis=1, keepdims=True)
+    kernel = TransitionKernel(P)
+    cum = np.cumsum(P, axis=1)
+    start = int(rng.integers(0, n))
+    # walk a path with `_move`; of its uniforms a third sit exactly on a cumulative
+    # entry of the current state's row and a third at the largest double below 1
+    state, u, want = start, [], []
+    for kind in rng.integers(0, 3, size=200).tolist():
+        ui = (rng.random() if kind == 0 else
+              cum[state, rng.integers(0, n)] if kind == 1 else np.nextafter(1.0, 0.0))
+        state = int(kernel._move(np.array([state]), np.array([ui]))[0])
+        u.append(ui)
+        want.append(state)
+    cursor = ChainCursor(kernel, 0, start=start)
+    cursor.rng = _Uniforms(np.array(u))
+    np.testing.assert_array_equal(cursor.advance(len(u)), want)
+    assert (cursor.state, cursor.n_consumed) == (want[-1], len(u))
 
 
 def test_power_row_matches_matrix_power(dense8):

@@ -13,8 +13,13 @@ from markovmirror import (
     make_min_instance,
     mlmc_geometric,
     random_ergodic,
-    single_sample,
 )
+from markovmirror.estimators import _at_state
+
+
+def single_sample(oracle, x, cursor):
+    """One oracle evaluation at the next chain state: the unbatched solvers' per-iteration draw."""
+    return _at_state(oracle, x, int(cursor.advance(1)[0]), 1)
 
 
 class ForcedLevels:
@@ -74,7 +79,7 @@ def test_max_level_is_exact_for_large_caps():
 @pytest.mark.parametrize("kw", [{"B": 1.5}, {"M": 2.5}, {"B": np.nan}, {"M": np.inf},
                                 {"B": "2"}])
 def test_non_integral_batch_parameters_rejected(kw):
-    with pytest.raises(InputError, match="integers"):
+    with pytest.raises(InputError, match="MlmcConfig [BM] must be an integer >= 1"):
         MlmcConfig(**kw)
 
 
@@ -112,11 +117,12 @@ def test_batch_mean_variance_scales_inversely(problem, rng):
     x = problem.geometry.sample(rng)
     g_bar = problem.grad(x)
     cur = fresh_cursor(problem, 11)
+    dual_norm = problem.geometry.norm_pair.dual_norm
     Bs = [4, 16, 64, 256]
     mean_sq = []
     for B in Bs:
         sq = [
-            problem.geometry.dual_norm(batch_mean(problem.grad_oracle, x, cur, B).g - g_bar) ** 2
+            dual_norm(batch_mean(problem.grad_oracle, x, cur, B).g - g_bar) ** 2
             for _ in range(1500)
         ]
         mean_sq.append(np.mean(sq))

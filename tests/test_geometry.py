@@ -22,7 +22,7 @@ def all_geometries():
         BoxGeometry(4),
         BoxGeometry(3, lo=-2.0, hi=1.5),
         BallGeometry(4, radius=2.0),
-        BallGeometry(2, radius=0.5, center=np.array([1.0, -1.0])),
+        BallGeometry(2, radius=0.5),
         SimplexGeometry(3),
         SimplexGeometry((2, 3)),
         SimplexGeometry((3, 4)),
@@ -182,7 +182,7 @@ STEP_GEOMETRIES = {
     "box-8": BoxGeometry(8),
     "box-10": BoxGeometry(10, lo=-2.0, hi=1.5),
     "ball-8": BallGeometry(8, radius=2.0),
-    "ball-10": BallGeometry(10, radius=0.5, center=np.linspace(-1.0, 1.0, 10)),
+    "ball-10": BallGeometry(10, radius=0.5),
     "simplex-4-4": SimplexGeometry((4, 4)),
     "simplex-2-3-5": SimplexGeometry((2, 3, 5)),
 }
@@ -209,7 +209,7 @@ def test_unchecked_step_matches_prox_and_stays_feasible(name, data):
 def test_ball_steps_of_huge_duals_reach_the_boundary(direction, exponent, radius):
     # |xi| from 1e12 up to 1e308, past where the norm of xi overflows
     assume(np.max(np.abs(direction)) >= 0.1)
-    geo = BallGeometry(direction.size, radius=radius, center=np.full(direction.size, 0.25))
+    geo = BallGeometry(direction.size, radius=radius)
     xi = direction * 10.0**exponent
     with np.errstate(over="ignore"):
         out = geo.prox(geo.center(), xi)
@@ -219,6 +219,24 @@ def test_ball_steps_of_huge_duals_reach_the_boundary(direction, exponent, radius
     with np.errstate(over="ignore"):
         top = geo.linear_argmax(xi)
     np.testing.assert_allclose(top, geo.center() + radius * unit, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+       anchor=arrays(float, 15, elements=st.floats(-10.0, 10.0)),
+       direction=arrays(float, 15, elements=st.floats(-1.0, 1.0)), exponent=st.integers(0, 308))
+@example(dims=[3], anchor=np.zeros(15), direction=np.r_[1.0, -1.0, np.zeros(13)], exponent=308)
+def test_simplex_steps_of_huge_duals_stay_feasible(dims, anchor, direction, exponent):
+    # |xi| up to 1e308, the ball's range; boundary anchors included
+    geo = SimplexGeometry(dims)
+    x = geo.project(anchor[:geo.d])
+    xi = direction[:geo.d] * 10.0**exponent
+    # a block's shift by its largest exponent may overflow to -inf, whose exp is the 0 it stands for
+    with np.errstate(over="ignore"):
+        out = geo._step(x, xi)
+        ref = _simplex_step_by_blocks(geo, x, xi)
+    assert np.all(np.isfinite(out)) and geo.contains(out)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
 
 
 def test_closed_form_prox_matches_generic_solver(rng):
@@ -239,8 +257,8 @@ def test_closed_form_prox_matches_generic_solver(rng):
 
 def prox_nonexpansive_check(geometry, x, eta, zeta):
     """True iff ||P_x(eta) - P_x(zeta)||_p <= ||eta - zeta||_q + 1e-9, the float slack."""
-    lhs = geometry.norm(geometry.prox(x, eta) - geometry.prox(x, zeta))
-    rhs = geometry.dual_norm(np.asarray(eta, float) - np.asarray(zeta, float))
+    lhs = geometry.norm_pair.norm(geometry.prox(x, eta) - geometry.prox(x, zeta))
+    rhs = geometry.norm_pair.dual_norm(np.asarray(eta, float) - np.asarray(zeta, float))
     return bool(lhs <= rhs + 1e-9)
 
 
@@ -262,7 +280,7 @@ def test_prox_nonexpansive_trivial_cases():
     ball = BallGeometry(2)
     assert prox_nonexpansive_check(ball, ball.center(), np.array([1.0, 0.0]), np.zeros(2))
     # projection is 1-Lipschitz: the moved distance equals ||eta|| here
-    moved = ball.norm(ball.prox(ball.center(), np.array([1.0, 0.0])) - ball.center())
+    moved = ball.norm_pair.norm(ball.prox(ball.center(), np.array([1.0, 0.0])) - ball.center())
     assert moved <= 1.0 + 1e-12
 
 
@@ -284,7 +302,7 @@ def test_strong_convexity_on_sampled_pairs(rng):
         for _ in range(1000):
             x, y = geo.sample(rng), geo.sample(rng)
             v = geo.bregman(x, y)
-            dist = geo.norm(x - y)
+            dist = geo.norm_pair.norm(x - y)
             assert v >= 0.5 * dist**2 - 1e-9
 
 
@@ -296,7 +314,7 @@ def test_pair_distance_bounded_by_diameter(rng):
         bound = 8.0 * geo.diameter_sq()
         for _ in range(200):
             x, y = geo.sample(rng), geo.sample(rng)
-            assert geo.norm(x - y) ** 2 <= bound + 1e-12
+            assert geo.norm_pair.norm(x - y) ** 2 <= bound + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,8 @@ def test_sigma_is_exact(dense8):
     for scale in (0.0, 0.5, 2.0):
         p = make_min_instance(5, dense8, noise_scale=scale, seed=6)
         assert p.sigma == scale
-        measured = np.max(p.geometry.dual_norm(p.noise_deviations(), axis=1)) if scale else 0.0
+        deviations = p.noise_deviations()
+        measured = np.max(p.geometry.norm_pair.dual_norm(deviations, axis=1)) if scale else 0.0
         assert measured == pytest.approx(scale, abs=1e-12)
 
 

@@ -26,7 +26,6 @@ from markovmirror import (
     mmp_unbatched,
     mmp_unbatched_stepsize,
     random_ergodic,
-    single_sample,
     subopt_gap,
 )
 from markovmirror import estimators, solvers
@@ -53,7 +52,7 @@ def test_warmup_schedule_values():
     assert sched.beta(0) == sched.beta(1) == sched.beta(2) == 1.0
     assert sched.beta(5) == pytest.approx(2.5)
     assert sched.gamma(5) == pytest.approx(1.25)  # beta * 1/(2L)
-    sched.validate(1.0, 10)
+    sched.validate(1.0)
 
 
 def test_batched_schedule_values():
@@ -63,7 +62,7 @@ def test_batched_schedule_values():
     assert sched.beta(6) == pytest.approx(4.0)
     assert sched.gamma(0) == pytest.approx(0.25)
     assert cfg == MlmcConfig(B=1, M=64)
-    sched.validate(2.0, 64)
+    sched.validate(2.0)
 
 
 def test_noise_constant_shrinks_stepsize():
@@ -85,9 +84,9 @@ def test_factory_schedules_satisfy_invariants(rng):
         sigma = float(rng.choice([0.0, rng.uniform(0.1, 4.0)]))
         tau = int(rng.integers(1, 20))
         T = int(rng.integers(tau + 1, 1000))
-        mamd_unbatched_schedule(L, D, sigma, tau, T).validate(L, T)
+        mamd_unbatched_schedule(L, D, sigma, tau, T).validate(L)
         sched, _ = mamd_batched_schedule(L, D, sigma, tau, T)
-        sched.validate(L, T)
+        sched.validate(L)
 
 
 def test_schedule_violations_raise():
@@ -95,10 +94,10 @@ def test_schedule_violations_raise():
     # what is left to reject is a stepsize constant c outside (0, 1/(2L)]
     for c in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ScheduleError):
-            MamdSchedule(c).validate(1.0, 10)
+            MamdSchedule(c).validate(1.0)
     # beta < 2 gamma L
     with pytest.raises(ScheduleError):
-        MamdSchedule(1.0).validate(5.0, 10)
+        MamdSchedule(1.0).validate(5.0)
 
 
 def test_parameter_validation():
@@ -506,10 +505,10 @@ def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
 
 
 def _per_iteration_run(name, p, cursor, T):
-    """The unbatched loop with a `single_sample` draw on every iteration (the reference)."""
+    """The unbatched loop with an `advance(1)` draw on every iteration (the reference)."""
     oracle = p.grad_oracle if name == "mamd_unbatched" else p.op_oracle
     rec = solvers._Recorder(None, 1, True, T=T)
-    draw = lambda x: single_sample(oracle, x, cursor)  # noqa: E731
+    draw = lambda x: estimators._at_state(oracle, x, int(cursor.advance(1)[0]), 1)  # noqa: E731
     if name == "mamd_unbatched":
         return solvers._descent(p, MamdSchedule(0.5 / p.L, tau=2), T, draw, rec, None)
     reread = lambda x: Estimate(np.asarray(oracle(x, cursor.state), dtype=float),  # noqa: E731

@@ -171,13 +171,13 @@ def test_deviation_constant_grows_with_mixing_time(dense8, rng):
 
 
 def per_step_deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
-    """Reference: one `kernel.step` call and one cell check per chain step."""
+    """Reference: one `kernel._move` call and one cell check per chain step."""
     centered = deviations - stationary(kernel) @ deviations
     states = kernel.sample_stationary(rng, n_trials)
     sums = np.zeros((n_trials, deviations.shape[1]))
     mean, se = [], []
     for step in range(1, max(Ns) + 1):
-        states = kernel.step(states, rng)
+        states = kernel._move(states, rng.random(n_trials))
         sums += centered[states]
         if step in Ns:
             vals = norm_pair.dual_norm(sums / step, axis=1) ** 2
@@ -292,7 +292,7 @@ def test_estimator_moments_accounting(dense8, rng):
     assert rep.avg_steps >= rep.avg_calls
     assert rep.dev_sq_mean > 0 and rep.dev_sq_se > 0
     # mean of the estimates stays near the mean-field gradient
-    err = p.geometry.dual_norm(rep.mean - p.grad(p.geometry.center()))
+    err = p.geometry.norm_pair.dual_norm(rep.mean - p.grad(p.geometry.center()))
     assert err <= 6 * np.sqrt(rep.dev_sq_mean / rep.n_trials)
 
 
