@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,14 +112,15 @@ def per_product_stationary(P):
     """Reference: power iteration testing the l1 step change after every product.
 
     Returns the normalized law and the number of products taken, or
-    (None, 10**6) if it does not settle within 10**6 products.
+    (None, budget) if it does not settle within `chain._MAX_POWER_STEPS`.
     """
+    budget = chain._MAX_POWER_STEPS
     mu = np.full(P.shape[0], 1.0 / P.shape[0])
-    for k in range(1, 10**6 + 1):
+    for k in range(1, budget + 1):
         mu, prev = mu @ P, mu
         if np.abs(mu - prev).sum() <= 1e-12:
             return mu / mu.sum(), k
-    return None, 10**6
+    return None, budget
 
 
 def random_kernel(n, seed):
@@ -127,16 +131,16 @@ def random_kernel(n, seed):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1),
        alpha=st.sampled_from([0.0, 0.5, 0.99, 0.9999]))
-@example(n=2, seed=2962, alpha=0.9999)  # spectral gap 3.7e-6: no loop settles within the cap
+@example(n=2, seed=2962, alpha=0.9999)  # spectral gap 3.7e-6: no loop settles within the budget
 def test_blocked_stationary_equals_per_product_loop(n, seed, alpha):
     kernel = make_lazy(random_kernel(n, seed), alpha)
-    want, steps = per_product_stationary(kernel.P)
+    want, _ = per_product_stationary(kernel.P)
+    pi = stationary(kernel)
     if want is None:
-        # power iteration cannot settle a chain this slow; both loops stop at the same cap
-        with pytest.raises(ErgodicityError, match=f"did not converge in {steps} steps"):
-            stationary(kernel)
+        # too slow for the budget: GTH's law, to far inside the 1e-10 residual contract
+        assert np.abs(pi @ kernel.P - pi).sum() <= 1e-14
     else:
-        np.testing.assert_array_equal(stationary(kernel), want)
+        np.testing.assert_array_equal(pi, want)
 
 
 @pytest.mark.parametrize("first, cap", [(1, 1), (1, 2), (3, 5), (16, 4096)])
@@ -149,12 +153,83 @@ def test_stationary_block_sizes_do_not_move_pi(dense8, monkeypatch, first, cap):
 
 def test_stationary_product_cap_is_exact(dense8, monkeypatch):
     P = make_lazy(dense8, 0.99).P
-    steps = per_product_stationary(P)[1]
+    want, steps = per_product_stationary(P)
     monkeypatch.setattr(chain, "_MAX_POWER_STEPS", steps)
-    stationary(TransitionKernel(P))  # converges on the last allowed product
+    # settles on the last product of the budget
+    np.testing.assert_array_equal(stationary(TransitionKernel(P)), want)
     monkeypatch.setattr(chain, "_MAX_POWER_STEPS", steps - 1)
-    with pytest.raises(ErgodicityError, match=f"did not converge in {steps - 1} steps"):
-        stationary(TransitionKernel(P))
+    np.testing.assert_array_equal(stationary(TransitionKernel(P)), chain._gth(P))
+
+
+def exact_stationary(P):
+    """Reference: exact rational solve of pi Q = 0, sum(pi) = 1, for the generator of P.
+
+    Convention: Q's off-diagonal entries are P's, and its diagonal is
+    minus the off-diagonal row sum, so Q's rows sum to 0 exactly.  That
+    is the chain GTH solves; the float rows of P sum to 1 only within
+    2.2e-16, and on an off-diagonal mass of 1e-4 the naive P - I moves
+    pi by about 2e-13.
+    """
+    n = P.shape[0]
+    Q = [[Fraction(float(P[i, j])) if j != i else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        Q[i][i] = -sum(Q[i])
+    # Q^T pi = 0 with its last equation replaced by the normalization, as [A | b]
+    A = [[Q[j][i] for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    A.append([Fraction(1)] * (n + 1))
+    for c in range(n):  # Gauss-Jordan elimination, exact
+        p = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[p] = A[p], A[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    return [A[i][n] / A[i][i] for i in range(n)]
+
+
+@pytest.mark.parametrize("kernel", [
+    make_lazy(random_ergodic(8, seed=3), 0.9999),
+    make_lazy(random_kernel(2, 2962), 0.9999),
+], ids=["lazy8", "pinned2"])
+def test_gth_branch_matches_exact_solve(kernel):
+    pi = stationary(kernel)
+    np.testing.assert_array_equal(pi, chain._gth(kernel.P))  # the chain is past the budget
+    err = sum(abs(Fraction(float(p)) - r) for p, r in zip(pi, exact_stationary(kernel.P)))
+    assert err <= Fraction(1, 10**14)  # at least 14 digits in l1
+
+
+def test_stationary_rejects_a_nan_law():
+    # primitive, but too slow for the budget, and GTH's pivot 5e-324 overflows the division
+    kernel = TransitionKernel([[1 - 1e-6, 1e-6], [5e-324, 1.0]])
+    with pytest.raises(ErgodicityError, match="not finite"):
+        stationary(kernel)
+
+
+def _bisection_candidates(base, target, monkeypatch):
+    """Every kernel `lazy_for_mixing_time(base, target)` asks `stationary` about."""
+    seen = []
+    real = chain.stationary
+    with monkeypatch.context() as m:
+        m.setattr(chain, "stationary", lambda kernel: seen.append(kernel.P) or real(kernel))
+        lazy_for_mixing_time(base, target)
+    return seen
+
+
+def test_frozen_chains_settle_well_inside_the_budget(monkeypatch):
+    # every frozen number (perfbench reference, golden rows, cli_frozen.json) comes from
+    # power iteration on these chains, so a cut to the budget must not reach them
+    chains = []
+    for target in (12, 48, 64):  # chain-stats and check 7
+        chains += _bisection_candidates(random_ergodic(8, seed=3), target, monkeypatch)
+    chains += [make_lazy(random_ergodic(8, seed=0), 0.99).P]  # cli-sweep
+    for n, seed, alpha in [(6, 1, 0.0), (5, 2, 0.0), (4, 0, 0.0), (6, 1, 0.9), (5, 2, 0.5),
+                           (6, 4, 0.0)]:  # the frozen CLI cases and the golden runs
+        kernel = random_ergodic(n, seed=seed)
+        chains.append((make_lazy(kernel, alpha) if alpha else kernel).P)
+    for P in chains:
+        want, steps = per_product_stationary(P)
+        assert want is not None and steps <= chain._MAX_POWER_STEPS // 4
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +248,14 @@ def test_mixing_time_uniform_rows():
 
 def test_mixing_time_matches_brute_force(dense8):
     assert mixing_time(dense8) == brute_mixing_time(dense8.P)
+
+
+def test_tv_scan_runs_past_the_power_budget():
+    # the symmetric flip chain has TV(t) = (1 - 2 eps)^t / 2, so tau is known in closed form
+    eps = 1e-5
+    tau = math.ceil(math.log(0.5) / math.log1p(-2 * eps))
+    assert tau > chain._MAX_POWER_STEPS
+    assert mixing_time(TransitionKernel([[1 - eps, eps], [eps, 1 - eps]])) == tau
 
 
 def test_diagnose_curve_properties(two_state):

@@ -199,6 +199,21 @@ def test_run_writes_per_seed_and_summary(tmp_path, capsys):
     assert "final gap" in capsys.readouterr().out
 
 
+def test_run_on_a_chain_too_slow_for_power_iteration(tmp_path, capsys):
+    # test_chain's random_kernel(2, 2962), 0.9999-lazy: spectral gap 3.7e-6, too slow for
+    # power iteration's product budget, so its law comes from GTH elimination
+    text = ("problem.d = 4\n"
+            "chain.matrix = 0.9700143514735141 0.029985648526485876;"
+            " 0.006563893512376994 0.993436106487623\n"
+            "chain.laziness = 0.9999\nchain.tau_mix = 10\nT = 16\nseeds = 0\n")
+    out = tmp_path / "slow"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    h = config_hash(resolve_config(parse_config_text(text)))
+    _, columns, rows = read_csv(out / f"summary_{h}.csv")
+    assert columns == ["n_seeds", "gap_median", "gap_q25", "gap_q75"] and rows[0][0] == "1"
+    assert "final gap" in capsys.readouterr().out
+
+
 def test_stride_flag_thins_rows(tmp_path):
     cfg = write_config(tmp_path, RUN_CFG)
     out = tmp_path / "r2"
