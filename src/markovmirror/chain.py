@@ -57,9 +57,13 @@ class TransitionKernel:
         P.flags.writeable = False
         self.P = P
         self.n_states = P.shape[0]
-        # cumulative rows for sampling: an array for `_move`, lists for `advance`'s bisect
-        self._cum = np.cumsum(P, axis=1)
-        self._cum_lists = [row.tolist() for row in self._cum]
+        # sampling thresholds, the cumulative rows less their last entry: from state s the
+        # chain moves to the count of row s's thresholds at or below its uniform, the state
+        # the whole row gives clamped to n - 1, with no clamp needed.  `_move` reads them
+        # transposed, one column per state; `advance` bisects them as lists
+        thresholds = np.cumsum(P, axis=1)[:, :-1]
+        self._thresholds = np.ascontiguousarray(thresholds.T)
+        self._threshold_lists = thresholds.tolist()
         self._pow2 = {0: P}
         self._pi = None
 
@@ -85,12 +89,10 @@ class TransitionKernel:
     def _move(self, states, u):
         """The states one transition on from `states` given one uniform each.
 
-        State i moves to the first state whose cumulative mass in its row
-        exceeds u[i], the rule `ChainCursor.advance` bisects for; the
-        states are not checked.
+        State i moves to the count of its row's thresholds at or below u[i],
+        the rule `ChainCursor.advance` bisects for; the states are not checked.
         """
-        nxt = (self._cum.take(states, axis=0) <= u[:, None]).sum(axis=1)
-        return np.minimum(nxt, self.n_states - 1, out=nxt)
+        return (self._thresholds.take(states, axis=1) <= u).sum(axis=0)
 
     def power_row(self, state, steps):
         """Row of P^steps for the given start state, by binary exponentiation."""
@@ -116,8 +118,9 @@ class TransitionKernel:
 
 
 def _inverse_cdf(p, u):
-    """The state(s) law `p` gives uniform(s) `u`: the first whose cumulative mass exceeds u."""
-    return np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1)
+    """The state(s) law `p` gives uniform(s) `u`: the count of p's cumulative
+    masses, less the last, that are <= u, the rule `_move` and `advance` follow."""
+    return np.searchsorted(np.cumsum(p)[:-1], u, side="right")
 
 
 def stationary(kernel):
@@ -305,19 +308,12 @@ class ChainCursor:
     def advance(self, steps):
         """Sample the next `steps` states; returns them and moves the cursor."""
         steps = _count(steps, "advance steps", 1)
-        cum = self.kernel._cum_lists
-        last = self.kernel.n_states - 1
-        u = self.rng.random(steps).tolist()
-        out = np.empty(steps, dtype=np.int64)
+        thresholds = self.kernel._threshold_lists
         s = self.state
-        for i, ui in enumerate(u):
-            s = bisect_right(cum[s], ui)
-            if s > last:
-                s = last
-            out[i] = s
+        out = [s := bisect_right(thresholds[s], ui) for ui in self.rng.random(steps).tolist()]
         self.state = s
         self.n_consumed += steps
-        return out
+        return np.array(out, dtype=np.int64)
 
     def skip(self, steps):
         """Advance the counter by `steps` without materializing the states.

@@ -584,7 +584,7 @@ def main(argv=None):
         try:
             with open(args.config) as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}") from None
         raw = parse_config_text(text)
         # the flags replace their config keys and are checked like them

@@ -125,13 +125,16 @@ def combine_levels(values, level, B, M):
     return g0 + float(1 << level) * (g_hi - g_lo)
 
 
-def _draw_level(rng):
+def _draw_level(rng, size=None):
     """Multilevel index J with P{J = j} = 2^-j (j >= 1), clipped at _MAX_LEVEL.
 
-    Exactly one rng.geometric(0.5) call per draw, so level streams stay
-    aligned wherever the draw is made.
+    One rng.geometric(0.5) call per draw, an int; with `size`, one call for
+    an array of `size` draws, equal to that many single draws and leaving
+    the generator where they leave it.
     """
-    return min(int(rng.geometric(0.5)), _MAX_LEVEL)
+    if size is None:
+        return min(int(rng.geometric(0.5)), _MAX_LEVEL)
+    return np.minimum(rng.geometric(0.5, size=size), _MAX_LEVEL)
 
 
 def mlmc_geometric(oracle, x, cursor, config, rng):

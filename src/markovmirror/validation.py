@@ -312,10 +312,10 @@ def unbiasedness_check(problem, x, config, n_trials, rng):
     calibrated unbiasedness statistic.
 
     Trials run in blocks of at most `_ROW_BUDGET` chain states: one
-    `advance` and one oracle call per block, and one combination per
-    level drawn in it.  The cursor reads the same uniforms in the same
-    order as one `advance` per trial, so every output is bit-equal to
-    the per-trial loop's.
+    level draw, one `advance` and one oracle call per block, and one
+    combination per level drawn in it.  The level generator and the
+    cursor read the same numbers in the same order as per-trial draws,
+    so every output is bit-equal to the per-trial loop's.
     """
     n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng)
     x = np.asarray(x, dtype=float)
@@ -324,12 +324,11 @@ def unbiasedness_check(problem, x, config, n_trials, rng):
     diffs = np.empty((n_trials, x.size))
     for start in range(0, n_trials, per_block):
         block = diffs[start:start + per_block]
-        levels = [_draw_level(rng_level) for _ in range(len(block))]
+        drawn = _draw_level(rng_level, size=len(block))
         states = cursor.advance(len(block) * n_pref)
         vals = _eval_rows(oracle, x, states).reshape(len(block), n_pref, x.size)
         target = _prefix_mean(vals, n_pref)
-        drawn = np.array(levels)
-        for level in set(levels):
+        for level in set(drawn.tolist()):
             drew = drawn == level
             g = combine_levels(vals[drew], level, config.B, config.M)
             block[drew] = g - target[drew]

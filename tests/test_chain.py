@@ -528,6 +528,107 @@ def test_advance_takes_the_transitions_move_takes(n, seed, equal):
     assert (cursor.state, cursor.n_consumed) == (want[-1], len(u))
 
 
+def ergodic_rows(n, seed, equal, zeros):
+    """Equal or cubed-uniform row masses, about half of them zero if `zeros`.
+
+    The diagonal and the cycle s -> s + 1 (mod n) keep their mass, so the
+    chain is irreducible and aperiodic and has a stationary law.
+    """
+    rng = np.random.default_rng(seed)
+    raw = np.ones((n, n)) if equal else rng.uniform(size=(n, n)) ** 3 + 1e-3
+    if zeros:
+        keep = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        raw[(rng.random((n, n)) < 0.5) & ~keep] = 0.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def edge_uniforms(p, rng):
+    """Per row of `p`: a random uniform, one on a random cumulative entry, one on the
+    last entry, 0 and the largest double below 1 (past the last entry when the row
+    sums to less than 1)."""
+    n = p.shape[1]
+    cum = np.cumsum(p, axis=1)
+    rows = np.arange(len(p))
+    return np.stack([rng.random(len(p)), cum[rows, rng.integers(0, n, size=len(p))],
+                     cum[:, -1], np.zeros(len(p)), np.full(len(p), np.nextafter(1.0, 0.0))],
+                    axis=1)
+
+
+# the CLI builds chains of up to 100 states (`chain.n`); equal masses 1/99 end the
+# cumulative row below 1, and zeroed entries give rows with flat stretches
+CLAMP_FREE_CASES = dict(n=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+                        equal=st.booleans(), zeros=st.booleans())
+
+
+def clamp_free_examples(test):
+    test = example(n=99, seed=0, equal=True, zeros=False)(test)
+    test = example(n=100, seed=1, equal=True, zeros=True)(test)
+    return example(n=97, seed=2, equal=False, zeros=True)(test)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CLAMP_FREE_CASES)
+@clamp_free_examples
+def test_move_without_a_clamp_takes_the_clamped_rule(n, seed, equal, zeros):
+    P = ergodic_rows(n, seed, equal, zeros)
+    if (n, equal, zeros) == (99, True, False):
+        assert np.cumsum(P, axis=1)[:, -1].max() < 1.0
+    u = edge_uniforms(P, np.random.default_rng(seed))
+    states = np.repeat(np.arange(n), u.shape[1])
+    np.testing.assert_array_equal(TransitionKernel(P)._move(states, u.ravel()),
+                                  summed_comparison_step(P, states, u.ravel()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CLAMP_FREE_CASES)
+@clamp_free_examples
+def test_advance_without_a_clamp_takes_the_clamped_rule(n, seed, equal, zeros):
+    P = ergodic_rows(n, seed, equal, zeros)
+    kernel = TransitionKernel(P)
+    rng = np.random.default_rng(seed)
+    # walk a path by the clamped rule, each uniform one of the current row's edge uniforms
+    state = start = int(rng.integers(0, n))
+    u, want = [], []
+    for kind in rng.integers(0, 5, size=300).tolist():
+        ui = edge_uniforms(P[[state]], rng)[0, kind]
+        state = int(summed_comparison_step(P, np.array([state]), np.array([ui]))[0])
+        u.append(ui)
+        want.append(state)
+    cursor = ChainCursor(kernel, 0, start=start)
+    cursor.rng = _Uniforms(np.array(u))
+    np.testing.assert_array_equal(cursor.advance(len(u)), want)
+    assert cursor.state == want[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CLAMP_FREE_CASES)
+@clamp_free_examples
+def test_inverse_cdf_without_a_clamp_takes_the_clamped_rule(n, seed, equal, zeros):
+    P = ergodic_rows(n, seed, equal, zeros)
+    kernel = TransitionKernel(P)
+    rng = np.random.default_rng(seed)
+    # sample_stationary's draws, one call for all and one per uniform; the
+    # reference rule reads pi as every row of an n x n matrix
+    pi = stationary(kernel)
+    u = edge_uniforms(pi[None], rng)[0]
+    want = summed_comparison_step(np.tile(pi, (n, 1)), np.zeros(u.size, dtype=np.int64), u)
+    np.testing.assert_array_equal(kernel.sample_stationary(_Uniforms(u), u.size), want)
+    assert [int(kernel.sample_stationary(_Uniforms(ui))) for ui in u.tolist()] == want.tolist()
+    # skip's end-state draw from each start's power row, whose zeros one step keeps
+    cursor = ChainCursor(kernel, 0, start=0)
+    for steps in (1, 3):
+        rows = np.array([kernel.power_row(s, steps) for s in range(n)])
+        u = edge_uniforms(rows, rng)
+        starts = np.repeat(np.arange(n), u.shape[1])
+        want = summed_comparison_step(rows, starts, u.ravel())
+        ends = []
+        for s, ui in zip(starts.tolist(), u.ravel().tolist()):
+            cursor.state, cursor.rng = s, _Uniforms(ui)
+            cursor.skip(steps)
+            ends.append(cursor.state)
+        assert ends == want.tolist()
+
+
 def test_power_row_matches_matrix_power(dense8):
     for steps in (1, 2, 5, 17, 64):
         expect = np.linalg.matrix_power(dense8.P, steps)[2]

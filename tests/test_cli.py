@@ -1,13 +1,19 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovmirror import cli, mamd_batched_schedule, mamd_unbatched_schedule
-from markovmirror.cli import (_resolve_tau, build_kernel, build_problem, config_hash, main,
-                              parse_config_text, resolve_config)
+from markovmirror.cli import (_SCHEMA, _resolve_tau, build_kernel, build_problem, config_hash,
+                              main, parse_config_text, resolve_config)
+from markovmirror.errors import ConfigError
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -147,6 +153,69 @@ def test_malformed_config_is_config_error(tmp_path, capsys, text, args, line):
     if line is not None:
         assert f"config line {line + 1}" in err
     assert not (tmp_path / "out").exists()
+
+
+# config-parser fuzzing: schema keys and unknown ones, with values that are
+# choices, numbers, NaN, infinities, fractions, huge integers or junk text
+_CHOICES = sorted({c for kind, *_ in _SCHEMA.values() if isinstance(kind, tuple) for c in kind})
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e999", "1e-400", "1/2", "3/4", "0.5",
+                     "0", "-1", "2", "9" * 5000, "-" + "9" * 40, "1 0 ; 0 1", "0.5 0.5 ; nan 1",
+                     "1,2", "", *_CHOICES]),
+    st.integers(-10**30, 10**30).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+_FUZZ_KEYS = st.one_of(st.sampled_from(sorted(_SCHEMA)),
+                       st.sampled_from(["problem.dims", "chain", "x y"]), st.text(max_size=8))
+_FUZZ_LINES = st.one_of(
+    st.builds("{} = {}".format, _FUZZ_KEYS, _FUZZ_VALUES),
+    st.text(st.characters(blacklist_characters="="), max_size=12),  # no '='
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Lines of fuzz, some of them repeated, so keys come twice."""
+    lines = draw(st.lists(_FUZZ_LINES, max_size=8))
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=fuzz_configs(), solve=st.booleans())
+def test_fuzzed_config_resolves_or_raises_config_error(text, solve):
+    try:
+        res = resolve_config(parse_config_text(text), solve=solve)
+    except ConfigError:
+        return
+    assert set(res) == set(_SCHEMA)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=fuzz_configs(),
+       defect=st.sampled_from(["problem.dims = 4", "T = 1\nT = 2", "chain.n 8", "T = junk",
+                               "chain.n = 1/2", "problem.noise = nan", "metrics = all"]),
+       at=st.integers(0, 8), undecodable=st.booleans(),
+       command=st.sampled_from(["run", "sweep", "diagnose-chain", "check-lemma1", "check-lemma2"]))
+def test_main_exits_2_with_one_line_on_a_fuzzed_bad_config(text, defect, at, undecodable, command):
+    lines = text.split("\n") if text else []
+    lines.insert(min(at, len(lines)), defect)
+    data = "\n".join(lines).encode()
+    if undecodable:  # a config that is not UTF-8 text
+        data = data[:at] + b"\xff" + data[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+        assert not os.path.exists(os.path.join(tmp, "out"))
 
 
 def test_game_config_still_runs_the_check_commands(tmp_path, capsys):

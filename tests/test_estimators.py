@@ -14,7 +14,7 @@ from markovmirror import (
     mlmc_geometric,
     random_ergodic,
 )
-from markovmirror.estimators import _at_state
+from markovmirror.estimators import _MAX_LEVEL, _at_state, _draw_level
 
 
 def single_sample(oracle, x, cursor):
@@ -313,3 +313,25 @@ def test_mlmc_accounting_matches_a_same_seed_replay(level, B, M, seed):
     assert est.oracle_calls == (span if (1 << level) <= M else B)
     rows = p.grad_oracle(x, fresh_cursor(p, seed).advance(est.oracle_calls))
     np.testing.assert_array_equal(est.g, combine_levels(rows, level, B, M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 4096))
+def test_level_draws_in_one_call_equal_single_draws(seed, k):
+    # unbiasedness_check draws a block's levels in one call; mlmc_geometric draws one at a time
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = _draw_level(a, size=k)
+    singles = [_draw_level(b) for _ in range(k)]
+    assert all(type(level) is int for level in singles)
+    assert block.shape == (k,)
+    assert block.tolist() == singles
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_level_draws_in_one_call_are_clipped_at_the_cap():
+    class Geometric:
+        def geometric(self, p, size):
+            assert (p, size) == (0.5, 3)
+            return np.array([1, _MAX_LEVEL + 1, 2**40])
+
+    assert _draw_level(Geometric(), size=3).tolist() == [1, _MAX_LEVEL, _MAX_LEVEL]
