@@ -57,14 +57,12 @@ class TransitionKernel:
         P.flags.writeable = False
         self.P = P
         self.n_states = P.shape[0]
-        # sampling thresholds, the cumulative rows less their last entry: from state s the
-        # chain moves to the count of row s's thresholds at or below its uniform, the state
-        # the whole row gives clamped to n - 1, with no clamp needed.  `_move` reads them
-        # transposed, one column per state; `advance` bisects them as lists
-        thresholds = np.cumsum(P, axis=1)[:, :-1]
+        # from state s the chain moves to the count of row s's thresholds (`_thresholds`
+        # below) at or below its uniform.  `_move` reads them transposed, one column per
+        # state; `advance` bisects them as lists
+        thresholds = _thresholds(P)
         self._thresholds = np.ascontiguousarray(thresholds.T)
         self._threshold_lists = thresholds.tolist()
-        self._pow2 = {0: P}
         self._pi = None
 
     def is_primitive(self):
@@ -99,15 +97,13 @@ class TransitionKernel:
         steps = _count(steps, "steps", 0)
         row = np.zeros(self.n_states)
         row[_count(state, "state", 0, self.n_states - 1)] = 1.0
-        bit = 0
+        square = self.P  # P^(2^bit) for the bit being read
         while steps:
-            if bit not in self._pow2:
-                prev = self._pow2[bit - 1]
-                self._pow2[bit] = prev @ prev
             if steps & 1:
-                row = row @ self._pow2[bit]
+                row = row @ square
             steps >>= 1
-            bit += 1
+            if steps:
+                square = square @ square
         return row
 
     def sample_stationary(self, rng, n=None):
@@ -117,10 +113,19 @@ class TransitionKernel:
         return f"TransitionKernel(n_states={self.n_states})"
 
 
+def _thresholds(p):
+    """Sampling thresholds of the law(s) on `p`'s last axis: the cumulative masses
+    less the last, +inf from each law's last positive entry on, so that no uniform
+    counts up to a zero-mass state past it, also where rounding ends the sum below 1."""
+    cum = np.cumsum(p, axis=-1)[..., :-1]
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0.0, axis=-1)
+    return np.where(np.arange(cum.shape[-1]) >= np.expand_dims(last, -1), np.inf, cum)
+
+
 def _inverse_cdf(p, u):
-    """The state(s) law `p` gives uniform(s) `u`: the count of p's cumulative
-    masses, less the last, that are <= u, the rule `_move` and `advance` follow."""
-    return np.searchsorted(np.cumsum(p)[:-1], u, side="right")
+    """The state(s) law `p` gives uniform(s) `u`: the count of p's thresholds
+    that are <= u, the rule `_move` and `advance` follow."""
+    return np.searchsorted(_thresholds(p), u, side="right")
 
 
 def stationary(kernel):

@@ -14,9 +14,10 @@ Configs are line-oriented dotted-key text::
 Every emitted CSV starts with `# key = value` lines echoing the fully
 resolved config plus the library version; floats print with 17
 significant digits so a reread is bit-exact.  Runs parallelize across
-seeds only (``--jobs``); setting ``MM_DETERMINISTIC=1`` forces
-single-job execution and zeroes the wall_ms column so repeated
-invocations produce byte-identical files.
+seeds only (``--jobs``), and each seed draws from its own streams, so
+the job count does not change a row; setting ``MM_DETERMINISTIC=1``
+zeroes the wall_ms column so repeated invocations produce
+byte-identical files.
 
 Exit codes: 0 success, 1 check outside its acceptance window, 2 config
 error, 3 runtime error, 4 ergodicity failure, 5 insufficient
@@ -44,6 +45,7 @@ from .errors import (
     InputError,
     MarkovMirrorError,
     StatisticsError,
+    _count,
 )
 from .estimators import MlmcConfig
 from .problems import make_min_instance, make_vi_instance, matching_pennies
@@ -592,7 +594,7 @@ def main(argv=None):
             if flag is not None:
                 raw[key] = (flag, None)
         res = resolve_config(raw, solve=args.command in ("run", "sweep"))
-        jobs = 1 if _deterministic() else max(1, args.jobs)
+        jobs = _count(args.jobs, "--jobs", 1)
 
         if args.command == "run":
             return cmd_run(res, jobs, res["out"])

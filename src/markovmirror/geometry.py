@@ -123,10 +123,10 @@ class Geometry:
             raise InputError(f"{name} contains NaN/Inf")
         return x
 
-    def _check_anchor(self, x, name="x"):
+    def _check_anchor(self, x):
         """Raise unless the checked point x is one prox steps may start from."""
         if not self.contains(x):
-            raise InputError(f"prox anchored at infeasible {name}")
+            raise InputError("prox anchored at infeasible x")
 
     def _check_prox_args(self, x, xi):
         x = self._check_point(x)
@@ -344,8 +344,8 @@ class SimplexGeometry(Geometry):
         if np.min(x) <= 0.0:
             raise GeometryError("entropy mirror map needs a strictly interior base point")
 
-    def _check_anchor(self, x, name="x"):
-        super()._check_anchor(x, name)
+    def _check_anchor(self, x):
+        super()._check_anchor(x)
         self._check_interior(x)
 
     def bregman(self, x, y):

@@ -22,7 +22,7 @@ problem the two read different states of the stream.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class RunRecord:
     wall_ms: np.ndarray
     x_out: np.ndarray
     x_last: np.ndarray
-    config: dict = field(default_factory=dict)
     iterates: list | None = None
 
 
@@ -110,13 +109,11 @@ _ROW = np.dtype([("t", np.int64), ("oracle_calls", np.int64), ("chain_steps", np
 
 
 class _Recorder:
-    """Rows, kept iterate pairs and the RunRecord of one run, described by keywords."""
+    """Rows, kept iterate pairs and the RunRecord of one run of T iterations."""
 
-    def __init__(self, gap_fn, stride, keep_iterates, **config):
-        self.config = config
-        self.T = config["T"]
-        # stride 0, like None, records only the row at T
-        self.stride = None if stride is None else _count(stride, "stride", 0) or None
+    def __init__(self, T, gap_fn, stride, keep_iterates):
+        self.T = T
+        self.stride = None if stride is None else _count(stride, "stride", 1)
         self.gap_fn = gap_fn
         self.kept = [] if keep_iterates else None
         self.t0 = time.perf_counter()
@@ -144,7 +141,6 @@ class _Recorder:
             **{name: rows[name].copy() for name in _ROW.names},
             x_out=np.array(x_out, dtype=float),
             x_last=np.array(x_last, dtype=float),
-            config=self.config,
             iterates=self.kept,
         )
 
@@ -159,19 +155,11 @@ def _check_step(value, L, name):
     return value
 
 
-# The loops below take unchecked prox steps (`Geometry._step`): the start
-# point is checked once, every stepped estimate gamma * g is checked to be
+# The loops below start at the prox-center `geometry.center()`, the point
+# every stepsize's D is measured from, and take unchecked prox steps
+# (`Geometry._step`): every stepped estimate gamma * g is checked to be
 # finite, and a step from a feasible point with a finite argument lands in
 # the feasible set, which the final check confirms.
-
-
-def _start(geo, x0):
-    """The center, or x0 once checked to be a finite feasible point (InputError)."""
-    if x0 is None:
-        return geo.center()
-    x = geo._check_point(x0, "x0")
-    geo._check_anchor(x, "x0")
-    return x
 
 
 def _stepped(gamma, est, t):
@@ -182,11 +170,11 @@ def _stepped(gamma, est, t):
     return xi
 
 
-def _descent(problem, schedule, T, estimate, rec, x0):
+def _descent(problem, schedule, T, estimate, rec):
     """Accelerated mirror descent; `estimate(x)` draws the gradient Estimate at x."""
     betas, gammas = (a.tolist() for a in schedule.arrays(T))
     geo = problem.geometry
-    x = _start(geo, x0)
+    x = geo.center()
     x_f = x.copy()
     calls = steps = 0
     for t in range(T):
@@ -202,7 +190,7 @@ def _descent(problem, schedule, T, estimate, rec, x0):
 
 
 def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
-                   keep_iterates=False, x0=None):
+                   keep_iterates=False):
     """Accelerated mirror descent, one chain state per iteration.
 
     Requires T to reach past the schedule's warmup offset; reports the
@@ -214,14 +202,12 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
         raise ScheduleError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
     oracle = problem.grad_oracle
     states = _states(cursor, T)
-    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mamd_unbatched", T=T,
-                    tau=schedule.tau)
-    return _descent(problem, schedule, T, lambda x: _at_state(oracle, x, next(states), 1),
-                    rec, x0)
+    rec = _Recorder(T, gap_fn, stride, keep_iterates)
+    return _descent(problem, schedule, T, lambda x: _at_state(oracle, x, next(states), 1), rec)
 
 
 def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
-                 stride=None, keep_iterates=False, x0=None):
+                 stride=None, keep_iterates=False):
     """Accelerated mirror descent with multilevel gradient estimates.
 
     `mlmc` is an MlmcConfig; `level_rng` draws the geometric levels and
@@ -230,19 +216,18 @@ def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
     T = _count(T, "T", 1)
     schedule.validate(problem.L)
     oracle = problem.grad_oracle
-    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mamd_batched", T=T,
-                    tau=schedule.tau, B=mlmc.B, M=mlmc.M)
+    rec = _Recorder(T, gap_fn, stride, keep_iterates)
     return _descent(problem, schedule, T,
-                    lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng), rec, x0)
+                    lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng), rec)
 
 
-def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
+def _mirror_prox(problem, gamma, T, half, full, avg_start, rec):
     """Mirror prox: `half(x)` and `full(x_half)` draw the two operator Estimates.
 
     Averages the half-step iterates from iteration `avg_start` on.
     """
     geo = problem.geometry
-    x = _start(geo, x0)
+    x = geo.center()
     x_hat = None
     calls = steps = 0
     for t in range(T):
@@ -262,7 +247,7 @@ def _mirror_prox(problem, gamma, T, half, full, avg_start, rec, x0):
 
 
 def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
-                  keep_iterates=False, avg_start=None, x0=None):
+                  keep_iterates=False, avg_start=None):
     """Mirror prox, one chain state reused for both half and full step.
 
     Averages the half-step iterates from `avg_start` (default: the
@@ -270,7 +255,7 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
     evaluations but a single chain step.
     """
     T = _count(T, "T", 1)
-    gamma = _check_step(gamma, float(getattr(problem, "L_tilde", problem.L)), "gamma")
+    gamma = _check_step(gamma, float(problem.L), "gamma")
     if avg_start is None:
         avg_start = mixing_time(cursor.kernel)
     avg_start = _count(avg_start, "avg_start", 0)
@@ -282,14 +267,13 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
     # each state twice: the full step re-reads the state the half step drew,
     # so it costs an oracle call but no chain step
     states = (state for state in _states(cursor, T) for _ in (0, 1))
-    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mmp_unbatched", T=T, gamma=gamma,
-                    avg_start=avg_start)
+    rec = _Recorder(T, gap_fn, stride, keep_iterates)
     return _mirror_prox(problem, gamma, T, lambda x: _at_state(oracle, x, next(states), 1),
-                        lambda x: _at_state(oracle, x, next(states), 0), avg_start, rec, x0)
+                        lambda x: _at_state(oracle, x, next(states), 0), avg_start, rec)
 
 
 def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
-                stride=None, keep_iterates=False, x0=None):
+                stride=None, keep_iterates=False):
     """Mirror prox with a batch-mean extrapolation and multilevel update.
 
     Fresh chain states for each half: the extrapolation step averages B
@@ -299,12 +283,10 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
     T = _count(T, "T", 1)
     gamma = _check_step(gamma, float(problem.L), "gamma")
     oracle = _oracle(problem)
-    rec = _Recorder(gap_fn, stride, keep_iterates, algorithm="mmp_batched", T=T, gamma=gamma,
-                    B=mlmc.B, M=mlmc.M)
+    rec = _Recorder(T, gap_fn, stride, keep_iterates)
     return _mirror_prox(problem, gamma, T,
                         lambda x: batch_mean(oracle, x, cursor, mlmc.B),
-                        lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng),
-                        0, rec, x0)
+                        lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng), 0, rec)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ _ROW_BUDGET = 1 << 12
 _GAP_FLOOR = 1e-13
 # random probe points of weak_vi_gap when the geometry has no vertex list
 _N_PROBES = 64
+# seed resamples behind bootstrap_rate_ci's interval
+_N_BOOT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +387,12 @@ def rate_fit(budgets, gaps):
     )
 
 
-def bootstrap_rate_ci(budgets, gap_matrix, n_boot=200, rng=None):
+def bootstrap_rate_ci(budgets, gap_matrix, rng=None):
     """Rate fit on per-budget medians with a bootstrap CI over seeds.
 
     `gap_matrix` has one row per seed and one column per budget.  The
     point estimate fits the column medians; the CI resamples seeds with
-    replacement (2.5/97.5 percentiles of the refit slopes).
+    replacement `_N_BOOT` times (2.5/97.5 percentiles of the refit slopes).
     """
     gap_matrix = np.atleast_2d(np.asarray(gap_matrix, dtype=float))
     budgets = np.asarray(budgets, dtype=float)
@@ -400,7 +402,7 @@ def bootstrap_rate_ci(budgets, gap_matrix, n_boot=200, rng=None):
     point = rate_fit(budgets, np.median(gap_matrix, axis=0))
     n_seeds = gap_matrix.shape[0]
     slopes = []
-    for _ in range(_count(n_boot, "n_boot", 0)):
+    for _ in range(_N_BOOT):
         idx = rng.integers(0, n_seeds, size=n_seeds)
         try:
             slopes.append(rate_fit(budgets, np.median(gap_matrix[idx], axis=0)).slope)

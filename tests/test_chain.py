@@ -468,9 +468,11 @@ def test_advance_last_state_follows_the_power_row(dense8):
 
 
 def summed_comparison_step(P, states, u):
-    """Reference step: count the cumulative row entries <= u, clamped to the last state."""
+    """Reference step: count the cumulative row entries <= u, clamped to the row's last
+    state of positive mass."""
     cum = np.cumsum(P, axis=1)
-    return np.minimum(np.sum(cum[states] <= u[:, None], axis=1), P.shape[0] - 1)
+    last = np.array([np.flatnonzero(row)[-1] for row in P])
+    return np.minimum(np.sum(cum[states] <= u[:, None], axis=1), last[states])
 
 
 @settings(max_examples=60, deadline=None)
@@ -627,6 +629,51 @@ def test_inverse_cdf_without_a_clamp_takes_the_clamped_rule(n, seed, equal, zero
             cursor.skip(steps)
             ends.append(cursor.state)
         assert ends == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 100), seed=st.integers(0, 2**32 - 1), equal=st.booleans())
+@example(n=100, seed=1, equal=True)
+@example(n=99, seed=0, equal=True)
+def test_no_sampler_moves_along_a_zero_probability_edge(n, seed, equal):
+    P = ergodic_rows(n, seed, equal, zeros=True)
+    kernel = TransitionKernel(P)
+    rng = np.random.default_rng(seed)
+    u = edge_uniforms(P, rng)
+    starts = np.repeat(np.arange(n), u.shape[1])
+    assert (P[starts, kernel._move(starts, u.ravel())] > 0).all()
+    cursor = ChainCursor(kernel, 0, start=0)
+    for s, ui in zip(starts.tolist(), u.ravel().tolist()):
+        cursor.state, cursor.rng = s, _Uniforms(np.array([ui]))
+        assert P[s, cursor.advance(1)[0]] > 0
+    pi = stationary(kernel)
+    ends = kernel.sample_stationary(_Uniforms(edge_uniforms(pi[None], rng)[0]), 5)
+    assert (pi[ends] > 0).all()
+    # skip's power rows: one step keeps P's zeros, three steps keep some of them
+    for steps in (1, 3):
+        rows = np.array([kernel.power_row(s, steps) for s in range(n)])
+        u = edge_uniforms(rows, rng)
+        for s, ui in zip(starts.tolist(), u.ravel().tolist()):
+            cursor.state, cursor.rng = s, _Uniforms(ui)
+            cursor.skip(steps)
+            assert rows[s, cursor.state] > 0
+
+
+def test_a_uniform_past_the_cumulative_row_stays_off_its_trailing_zero():
+    # ten masses 0.1 end the cumulative row at 1 - 2^-53, the largest uniform
+    # `rng.random()` can return; state 10 has probability 0 from every state
+    P = np.tile([0.1] * 10 + [0.0], (11, 1))
+    kernel = TransitionKernel(P)
+    u = np.nextafter(1.0, 0.0)
+    assert np.cumsum(P[0])[-1] <= u
+    assert kernel._move(np.array([0]), np.array([u]))[0] == 9
+    assert chain._inverse_cdf(P[0], u) == 9
+    cursor = ChainCursor(kernel, 0, start=0)
+    cursor.rng = _Uniforms(np.array([u]))
+    assert cursor.advance(1)[0] == 9
+    cursor.state, cursor.rng = 0, _Uniforms(u)
+    cursor.skip(1)
+    assert cursor.state == 9
 
 
 def test_power_row_matches_matrix_power(dense8):

@@ -170,7 +170,9 @@ _FUZZ_KEYS = st.one_of(st.sampled_from(sorted(_SCHEMA)),
                        st.sampled_from(["problem.dims", "chain", "x y"]), st.text(max_size=8))
 _FUZZ_LINES = st.one_of(
     st.builds("{} = {}".format, _FUZZ_KEYS, _FUZZ_VALUES),
-    st.text(st.characters(blacklist_characters="="), max_size=12),  # no '='
+    # no '=' and no surrogates, which str.encode cannot write; bytes that are
+    # not UTF-8 come from the `undecodable` flag instead
+    st.text(st.characters(blacklist_characters="=", blacklist_categories=("Cs",)), max_size=12),
 )
 
 
@@ -313,6 +315,20 @@ def test_deterministic_mode_gives_byte_identical_output(tmp_path, monkeypatch):
     # wall clock is zeroed so timing noise cannot leak into the bytes
     _, _, rows = read_csv(out_a / sorted(os.listdir(out_a))[1])
     assert all(r[4] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, monkeypatch, jobs):
+    # --jobs 0 and -3 used to run quietly as one job
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path, RUN_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --jobs must be an integer >= 1, got {jobs}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_all_algorithms_run(tmp_path):

@@ -19,7 +19,6 @@ from markovmirror import (
     SimplexGeometry,
     StatisticsError,
     batch_mean,
-    bootstrap_rate_ci,
     chain,
     cli,
     deviation_scaling,
@@ -84,11 +83,6 @@ SOLVERS = {
 }
 
 
-def _bootstrap(n_boot):
-    gaps = np.array([[1.0, 0.5, 0.2], [1.1, 0.4, 0.3], [0.9, 0.6, 0.25]])
-    return bootstrap_rate_ci([1.0, 2.0, 4.0], gaps, n_boot, np.random.default_rng(0)).ci
-
-
 # name: (least allowed value, call with the count); every call returns what
 # the count decides, so a whole float can be compared with its int
 COUNTS = {
@@ -110,7 +104,7 @@ COUNTS = {
     "simplex block in a sequence": (2, lambda n: SimplexGeometry((n, 3)).block_dims),
     "game block": (2, lambda n: make_vi_instance((n, 3), KERNEL, seed=0).x_star),
     "matching_pennies block_dim": (2, lambda n: matching_pennies(KERNEL, block_dim=n).Q),
-    "solver stride": (0, _solve),
+    "solver stride": (1, _solve),
     **{f"{name} T": (1, lambda n, run=run: run(n).x_out) for name, run in SOLVERS.items()},
     "mmp_unbatched avg_start": (0, lambda n: mmp_unbatched(
         GAME, 0.5 / GAME.L_tilde, _cursor(), 12, avg_start=n).x_out),
@@ -124,7 +118,6 @@ COUNTS = {
         QUAD, QUAD.geometry.center(), MlmcConfig(1, 4), n, np.random.default_rng(0)).mean),
     "pairing n_trials": (2, lambda n: unbiasedness_check(
         GAME, GAME.geometry.center(), MlmcConfig(1, 4), n, np.random.default_rng(0)).mean_diff),
-    "bootstrap n_boot": (0, _bootstrap),
 }
 
 TRIALS = {"scaling n_trials", "moments n_trials", "pairing n_trials"}
@@ -148,9 +141,8 @@ def test_whole_float_count_runs_as_its_int(site):
     np.testing.assert_equal(call(6.0), call(6))
 
 
-@pytest.mark.parametrize("stride", [None, 0])
-def test_stride_none_or_zero_records_only_the_row_at_T(stride):
-    np.testing.assert_array_equal(_solve(stride), [12])
+def test_stride_none_records_only_the_row_at_T():
+    np.testing.assert_array_equal(_solve(None), [12])
 
 
 def test_whole_float_stride_and_tau_are_stored_as_ints():

@@ -35,8 +35,8 @@ def cursor_for(problem, seed=0):
     return ChainCursor(problem.kernel, np.random.default_rng(seed))
 
 
-def one_dim_quadratic(kernel):
-    geo = BoxGeometry(1, -1.0, 1.0)
+def one_dim_quadratic(kernel, lo=-1.0, hi=1.0):
+    geo = BoxGeometry(1, lo, hi)
     return MinProblem(geo, np.eye(1), np.zeros(1), np.zeros((kernel.n_states, 1)),
                       kernel, x_star=np.zeros(1), f_star=0.0)
 
@@ -146,12 +146,11 @@ def test_mmp_rejects_non_finite_stepsize(two_state):
 
 
 def test_mamd_hand_trace(two_state):
-    # f(x) = x^2/2 on [-1, 1] from x0 = 1 with beta = 1, gamma = 1/2:
+    # f(x) = x^2/2 on [0, 2] from its center 1 with beta = 1, gamma = 1/2:
     # x_g = x, x <- x - x/2, so the iterate halves each step
-    p = one_dim_quadratic(two_state)
+    p = one_dim_quadratic(two_state, 0.0, 2.0)
     sched = MamdSchedule(0.5, tau=3)  # warmup over the whole run: beta = 1
-    rec = mamd_unbatched(p, sched, cursor_for(p), 3, keep_iterates=True,
-                         x0=np.array([1.0]))
+    rec = mamd_unbatched(p, sched, cursor_for(p), 3, keep_iterates=True)
     xs = [k[0][0] for k in rec.iterates]
     fs = [k[1][0] for k in rec.iterates]
     np.testing.assert_allclose(xs, [0.5, 0.25, 0.125], atol=1e-15)
@@ -160,13 +159,12 @@ def test_mamd_hand_trace(two_state):
 
 
 def test_mmp_hand_trace(two_state):
-    # F(x) = x on [-1, 1] from x0 = 1 with gamma = 1/2:
+    # F(x) = x on [0, 2] from its center 1 with gamma = 1/2:
     # x_half = 1 - 1/2 = 0.5, x = 1 - 0.5 * F(0.5) = 0.75
-    geo = BoxGeometry(1, -1.0, 1.0)
+    geo = BoxGeometry(1, 0.0, 2.0)
     p = ViProblem(geo, np.array([[1.0]]), np.zeros(1), np.zeros((2, 1)), two_state,
                   x_star=np.zeros(1))
-    rec = mmp_unbatched(p, 0.5, cursor_for(p), 1, keep_iterates=True,
-                        avg_start=0, x0=np.array([1.0]))
+    rec = mmp_unbatched(p, 0.5, cursor_for(p), 1, keep_iterates=True, avg_start=0)
     x_half, x_full = rec.iterates[0]
     assert x_half[0] == pytest.approx(0.5, abs=1e-15)
     assert x_full[0] == pytest.approx(0.75, abs=1e-15)
@@ -175,8 +173,8 @@ def test_mmp_hand_trace(two_state):
 
 
 def test_mmp_equilibrium_is_fixed_point(two_state):
-    p = matching_pennies(two_state)  # noiseless, x* = uniform
-    rec = mmp_unbatched(p, 0.25, cursor_for(p), 10, avg_start=0, x0=p.x_star)
+    p = matching_pennies(two_state)  # noiseless, x* = uniform = the start point
+    rec = mmp_unbatched(p, 0.25, cursor_for(p), 10, avg_start=0)
     np.testing.assert_allclose(rec.x_out, p.x_star, atol=1e-6)
     assert err_vi(p, rec.x_out) <= 1e-6
 
@@ -306,11 +304,12 @@ def test_deterministic_mamd_gap_quarters_when_T_doubles(two_state):
 
 
 def test_deterministic_mmp_gap_halves_when_T_doubles(two_state):
-    p = matching_pennies(two_state, block_dim=3, seed=1)
-    x0 = p.geometry.renormalize(np.array([0.7, 0.2, 0.1, 0.1, 0.2, 0.7]))
+    # a noiseless game whose mixed equilibrium lies away from the start point
+    p = make_vi_instance((3, 3), two_state, noise_scale=0.0, seed=3)
+    assert np.abs(p.x_star - p.geometry.center()).max() > 0.5
     rec = mmp_batched(p, 0.5 / p.L, cursor_for(p), 256, MlmcConfig(1, 256),
                       np.random.default_rng(0), stride=128,
-                      gap_fn=lambda x: err_vi(p, x), x0=x0)
+                      gap_fn=lambda x: err_vi(p, x))
     g128 = rec.gap[rec.t == 128][0]
     g256 = rec.gap[rec.t == 256][0]
     assert 1.3 <= g128 / g256 <= 3.0
@@ -331,13 +330,12 @@ def test_stride_controls_rows(two_state):
 
 
 def test_gap_column_uses_gap_fn(two_state):
-    p = one_dim_quadratic(two_state)
+    p = one_dim_quadratic(two_state, 0.0, 2.0)
     sched = MamdSchedule(0.25, tau=10)
     rec = mamd_unbatched(p, sched, cursor_for(p), 10, stride=1,
-                         gap_fn=lambda x: subopt_gap(p, x), x0=np.array([1.0]))
+                         gap_fn=lambda x: subopt_gap(p, x))
     assert np.all(np.isfinite(rec.gap))
     assert np.all(np.diff(rec.gap) <= 1e-15)  # deterministic run: monotone here
-    assert rec.config["algorithm"] == "mamd_unbatched"
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +416,7 @@ def test_golden_runs_reproduce_frozen_rows():
 
 
 # ---------------------------------------------------------------------------
-# checks at the solver boundary: x0 once, every estimate finite, no per-step prox checks
+# checks at the solver boundary: every estimate finite, no per-step prox checks
 
 
 SOLVERS = ("mamd_unbatched", "mamd_batched", "mmp_unbatched", "mmp_batched")
@@ -466,23 +464,6 @@ def test_non_finite_estimate_is_solver_error(dense8, name, bad):
         _short_run(name, p, cursor_for(p, 3))
 
 
-@pytest.mark.parametrize("case", ["infeasible", "wrong-shape", "nan"])
-@pytest.mark.parametrize("name", SOLVERS)
-def test_bad_start_point_rejected_before_any_draw(dense8, name, case):
-    p = _boundary_problem(name, dense8)
-    x0 = p.geometry.center()
-    if case == "infeasible":
-        x0 = x0 + 5.0
-    elif case == "wrong-shape":
-        x0 = np.append(x0, x0[0])
-    else:
-        x0[0] = np.nan
-    cur = cursor_for(p)
-    with pytest.raises(InputError, match="x0"):
-        _short_run(name, p, cur, x0=x0)
-    assert cur.n_consumed == 0
-
-
 def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
     seen = []
     checked = Geometry._check_prox_args
@@ -507,13 +488,13 @@ def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
 def _per_iteration_run(name, p, cursor, T):
     """The unbatched loop with an `advance(1)` draw on every iteration (the reference)."""
     oracle = p.grad_oracle if name == "mamd_unbatched" else p.op_oracle
-    rec = solvers._Recorder(None, 1, True, T=T)
+    rec = solvers._Recorder(T, None, 1, True)
     draw = lambda x: estimators._at_state(oracle, x, int(cursor.advance(1)[0]), 1)  # noqa: E731
     if name == "mamd_unbatched":
-        return solvers._descent(p, MamdSchedule(0.5 / p.L, tau=2), T, draw, rec, None)
+        return solvers._descent(p, MamdSchedule(0.5 / p.L, tau=2), T, draw, rec)
     reread = lambda x: Estimate(np.asarray(oracle(x, cursor.state), dtype=float),  # noqa: E731
                                 oracle_calls=1, chain_steps=0, level=0)
-    return solvers._mirror_prox(p, 0.5 / p.L_tilde, T, draw, reread, 2, rec, None)
+    return solvers._mirror_prox(p, 0.5 / p.L_tilde, T, draw, reread, 2, rec)
 
 
 @pytest.mark.parametrize("T", [7, 8, 9, 17])

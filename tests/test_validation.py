@@ -446,7 +446,7 @@ def test_bootstrap_ci_covers_point(rng):
     budgets = np.array([64.0, 256.0, 1024.0])
     base = 2.0 * budgets**-2.0
     gap_matrix = base * np.exp(rng.normal(0, 0.1, size=(9, 3)))
-    fit = bootstrap_rate_ci(budgets, gap_matrix, n_boot=300, rng=rng)
+    fit = bootstrap_rate_ci(budgets, gap_matrix, rng=rng)
     assert fit.ci is not None
     lo, hi = fit.ci
     assert lo <= fit.slope <= hi
