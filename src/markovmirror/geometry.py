@@ -8,8 +8,8 @@ K-block product is scaled by K so that the Bregman divergence stays
 1-strongly convex with respect to the full l1 norm, not just blockwise.
 
 Public `prox` checks its arguments and then takes the closed-form
-`_step`, which checks nothing; the solvers check their start point once
-and call `_step` directly.  Every geometry also carries a generic
+`_step`, which checks nothing; the solvers start at `center()` and call
+`_step` directly.  Every geometry also carries a generic
 projected-gradient prox solver used to cross-check the closed forms,
 plus the linear-maximization and sampling helpers the validation layer
 needs.

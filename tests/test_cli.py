@@ -317,6 +317,30 @@ def test_deterministic_mode_gives_byte_identical_output(tmp_path, monkeypatch):
     assert all(r[4] == "0" for r in rows)
 
 
+def test_deterministic_mode_keeps_the_job_count(tmp_path, monkeypatch):
+    # MM_DETERMINISTIC=1 zeroes wall_ms only; it used to force --jobs 1
+    monkeypatch.setenv("MM_DETERMINISTIC", "1")
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    cfg = write_config(tmp_path, RUN_CFG)  # two seeds
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
+    assert asked == [2]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_config_error(tmp_path, capsys, monkeypatch, jobs):
     # --jobs 0 and -3 used to run quietly as one job

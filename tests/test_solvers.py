@@ -464,6 +464,44 @@ def test_non_finite_estimate_is_solver_error(dense8, name, bad):
         _short_run(name, p, cursor_for(p, 3))
 
 
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_every_run_starts_at_the_prox_center(dense8, name, kind):
+    # the stepsize factories measure D from center(), so the first oracle
+    # call and the first prox step both start there
+    p = make_min_instance(3, dense8, geometry_kind=kind, noise_scale=0.5, seed=1)
+    attr = "grad_oracle"
+    if name.startswith("mmp"):
+        G = np.random.default_rng(1).normal(size=(3, 3))
+        p, attr = ViProblem(p.geometry, G - G.T, p.b, p.shifts, dense8), "op_oracle"
+    geo, oracle, step = p.geometry, getattr(p, attr), p.geometry._step
+    points, starts = [], []
+
+    def seen_oracle(x, z):
+        points.append(np.array(x))
+        return oracle(x, z)
+
+    def seen_step(x, xi):
+        starts.append(np.array(x))
+        return step(x, xi)
+
+    setattr(p, attr, seen_oracle)
+    geo._step = seen_step
+    _short_run(name, p, cursor_for(p))
+    np.testing.assert_array_equal(points[0], geo.center())
+    np.testing.assert_array_equal(starts[0], geo.center())
+
+
+def test_mmp_unbatched_caps_gamma_by_L_on_a_min_problem(dense8):
+    # a MinProblem has no L_tilde; its gradient is the operator mirror prox runs on
+    p = _boundary_problem("mamd_unbatched", dense8)
+    assert not hasattr(p, "L_tilde")
+    rec = mmp_unbatched(p, 0.5 / p.L, cursor_for(p), 12, avg_start=2)
+    assert p.geometry.contains(rec.x_out)
+    with pytest.raises(ScheduleError, match="exceeds 1/\\(2 L\\)"):
+        mmp_unbatched(p, 0.51 / p.L, cursor_for(p), 12, avg_start=2)
+
+
 def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
     seen = []
     checked = Geometry._check_prox_args

@@ -451,3 +451,16 @@ def test_bootstrap_ci_covers_point(rng):
     lo, hi = fit.ci
     assert lo <= fit.slope <= hi
     assert lo <= -2.0 <= hi
+
+
+def test_bootstrap_ci_comes_from_200_seed_resamples(rng):
+    budgets = np.array([64.0, 256.0, 1024.0])
+    gap_matrix = 2.0 * budgets**-2.0 * np.exp(rng.normal(0, 0.1, size=(5, 3)))
+    draws = np.random.default_rng(3)
+    fit = bootstrap_rate_ci(budgets, gap_matrix, rng=draws)
+    ref = np.random.default_rng(3)
+    slopes = [rate_fit(budgets, np.median(gap_matrix[ref.integers(0, 5, size=5)], axis=0)).slope
+              for _ in range(200)]
+    assert fit.ci == tuple(np.percentile(slopes, [2.5, 97.5]))
+    # no draw past the 200th resample
+    assert draws.random() == ref.random()
