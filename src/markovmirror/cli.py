@@ -53,6 +53,7 @@ from .solvers import MamdSchedule
 from .validation import (
     BIAS_SLOPE_WINDOW,
     DEVIATION_SLOPE_WINDOW,
+    PAIRING_RATIO_BOUND,
     _check_sizes,
     batch_bias_profile,
     bootstrap_rate_ci,
@@ -323,11 +324,9 @@ def _resolve_tau(res, kernel):
 
 
 def _build_instance(res):
-    """(problem, tau_mix) shared by every cell of a run or sweep; no problem for synthetic."""
+    """(problem, tau_mix) shared by every cell of a run or sweep, or read by a check."""
     kernel = build_kernel(res)
-    tau_mix = _resolve_tau(res, kernel)
-    problem = None if res["algorithm"] == "synthetic" else build_problem(res, kernel)
-    return problem, tau_mix
+    return build_problem(res, kernel), _resolve_tau(res, kernel)
 
 
 def _run_solver(res, problem, tau_mix, seed, stride):
@@ -520,9 +519,10 @@ def _lemma2(res, problem, deviations, Ns, lo, hi):
         ("pairing.trials", str(pairing.n_trials)),
     ]
     rows = [(int(n), float(b)) for n, b in zip(report.N, report.bias_sq)]
-    ok = lo <= report.slope <= hi and pairing.max_abs_ratio <= 4.0
+    ok = lo <= report.slope <= hi and pairing.max_abs_ratio <= PAIRING_RATIO_BOUND
     return extra, rows, ok, (f"bias slope = {report.slope:.4f} (window [{lo}, {hi}]), "
-                             f"pairing t-ratio = {pairing.max_abs_ratio:.3f} (<= 4)")
+                             f"pairing t-ratio = {pairing.max_abs_ratio:.3f} "
+                             f"(<= {PAIRING_RATIO_BOUND:g})")
 
 
 # command: (header prefix, slope window, columns, sample sizes, zero-noise summary,
@@ -542,9 +542,7 @@ def cmd_check(res, out_dir, command):
     prefix, (lo, hi), columns, sizes, trivial, measure = _CHECKS[command]
     Ns = sizes(res)
     _check_sizes(Ns, 1)  # the library's sizes check, also for the zero-noise path
-    kernel = build_kernel(res)
-    problem = build_problem(res, kernel)
-    tau_mix = _resolve_tau(res, kernel)
+    problem, tau_mix = _build_instance(res)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command.removeprefix('check-')}_{config_hash(res)}.csv")
     deviations = problem.noise_deviations()
@@ -570,13 +568,15 @@ def _build_parser():
         description="Mirror-descent/mirror-prox experiments under Markovian noise.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # each command takes only the flags it reads: any other exits 2 through argparse
     for name in ("run", "sweep", "diagnose-chain", *_CHECKS):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to dotted-key config")
-        sp.add_argument("--seed", default=None, help="comma-separated seed list override")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--stride", default=None, help="record every k-th iteration")
+        if name != "diagnose-chain":  # which writes its CSV to stdout
+            sp.add_argument("--seed", default=None, help="comma-separated seed list override")
+            sp.add_argument("--out", default=None, help="output directory")
+        if name in ("run", "sweep"):
+            sp.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
     return p
 
 
@@ -590,16 +590,14 @@ def main(argv=None):
             raise ConfigError(f"cannot read config: {e}") from None
         raw = parse_config_text(text)
         # the flags replace their config keys and are checked like them
-        for key, flag in (("seeds", args.seed), ("stride", args.stride), ("out", args.out)):
-            if flag is not None:
-                raw[key] = (flag, None)
-        res = resolve_config(raw, solve=args.command in ("run", "sweep"))
-        jobs = _count(args.jobs, "--jobs", 1)
-
-        if args.command == "run":
-            return cmd_run(res, jobs, res["out"])
-        if args.command == "sweep":
-            return cmd_sweep(res, jobs, res["out"])
+        for key, flag in (("seeds", "seed"), ("out", "out")):
+            if getattr(args, flag, None) is not None:
+                raw[key] = (getattr(args, flag), None)
+        solve = args.command in ("run", "sweep")
+        res = resolve_config(raw, solve=solve)
+        if solve:
+            jobs = _count(args.jobs, "--jobs", 1)
+            return (cmd_run if args.command == "run" else cmd_sweep)(res, jobs, res["out"])
         if args.command == "diagnose-chain":
             return cmd_diagnose_chain(res)
         return cmd_check(res, res["out"], args.command)

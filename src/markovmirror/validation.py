@@ -38,6 +38,7 @@ from .problems import _oracle
 __all__ = [
     "DEVIATION_SLOPE_WINDOW",
     "BIAS_SLOPE_WINDOW",
+    "PAIRING_RATIO_BOUND",
     "subopt_gap",
     "err_vi",
     "weak_vi_gap",
@@ -55,9 +56,10 @@ __all__ = [
 ]
 
 # pass bands: slope of log E||avg deviation||^2 vs log N; slope of
-# log bias^2 vs log M
+# log bias^2 vs log M; the largest pairing t-ratio unbiasedness_check may report
 DEVIATION_SLOPE_WINDOW = (-1.2, -0.8)
 BIAS_SLOPE_WINDOW = (-1.3, -0.7)
+PAIRING_RATIO_BOUND = 4.0
 
 # chain states the statistical calls read at once: unbiasedness_check advances
 # the cursor over whole trials of at most this many states (0.2 MB of oracle

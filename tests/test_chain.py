@@ -143,10 +143,9 @@ def test_blocked_stationary_equals_per_product_loop(n, seed, alpha):
         np.testing.assert_array_equal(pi, want)
 
 
-@pytest.mark.parametrize("first, cap", [(1, 1), (1, 2), (3, 5), (16, 4096)])
-def test_stationary_block_sizes_do_not_move_pi(dense8, monkeypatch, first, cap):
-    monkeypatch.setattr(chain, "_FIRST_BLOCK", first)
-    monkeypatch.setattr(chain, "_MAX_BLOCK", cap)
+@pytest.mark.parametrize("block", [1, 2, 5, 4096])
+def test_stationary_block_sizes_do_not_move_pi(dense8, monkeypatch, block):
+    monkeypatch.setattr(chain, "_BLOCK", block)
     kernel = make_lazy(dense8, 0.9)
     np.testing.assert_array_equal(stationary(kernel), per_product_stationary(kernel.P)[0])
 

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -213,7 +215,8 @@ def test_main_exits_2_with_one_line_on_a_fuzzed_bad_config(text, defect, at, und
             fh.write(data)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+            flags = [] if command == "diagnose-chain" else ["--out", os.path.join(tmp, "out")]
+            code = main([command, "--config", cfg, *flags])
         assert code == 2, err.getvalue()
         assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue() and out.getvalue() == ""
@@ -285,10 +288,10 @@ def test_run_on_a_chain_too_slow_for_power_iteration(tmp_path, capsys):
     assert "final gap" in capsys.readouterr().out
 
 
-def test_stride_flag_thins_rows(tmp_path):
-    cfg = write_config(tmp_path, RUN_CFG)
+def test_stride_key_thins_rows(tmp_path):
+    cfg = write_config(tmp_path, RUN_CFG.replace("stride = 1", "stride = 10"))
     out = tmp_path / "r2"
-    assert main(["run", "--config", cfg, "--out", str(out), "--stride", "10"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     files = [f for f in os.listdir(out) if f.startswith("run_") and "seed0" in f]
     _, _, rows = read_csv(out / files[0])
     assert [r[0] for r in rows] == ["10", "20", "30", "40"]
@@ -651,3 +654,50 @@ def test_check_lemma1_zero_batch_is_config_error(tmp_path, capsys):
     assert main(["check-lemma1", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "check.B must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# flags
+
+
+# the flags each command reads besides --config
+READS = {
+    "run": {"--seed", "--jobs", "--out"},
+    "sweep": {"--seed", "--jobs", "--out"},
+    "diagnose-chain": set(),
+    "check-lemma1": {"--seed", "--out"},
+    "check-lemma2": {"--seed", "--out"},
+}
+FLAG_VALUES = {"--seed": "0", "--jobs": "1", "--out": "out", "--stride": "10"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, reads in READS.items()
+                                           for f in sorted(FLAG_VALUES) if f not in reads])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, command, flag):
+    # such flags used to be taken and dropped: diagnose-chain --out d exited 0 and made no d
+    monkeypatch.chdir(tmp_path)  # the config's default out is "."
+    cfg = write_config(tmp_path, "problem.d = 2\nchain.n = 2\nT = 4\nsweep.T = 4\nseeds = 0\n"
+                       "check.N = 4 8\ncheck.M = 2 4\ncheck.trials = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err and captured.out == ""
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_readme_synopsis_lists_each_commands_flags():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    block = next(b for b in readme.split("```sh\n")[1:] if b.startswith("markovmirror "))
+    listed = {}
+    for line in block.split("```")[0].splitlines():
+        _, command, *rest = line.split()
+        listed[command] = set(re.findall(r"--[a-z-]+", " ".join(rest)))
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {flag for action in sp._actions for flag in action.option_strings}
+               - {"-h", "--help"} for name, sp in sub.choices.items()}
+    assert listed == defined
+    assert defined == {c: reads | {"--config"} for c, reads in READS.items()}

@@ -98,7 +98,9 @@ def run_case(name, workdir):
     cfg.write_text(text)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([command, "--config", str(cfg), "--out", str(out)])
+        # diagnose-chain writes to stdout and takes no --out
+        flags = [] if command == "diagnose-chain" else ["--out", str(out)]
+        code = main([command, "--config", str(cfg), *flags])
     files = {}
     if out.exists():
         files = {f: (out / f).read_text() for f in sorted(os.listdir(out))}

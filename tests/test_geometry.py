@@ -271,6 +271,31 @@ def test_prox_nonexpansive_on_random_triples(rng):
             assert prox_nonexpansive_check(geo, x, eta, zeta)
 
 
+def _scaled_duals(d):
+    """direction * 10^e with e in [-300, 300], one e for the vector or one per entry."""
+    exponents = st.one_of(st.integers(-300, 300).map(lambda e: np.full(d, e)),
+                          arrays(int, d, elements=st.integers(-300, 300)))
+    return st.builds(lambda direction, e: direction * 10.0**e,
+                     arrays(float, d, elements=st.floats(-1.0, 1.0)), exponents)
+
+
+@pytest.mark.parametrize("geo", all_geometries(), ids=lambda geo: f"{geo.kind}-{geo.d}")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_prox_nonexpansive_at_extreme_duals(geo, data):
+    # zeta drawn apart from eta, so magnitudes from 1e-300 to 1e300 meet in one pair,
+    # or as eta plus such a step, so that a huge dual meets its near neighbours
+    x = geo.project(data.draw(arrays(float, geo.d, elements=st.floats(-10.0, 10.0))))
+    eta, zeta = data.draw(_scaled_duals(geo.d)), data.draw(_scaled_duals(geo.d))
+    if data.draw(st.booleans()):
+        zeta = eta + zeta
+    with np.errstate(over="ignore"):
+        lhs = geo.norm_pair.norm(geo.prox(x, eta) - geo.prox(x, zeta))
+        rhs = geo.norm_pair.dual_norm(eta - zeta) * (1 + 1e-12) + 1e-12
+    assume(np.isfinite(rhs))
+    assert lhs <= rhs
+
+
 def test_prox_nonexpansive_trivial_cases():
     box = BoxGeometry(3)
     x = box.center()

@@ -22,6 +22,7 @@ from markovmirror import (
     make_vi_instance,
     matching_pennies,
     mixing_time,
+    random_ergodic,
     rate_fit,
     stationary,
     subopt_gap,
@@ -203,6 +204,52 @@ def test_deviation_scaling_equals_per_step_loop(dense8, monkeypatch, budget, n_t
     np.testing.assert_array_equal(rep.mean, mean)
     np.testing.assert_array_equal(rep.se, se)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def exact_deviation_law(kernel, deviations, Ns):
+    """Reference: E||(1/N) sum_{i<=N} Delta(z_i)||_2^2 from a stationary start, exactly.
+
+    Lemma 1's law for a Euclidean dual norm: (N c_0 + 2 sum_{k<N} (N - k) c_k) / N^2,
+    with c_k = sum_z pi_z <Delta_z, (P^k Delta)_z> and Delta centred under pi; one
+    matrix product per lag.
+    """
+    pi = stationary(kernel)
+    centered = deviations - pi @ deviations
+    c = np.empty(max(Ns))
+    lagged = centered
+    for k in range(c.size):
+        c[k] = pi @ np.einsum("zj,zj->z", centered, lagged)
+        lagged = kernel.P @ lagged
+    return np.array([(N * c[0] + 2 * (np.arange(N - 1, 0, -1) @ c[1:N])) / N**2 for N in Ns])
+
+
+# a cell's mean is judged within 4 standard errors of the exact law: P(|z| > 4) is 6.3e-5
+# for a normal mean, so at most 18 cells fail a run at a fresh seed with chance <= 1.2e-3
+EXACT_Z = 4.0
+
+
+@pytest.mark.parametrize("target_tau", [6, 12])
+def test_deviation_scaling_cells_match_the_exact_law(target_tau):
+    # acceptance check 4's calls: its instance, chains, sizes, trials and seed
+    base = random_ergodic(8, seed=3)
+    p = make_min_instance(6, base, noise_scale=1.0, seed=0)
+    kernel, _, _ = lazy_for_mixing_time(base, target_tau)
+    Ns = [2**k for k in range(4, 13)]
+    rep = deviation_scaling(kernel, p.noise_deviations(), p.geometry.norm_pair, Ns, 2000,
+                            np.random.default_rng(7))
+    exact = exact_deviation_law(kernel, p.noise_deviations(), Ns)
+    assert np.all(np.abs(rep.mean - exact) <= EXACT_Z * rep.se)
+
+
+def test_deviation_scaling_on_a_chain_with_zero_entries_matches_the_exact_law():
+    # a 3-cycle with self-loops: every row has a zero, and no step may take it
+    kernel = TransitionKernel([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    dev = np.random.default_rng(1).normal(size=(3, 2))
+    dev -= stationary(kernel) @ dev
+    Ns = [4, 16, 64, 256]
+    rep = deviation_scaling(kernel, dev, BoxGeometry(2).norm_pair, Ns, 2000,
+                            np.random.default_rng(0))
+    assert np.all(np.abs(rep.mean - exact_deviation_law(kernel, dev, Ns)) <= EXACT_Z * rep.se)
 
 
 def test_deviation_scaling_input_checks(dense8, rng):
