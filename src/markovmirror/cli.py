@@ -74,7 +74,6 @@ class _Method(NamedTuple):
 
     solver: str
     factory: str          # (L, D, sigma, tau_mix, T) -> schedule or stepsize
-    schedule_key: str     # config key an explicit schedule is read from
     batched: bool         # factory also returns an MlmcConfig; solver also takes a level rng
     gradient: bool        # needs a gradient oracle, so problem.kind = quadratic
     tau_keywords: tuple = ()  # solver keywords that take the resolved mixing time
@@ -83,11 +82,10 @@ class _Method(NamedTuple):
 # solvers and factories are looked up by name at call time, so rebinding
 # a module attribute (as a tracer does) reaches the CLI too
 _METHODS = {
-    "mamd": _Method("mamd_unbatched", "mamd_unbatched_schedule", "schedule.c", False, True),
-    "mamd-batched": _Method("mamd_batched", "mamd_batched_schedule", "schedule.c", True, True),
-    "mmp": _Method("mmp_unbatched", "mmp_unbatched_stepsize", "schedule.gamma", False, False,
-                   ("avg_start",)),
-    "mmp-batched": _Method("mmp_batched", "mmp_batched_params", "schedule.gamma", True, False),
+    "mamd": _Method("mamd_unbatched", "mamd_unbatched_schedule", False, True),
+    "mamd-batched": _Method("mamd_batched", "mamd_batched_schedule", True, True),
+    "mmp": _Method("mmp_unbatched", "mmp_unbatched_stepsize", False, False, ("avg_start",)),
+    "mmp-batched": _Method("mmp_batched", "mmp_batched_params", True, False),
 }
 
 
@@ -166,23 +164,18 @@ _SCHEMA = {
     "chain.seed": ("int", 0, ">= 0"),
     "chain.laziness": ("float", 0.0, ">= 0", "< 1"),
     "chain.tau_mix": ("int", None, ">= 1"),
-    "algorithm": ((*_METHODS, "synthetic"), "mamd-batched"),
-    "schedule.source": (("auto", "explicit"), "auto"),
-    "schedule.gamma": ("float", None),
-    "schedule.c": ("float", None),
+    "algorithm": (tuple(_METHODS), "mamd-batched"),
+    # mmp's gamma or mamd's c in MamdSchedule(c, tau), replacing the factory's when set
+    "stepsize": ("float", None),
     "T": ("int", 256, ">= 1"),
     "B": ("int", None, ">= 1"),
     "M": ("int", None, ">= 1"),
     "seeds": ("ints", [0], ">= 0"),
     "stride": ("int", 1, ">= 1"),
-    "out": ("str", "."),
-    "metrics": (("gap", "none"), "gap"),
     "sweep.T": ("ints", [64, 128, 256, 512, 1024], ">= 1"),
     "check.N": ("ints", [2**k for k in range(4, 13)], ">= 1"),
     "check.trials": ("int", 2000),
     "check.M": ("ints", [4, 16, 64, 256], ">= 1"),
-    "check.B": ("int", 1, ">= 1"),
-    "synthetic.exponent": ("float", -2.0),
 }
 
 _PARSERS = {"int": _parse_int, "float": _parse_float, "ints": _parse_int_list,
@@ -205,8 +198,7 @@ def _parse(key, value, line):
         if value not in kind:
             raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {value!r}", line=line)
         return value
-    if kind in _PARSERS:
-        value = _PARSERS[kind](value, key, line)
+    value = _PARSERS[kind](value, key, line)
     if rules and not all(_obeys(v, rules) for v in (value if kind == "ints" else [value])):
         raise ConfigError(f"{key}{' entries' if kind == 'ints' else ''} must be "
                           f"{'finite and ' if kind == 'float' else ''}{' and '.join(rules)}",
@@ -228,13 +220,10 @@ def resolve_config(raw, solve=False):
         return raw.get(key, (None, None))[1]
 
     alg = res["algorithm"]
-    method = _METHODS.get(alg)  # None for synthetic
-    if solve and method and method.gradient and res["problem.kind"] != "quadratic":
+    if solve and _METHODS[alg].gradient and res["problem.kind"] != "quadratic":
         # the default algorithm is mamd-batched, so the algorithm line may be absent
         raise ConfigError(f"algorithm {alg} needs problem.kind = quadratic",
                           line=line("algorithm") or line("problem.kind"))
-    if res["schedule.source"] == "explicit" and method and res[method.schedule_key] is None:
-        raise ConfigError(f"schedule.source = explicit needs {method.schedule_key} for {alg}")
     kind, blocks = res["problem.kind"], res["problem.blocks"]
     equal = kind == "matching-pennies"  # a square game: both players have the same strategies
     if kind != "quadratic" and (len(blocks) != 2 or equal and blocks[0] != blocks[1]):
@@ -254,12 +243,7 @@ def _fmt_value(v):
 
 
 def _echo_items(res):
-    items = []
-    for key in sorted(res):
-        if key == "out" or res[key] is None:
-            continue
-        items.append((key, _fmt_value(res[key])))
-    return items
+    return [(key, _fmt_value(res[key])) for key in sorted(res) if res[key] is not None]
 
 
 def config_hash(res):
@@ -309,9 +293,7 @@ def build_problem(res, kernel):
     )
 
 
-def _gap_fn(res, problem):
-    if res["metrics"] == "none":
-        return None
+def _gap_fn(problem):
     if problem.is_minimization:
         return lambda x: subopt_gap(problem, x)
     return lambda x: err_vi(problem, x)
@@ -342,12 +324,12 @@ def _run_solver(res, problem, tau_mix, seed, stride):
         batch = (MlmcConfig(B=mlmc.B if res["B"] is None else res["B"],
                             M=mlmc.M if res["M"] is None else res["M"]),
                  np.random.default_rng(level_seq))
-    if res["schedule.source"] == "explicit":
-        value = res[method.schedule_key]
-        schedule = MamdSchedule(value, schedule.tau) if method.gradient else value
+    step = res["stepsize"]
+    if step is not None:
+        schedule = MamdSchedule(step, schedule.tau) if method.gradient else step
     cursor = ChainCursor(problem.kernel, np.random.default_rng(chain_seq), start="stationary")
     return getattr(solvers, method.solver)(
-        problem, schedule, cursor, T, *batch, gap_fn=_gap_fn(res, problem), stride=stride,
+        problem, schedule, cursor, T, *batch, gap_fn=_gap_fn(problem), stride=stride,
         **dict.fromkeys(method.tau_keywords, tau_mix))
 
 
@@ -391,8 +373,6 @@ def _worker_run(payload):
     Rows are recorded at `stride`; None records only the row at T.
     """
     res, seed, T, stride, problem, tau_mix = payload
-    if res["algorithm"] == "synthetic":
-        return [(T, T, T, float(T) ** res["synthetic.exponent"], 0.0)]
     return _record_rows(_run_solver(dict(res, T=T), problem, tau_mix, seed, stride),
                         _deterministic())
 
@@ -438,9 +418,6 @@ def cmd_run(res, jobs, out_dir):
 
 
 def cmd_sweep(res, jobs, out_dir):
-    if res["metrics"] == "none" and res["algorithm"] != "synthetic":
-        # without a gap metric every cell's final gap is NaN, which no rate fits
-        raise ConfigError("sweep fits a rate to the final gaps, so it needs metrics = gap")
     problem, tau_mix = _build_instance(res)
     h = config_hash(res)
     grid = sorted(set(res["sweep.T"]))
@@ -508,7 +485,7 @@ def _lemma2(res, problem, deviations, Ns, lo, hi):
     pairing = unbiasedness_check(
         problem,
         problem.geometry.center(),
-        MlmcConfig(B=res["check.B"], M=max(res["check.M"])),
+        MlmcConfig(M=max(res["check.M"])),
         res["check.trials"],
         np.random.default_rng(res["seeds"][0]),
     )
@@ -525,22 +502,20 @@ def _lemma2(res, problem, deviations, Ns, lo, hi):
                              f"(<= {PAIRING_RATIO_BOUND:g})")
 
 
-# command: (header prefix, slope window, columns, sample sizes, zero-noise summary,
-# measure(res, problem, deviations, sizes, lo, hi) -> (header extra, rows, ok, summary))
+# command: (header prefix, slope window, columns, config key of the sample sizes, zero-noise
+# summary, measure(res, problem, deviations, sizes, lo, hi) -> (header extra, rows, ok, summary))
 _CHECKS = {
-    "check-lemma1": ("deviation", DEVIATION_SLOPE_WINDOW, ("N", "mean", "se"),
-                     lambda res: res["check.N"], "zero-noise deviations are identically zero",
-                     _lemma1),
-    "check-lemma2": ("bias", BIAS_SLOPE_WINDOW, ("N", "bias_sq"),
-                     lambda res: [int(m) * res["check.B"] for m in res["check.M"]],
+    "check-lemma1": ("deviation", DEVIATION_SLOPE_WINDOW, ("N", "mean", "se"), "check.N",
+                     "zero-noise deviations are identically zero", _lemma1),
+    "check-lemma2": ("bias", BIAS_SLOPE_WINDOW, ("N", "bias_sq"), "check.M",
                      "zero-noise estimates are exact", _lemma2),
 }
 
 
 def cmd_check(res, out_dir, command):
     """One check command: its CSV and a PASS/FAIL line; exit 1 outside the window."""
-    prefix, (lo, hi), columns, sizes, trivial, measure = _CHECKS[command]
-    Ns = sizes(res)
+    prefix, (lo, hi), columns, size_key, trivial, measure = _CHECKS[command]
+    Ns = res[size_key]
     _check_sizes(Ns, 1)  # the library's sizes check, also for the zero-noise path
     problem, tau_mix = _build_instance(res)
     os.makedirs(out_dir, exist_ok=True)
@@ -574,7 +549,7 @@ def _build_parser():
         sp.add_argument("--config", required=True, help="path to dotted-key config")
         if name != "diagnose-chain":  # which writes its CSV to stdout
             sp.add_argument("--seed", default=None, help="comma-separated seed list override")
-            sp.add_argument("--out", default=None, help="output directory")
+            sp.add_argument("--out", default=".", help="output directory")
         if name in ("run", "sweep"):
             sp.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
     return p
@@ -589,18 +564,17 @@ def main(argv=None):
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}") from None
         raw = parse_config_text(text)
-        # the flags replace their config keys and are checked like them
-        for key, flag in (("seeds", "seed"), ("out", "out")):
-            if getattr(args, flag, None) is not None:
-                raw[key] = (getattr(args, flag), None)
+        # --seed replaces the seeds key and is checked like it
+        if getattr(args, "seed", None) is not None:
+            raw["seeds"] = (args.seed, None)
         solve = args.command in ("run", "sweep")
         res = resolve_config(raw, solve=solve)
         if solve:
             jobs = _count(args.jobs, "--jobs", 1)
-            return (cmd_run if args.command == "run" else cmd_sweep)(res, jobs, res["out"])
+            return (cmd_run if args.command == "run" else cmd_sweep)(res, jobs, args.out)
         if args.command == "diagnose-chain":
             return cmd_diagnose_chain(res)
-        return cmd_check(res, res["out"], args.command)
+        return cmd_check(res, args.out, args.command)
     except ErgodicityError as e:
         print(f"ergodicity error: {e}", file=sys.stderr)
         return 4

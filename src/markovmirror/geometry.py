@@ -46,6 +46,25 @@ def dual_exponent(p):
     return p / (p - 1.0)
 
 
+def _by_largest(v):
+    """v divided by its largest entry in size."""
+    return v / np.max(np.abs(v))
+
+
+def _norm(v, ord, axis):
+    """np.linalg.norm(v, ord, axis), save where that overflowed for a finite v, or a finite
+    row of v for axis=1: there it is max|v| * ||v / max|v|||, as a double allows."""
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(v, ord=ord, axis=axis)
+        if np.all(np.isfinite(out)):
+            return out
+        rows = np.atleast_2d(np.asarray(v, dtype=float))  # for axis=None, v is the one row
+        fixed = np.array(out, dtype=float, ndmin=1)
+        for i in np.flatnonzero(~np.isfinite(fixed) & np.all(np.isfinite(rows), axis=1)):
+            fixed[i] = np.max(np.abs(rows[i])) * np.linalg.norm(_by_largest(rows[i]), ord=ord)
+        return fixed if np.ndim(out) else fixed[0]
+
+
 class NormPair:
     """Primal exponent p in [1, 2] together with its dual exponent q."""
 
@@ -56,10 +75,10 @@ class NormPair:
         self.q = dual_exponent(p)
 
     def norm(self, v, axis=None):
-        return np.linalg.norm(v, ord=self.p, axis=axis)
+        return _norm(v, self.p, axis)
 
     def dual_norm(self, v, axis=None):
-        return np.linalg.norm(v, ord=self.q, axis=axis)
+        return _norm(v, self.q, axis)
 
     def __repr__(self):
         return f"NormPair(p={self.p})"
@@ -286,7 +305,7 @@ class BallGeometry(_EuclideanGeometry):
         """The sphere point in the direction of `off`, whose norm is r."""
         if not math.isfinite(r):
             # the norm of a finite vector overflowed; scale it down first
-            off = off / np.max(np.abs(off))
+            off = _by_largest(off)
             r = np.linalg.norm(off)
         return off * (self.radius / r)
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import os
@@ -6,13 +7,15 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovmirror import cli, mamd_batched_schedule, mamd_unbatched_schedule
+from markovmirror import (cli, mamd_batched_schedule, mamd_unbatched_schedule, mmp_batched_params,
+                          mmp_unbatched_stepsize, rate_fit)
 from markovmirror.cli import (_SCHEMA, _resolve_tau, build_kernel, build_problem, config_hash,
                               main, parse_config_text, resolve_config)
 from markovmirror.errors import ConfigError
@@ -73,6 +76,23 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "T = 10\nproblem.dims = 4\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "problem.dims" in capsys.readouterr().err
+
+
+# keys the schema no longer has, each with a value it took and a command that read it
+DELETED_KEYS = [("schedule.source = explicit", "run"), ("schedule.c = 0.01", "run"),
+                ("schedule.gamma = 0.05", "run"), ("synthetic.exponent = -2", "sweep"),
+                ("metrics = none", "sweep"), ("check.B = 1", "check-lemma2"),
+                ("out = results", "check-lemma1")]
+
+
+@pytest.mark.parametrize("line, command", DELETED_KEYS)
+def test_a_deleted_key_exits_2_as_unknown(tmp_path, capsys, line, command):
+    cfg = write_config(tmp_path, f"T = 8\n{line}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    key = line.partition(" = ")[0]
+    assert captured.err == f"config error: config line 2: unknown key {key!r}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_bad_enum_value_rejected(tmp_path, capsys):
@@ -200,7 +220,8 @@ def test_fuzzed_config_resolves_or_raises_config_error(text, solve):
 @settings(max_examples=150, deadline=None)
 @given(text=fuzz_configs(),
        defect=st.sampled_from(["problem.dims = 4", "T = 1\nT = 2", "chain.n 8", "T = junk",
-                               "chain.n = 1/2", "problem.noise = nan", "metrics = all"]),
+                               "chain.n = 1/2", "problem.noise = nan",
+                               "algorithm = synthetic"]),
        at=st.integers(0, 8), undecodable=st.booleans(),
        command=st.sampled_from(["run", "sweep", "diagnose-chain", "check-lemma1", "check-lemma2"]))
 def test_main_exits_2_with_one_line_on_a_fuzzed_bad_config(text, defect, at, undecodable, command):
@@ -369,44 +390,51 @@ def test_all_algorithms_run(tmp_path):
         assert any(f.startswith("run_") for f in os.listdir(out))
 
 
-def _factory_c(text):
+# the stepsize each algorithm's factory picks: c of its MamdSchedule for mamd, gamma for mmp
+FACTORY_STEPS = {
+    "mamd": lambda *args: mamd_unbatched_schedule(*args).c,
+    "mamd-batched": lambda *args: mamd_batched_schedule(*args)[0].c,
+    "mmp": mmp_unbatched_stepsize,
+    "mmp-batched": lambda *args: mmp_batched_params(*args)[0],
+}
+
+
+def _factory_step(text):
     res = resolve_config(parse_config_text(text))
     kernel = build_kernel(res)
     problem = build_problem(res, kernel)
     D = float(np.sqrt(problem.geometry.diameter_sq()))
     args = (problem.L, D, problem.sigma, _resolve_tau(res, kernel), res["T"])
-    if res["algorithm"] == "mamd":
-        return mamd_unbatched_schedule(*args).c, problem.L
-    return mamd_batched_schedule(*args)[0].c, problem.L
+    return FACTORY_STEPS[res["algorithm"]](*args), problem.L
 
 
-def _without_schedule_echo(path):
+def _without_stepsize_echo(path):
     with open(path, "rb") as fh:
         return [l for l in fh.read().splitlines(keepends=True)
-                if not l.startswith(b"# schedule.")]
+                if not l.startswith(b"# stepsize = ")]
 
 
-@pytest.mark.parametrize("algo", ["mamd", "mamd-batched"])
-def test_explicit_schedule_matches_auto(tmp_path, monkeypatch, algo):
+@pytest.mark.parametrize("algo", sorted(FACTORY_STEPS))
+def test_explicit_stepsize_matches_auto(tmp_path, monkeypatch, algo):
     monkeypatch.setenv("MM_DETERMINISTIC", "1")
     auto = RUN_CFG.replace("algorithm = mamd-batched", f"algorithm = {algo}")
-    c, _ = _factory_c(auto)
-    explicit = auto + f"schedule.source = explicit\nschedule.c = {c!r}\n"
+    step, _ = _factory_step(auto)
+    explicit = auto + f"stepsize = {step!r}\n"
     outs = {}
     for name, text in (("auto", auto), ("explicit", explicit)):
         cfg = write_config(tmp_path, text, name=f"{name}.cfg")
         out = tmp_path / name
         assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
         outs[name] = out / [f for f in os.listdir(out) if f.startswith("run_")][0]
-    # the two configs differ only in the echoed schedule keys
-    assert _without_schedule_echo(outs["auto"]) == _without_schedule_echo(outs["explicit"])
+    # the two configs differ only in the echoed stepsize
+    assert _without_stepsize_echo(outs["auto"]) == _without_stepsize_echo(outs["explicit"])
 
 
-@pytest.mark.parametrize("algo", ["mamd", "mamd-batched"])
-def test_explicit_schedule_above_cap_is_config_error(tmp_path, capsys, algo):
+@pytest.mark.parametrize("algo", sorted(FACTORY_STEPS))
+def test_explicit_stepsize_above_cap_is_config_error(tmp_path, capsys, algo):
     auto = RUN_CFG.replace("algorithm = mamd-batched", f"algorithm = {algo}")
-    _, L = _factory_c(auto)
-    cfg = write_config(tmp_path, auto + f"schedule.source = explicit\nschedule.c = {0.6 / L!r}\n")
+    _, L = _factory_step(auto)
+    cfg = write_config(tmp_path, auto + f"stepsize = {0.6 / L!r}\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
     assert "exceeds 1/(2 L)" in capsys.readouterr().err
 
@@ -429,22 +457,24 @@ def test_game_problem_runs_with_vi_gap(tmp_path):
 # sweep
 
 
-def test_synthetic_sweep_recovers_exponent(tmp_path, capsys):
+@pytest.mark.parametrize("seeds", ["0", "0 1 2"])
+def test_sweep_slope_is_the_rate_fit_of_its_own_rows(tmp_path, capsys, seeds):
+    # one seed fits the final gaps, several fit their per-T medians: both are gap_median
     cfg = write_config(
         tmp_path,
-        "algorithm = synthetic\nsynthetic.exponent = -2.0\n"
-        "sweep.T = 64 128 256 512\nseeds = 0\n",
+        "problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\nalgorithm = mamd-batched\n"
+        f"sweep.T = 16 32 64 128\nseeds = {seeds}\n",
     )
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    res = resolve_config(parse_config_text((tmp_path / "run.cfg").read_text()))
     files = [f for f in os.listdir(out) if f.startswith("sweep_")]
     header, columns, rows = read_csv(out / files[0])
     assert columns == ["T", "oracle_calls", "gap_median", "gap_q25", "gap_q75"]
-    assert [r[0] for r in rows] == ["64", "128", "256", "512"]
-    slope_line = [l for l in header if l.startswith("# rate.slope = ")][0]
-    assert float(slope_line.split("=")[1]) == pytest.approx(-2.0, abs=1e-9)
-    assert "slope = -2" in capsys.readouterr().out
+    assert [r[0] for r in rows] == ["16", "32", "64", "128"]
+    slope = float([l for l in header if l.startswith("# rate.slope = ")][0].split("=")[1])
+    fit = rate_fit([float(r[0]) for r in rows], [float(r[2]) for r in rows])
+    assert slope == fit.slope
+    assert f"slope = {fit.slope:.6g}" in capsys.readouterr().out
 
 
 def test_sweep_with_multiple_seeds_reports_ci(tmp_path):
@@ -458,31 +488,6 @@ def test_sweep_with_multiple_seeds_reports_ci(tmp_path):
     files = [f for f in os.listdir(out) if f.startswith("sweep_")]
     header, _, _ = read_csv(out / files[0])
     assert any(l.startswith("# rate.ci = ") for l in header)
-
-
-def _no_cell(payload):
-    raise AssertionError("a sweep cell ran")
-
-
-def test_sweep_without_metrics_exits_2_naming_the_gap(tmp_path, capsys, monkeypatch):
-    # with metrics = none every final gap would be NaN, which no rate fits:
-    # the config is rejected before any sweep cell runs
-    monkeypatch.setattr(cli, "_worker_run", _no_cell)
-    cfg = write_config(
-        tmp_path,
-        "problem.d = 3\nchain.n = 4\nalgorithm = mamd-batched\nmetrics = none\n"
-        "sweep.T = 16 32\nseeds = 0\n",
-    )
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 2
-    err = capsys.readouterr().err
-    assert "sweep fits a rate to the final gaps, so it needs metrics = gap" in err
-    assert not (tmp_path / "sw").exists()
-
-
-def test_synthetic_sweep_needs_no_metrics(tmp_path):
-    # the synthetic algorithm's gaps are T^exponent whatever the metric
-    cfg = write_config(tmp_path, "algorithm = synthetic\nmetrics = none\nsweep.T = 16 32 64\n")
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
 
 
 def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
@@ -570,7 +575,6 @@ chain.n = 8
 chain.seed = 1
 chain.laziness = 0.97
 check.M = 4 16 64 256
-check.B = 1
 check.trials = 1500
 """
 
@@ -627,7 +631,8 @@ def test_check_lemma2_fast_chain_leaves_window(tmp_path, capsys):
 # console entry point
 
 
-def test_console_script_installed(tmp_path):
+def test_imported_main_runs_in_a_fresh_interpreter(tmp_path):
+    # imports cli.main only; CI runs the installed console script itself
     cfg = write_config(tmp_path, "chain.matrix = 0.9 0.1; 0.2 0.8\n")
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -646,13 +651,6 @@ def test_check_lemma2_repeated_cap_is_config_error(tmp_path, capsys, noise):
                        .replace("problem.noise = 1.0", f"problem.noise = {noise}"))
     assert main(["check-lemma2", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "distinct positive lengths" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_check_lemma1_zero_batch_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, LEMMA1_CFG + "check.B = 0\n")
-    assert main(["check-lemma1", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "check.B must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -686,10 +684,11 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_synopsis_lists_each_commands_flags():
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as fh:
-        readme = fh.read()
+    readme = README.read_text(encoding="utf-8")
     block = next(b for b in readme.split("```sh\n")[1:] if b.startswith("markovmirror "))
     listed = {}
     for line in block.split("```")[0].splitlines():
@@ -701,3 +700,26 @@ def test_readme_synopsis_lists_each_commands_flags():
                - {"-h", "--help"} for name, sp in sub.choices.items()}
     assert listed == defined
     assert defined == {c: reads | {"--config"} for c, reads in READS.items()}
+
+
+# ---------------------------------------------------------------------------
+# config keys
+
+
+def _res_reads(path):
+    """The keys a file reads as `res["key"]`."""
+    return {node.slice.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "res" and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_config_key_is_read_by_a_command():
+    # a key that no command reads is an option that does nothing
+    size_keys = {size_key for _, _, _, size_key, *_ in cli._CHECKS.values()}
+    assert _res_reads(Path(cli.__file__)) | size_keys == set(_SCHEMA)
+
+
+def test_readme_config_table_lists_each_schema_key():
+    section = README.read_text(encoding="utf-8").split("### Config keys\n")[1].split("\n#")[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert sorted(keys) == sorted(_SCHEMA) and len(keys) == len(_SCHEMA)

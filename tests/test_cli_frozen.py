@@ -73,15 +73,12 @@ CASES = {
     "run-mmp": ("run", GAME + "algorithm = mmp\n"),
     "run-mmp-batched": ("run", PENNIES + "algorithm = mmp-batched\n"),
     "run-mmp-ball": ("run", QUAD.replace("= box", "= ball") + "algorithm = mmp\n"),
-    "run-explicit-c": ("run", QUAD + "algorithm = mamd-batched\n"
-                       "schedule.source = explicit\nschedule.c = 0.01\n"),
-    "run-explicit-gamma": ("run", GAME + "algorithm = mmp-batched\n"
-                           "schedule.source = explicit\nschedule.gamma = 0.05\n"),
+    "run-explicit-c": ("run", QUAD + "algorithm = mamd-batched\nstepsize = 0.01\n"),
+    "run-explicit-gamma": ("run", GAME + "algorithm = mmp-batched\nstepsize = 0.05\n"),
     "sweep": ("sweep", QUAD.replace("seeds = 0 1\n", "") + "algorithm = mamd-batched\n"
               "sweep.T = 16 32 64\nseeds = 0 1 2\n"),
     "sweep-one-seed": ("sweep", GAME.replace("seeds = 0 1\n", "") + "algorithm = mmp\n"
                        "sweep.T = 32 64\nseeds = 3\n"),
-    "sweep-synthetic": ("sweep", "algorithm = synthetic\nsweep.T = 8 16 32\n"),
     "diagnose-chain": ("diagnose-chain", "chain.n = 5\nchain.seed = 2\nchain.laziness = 0.5\n"),
     "check-lemma1": ("check-lemma1", CHECK),
     "check-lemma1-zero-noise": ("check-lemma1", CHECK.replace("noise = 1.0", "noise = 0.0")),

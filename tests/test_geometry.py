@@ -292,8 +292,35 @@ def test_prox_nonexpansive_at_extreme_duals(geo, data):
     with np.errstate(over="ignore"):
         lhs = geo.norm_pair.norm(geo.prox(x, eta) - geo.prox(x, zeta))
         rhs = geo.norm_pair.dual_norm(eta - zeta) * (1 + 1e-12) + 1e-12
-    assume(np.isfinite(rhs))
+    assert np.isfinite(rhs)  # every entry of eta - zeta is at most 2e300 in size
     assert lhs <= rhs
+
+
+def test_norms_of_huge_finite_vectors_stay_finite():
+    # the Euclidean norm used to be sqrt(v . v), which overflows to inf for |v| past 1.3e154
+    euclid, l1 = NormPair(2), NormPair(1)
+    assert euclid.dual_norm([1e200, 0]) == 1e200
+    assert euclid.norm(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
+    assert l1.norm(np.array([1e308, -5e307])) == pytest.approx(1.5e308, rel=1e-15)
+    assert l1.dual_norm(np.array([1e308, -5e307])) == 1e308
+    rows = np.array([[3e200, 4e200], [3.0, 4.0], [np.inf, 0.0], [0.0, 0.0], [1e308, 1e308]])
+    got = euclid.dual_norm(rows, axis=1)
+    np.testing.assert_allclose(got[[0, 4]], [5e200, np.sqrt(2) * 1e308], rtol=1e-15)
+    assert got[1:4].tolist() == [5.0, np.inf, 0.0]
+    assert np.isnan(euclid.dual_norm(np.array([[np.nan, 1.0]]), axis=1)[0])
+    # a norm past the largest double is inf, with no overflow warning
+    assert l1.norm(np.array([1e308, 1e308])) == np.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                elements=st.floats(-1e100, 1e100)))
+def test_finite_norms_are_numpys_bit_for_bit(v):
+    # |entries| <= 1e100 keep numpy's own norms finite, q = 3 (cubes) included
+    for pair in (NormPair(1), NormPair(1.5), NormPair(2)):
+        for ord, norm in ((pair.p, pair.norm), (pair.q, pair.dual_norm)):
+            assert norm(v[0]) == np.linalg.norm(v[0], ord=ord)
+            assert norm(v, axis=1).tolist() == np.linalg.norm(v, ord=ord, axis=1).tolist()
 
 
 def test_prox_nonexpansive_trivial_cases():
