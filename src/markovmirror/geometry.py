@@ -268,6 +268,13 @@ class BoxGeometry(_EuclideanGeometry):
         return [np.array(c, dtype=float) for c in corners]
 
 
+def _ball_norm(v):
+    """np.linalg.norm(v), inf with no warning where that overflows for a finite v;
+    `_on_sphere` rescales such a v, and inf is past any radius."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v)
+
+
 class BallGeometry(_EuclideanGeometry):
     """Origin-centred Euclidean ball with the half-squared Euclidean mirror map (p = 2)."""
 
@@ -287,16 +294,16 @@ class BallGeometry(_EuclideanGeometry):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             return False
-        return bool(np.linalg.norm(x) <= self.radius + tol)
+        return bool(_ball_norm(x) <= self.radius + tol)
 
     def project(self, v):
         v = np.asarray(v, dtype=float)
-        r = np.linalg.norm(v)
+        r = _ball_norm(v)
         return v.copy() if r <= self.radius else self._on_sphere(v, r)
 
     def linear_argmax(self, coef):
         coef = self._check_point(coef, "coef")
-        r = np.linalg.norm(coef)
+        r = _ball_norm(coef)
         if r == 0.0:
             return self.center()
         return self._on_sphere(coef, r)

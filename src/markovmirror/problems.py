@@ -25,6 +25,10 @@ _REF_VI_TOL = 1e-9
 _SKEW_TOL = 1e-10
 # scale of a random game's linear term c, relative to its payoff entries
 _AFFINE_SCALE = 0.1
+# the game LP: pivots allowed per variable before it counts as failed, and its
+# pivot and ratio tolerance on the payoff scaled to [1, 2]
+_LP_PIVOTS_PER_VARIABLE = 50
+_LP_TOL = 1e-12
 
 
 def _operator_norm(M, p):
@@ -185,26 +189,50 @@ class ViProblem(_ShiftedProblem):
 
 
 def _solve_game_lp(G, c1, c2):
-    """Equilibrium of the zero-sum game with payoff G and linear terms: one LP and its duals."""
-    from scipy.optimize import linprog  # the library's only scipy use
+    """Equilibrium of the zero-sum game with payoff G and linear terms, by a tableau simplex.
 
+    With the linear terms folded in, the payoff M is shifted and scaled to
+    A in [1, 2] (von Neumann): x = p / sum(p) for the p >= 0 that maximizes
+    1'p subject to A'p <= 1, and y is the normalized dual q.  The slack
+    basis is feasible, so there is no phase 1, and Bland's rule (the
+    lowest index enters, the lowest basic index leaves a tie) keeps
+    degenerate games from cycling.  p and q come from solving the final
+    basis again, not from the tableau the pivots have rounded.
+    """
     d1, d2 = G.shape
     # linear terms fold into the payoff matrix on the product of simplexes
-    M = G + np.outer(c1, np.ones(d2)) - np.outer(np.ones(d1), c2)
-    # x minimizes max_j (M' x)_j; the duals of those d2 rows are the maximin y
-    res = linprog(
-        c=np.r_[np.zeros(d1), 1.0],
-        A_ub=np.hstack([M.T, -np.ones((d2, 1))]),
-        b_ub=np.zeros(d2),
-        A_eq=np.r_[np.ones(d1), 0.0][None, :],
-        b_eq=[1.0],
-        bounds=[(0, None)] * d1 + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
+    M = G + c1[:, None] - c2[None, :]
+    A = 1.0 + (M - M.min()) / ((M.max() - M.min()) or 1.0)
+    K = np.hstack([A.T, np.eye(d2)])  # A'p + s = 1, slacks s
+    # rows: the constraints, then the reduced costs of max 1'p; last column: the right side
+    T = np.zeros((d2 + 1, d1 + d2 + 1))
+    T[:d2, :-1] = K
+    T[:d2, -1] = 1.0
+    T[d2, :d1] = -1.0
+    basis = np.arange(d1, d1 + d2)
+    for _ in range(_LP_PIVOTS_PER_VARIABLE * (d1 + d2)):
+        entering = np.flatnonzero(T[d2, :-1] < -_LP_TOL)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        rows = np.flatnonzero(T[:d2, j] > _LP_TOL)
+        if rows.size == 0:  # unbounded, which a positive A rules out save by rounding
+            raise SolverError("game LP failed to solve")
+        ratios = T[rows, -1] / T[rows, j]
+        ties = rows[ratios <= ratios.min() + _LP_TOL]
+        r = ties[np.argmin(basis[ties])]
+        # one rank-1 update: row r divided by the pivot, column j cleared elsewhere
+        col = T[:, j].copy()
+        col[r] -= 1.0
+        T -= np.outer(col, T[r] / T[r, j])
+        basis[r] = j
+    else:
         raise SolverError("game LP failed to solve")
-    x = np.maximum(res.x[:d1], 0.0)
-    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    B = K[:, basis]
+    p = np.zeros(d1 + d2)
+    p[basis] = np.linalg.solve(B, np.ones(d2))
+    x = np.maximum(p[:d1], 0.0)
+    y = np.maximum(np.linalg.solve(B.T, (basis < d1).astype(float)), 0.0)
     return np.r_[x / x.sum(), y / y.sum()]
 
 

@@ -211,13 +211,11 @@ def test_ball_steps_of_huge_duals_reach_the_boundary(direction, exponent, radius
     assume(np.max(np.abs(direction)) >= 0.1)
     geo = BallGeometry(direction.size, radius=radius)
     xi = direction * 10.0**exponent
-    with np.errstate(over="ignore"):
-        out = geo.prox(geo.center(), xi)
+    out = geo.prox(geo.center(), xi)
     assert geo.contains(out)
     unit = direction / np.linalg.norm(direction)
     np.testing.assert_allclose(out, geo.center() - radius * unit, rtol=0, atol=1e-12)
-    with np.errstate(over="ignore"):
-        top = geo.linear_argmax(xi)
+    top = geo.linear_argmax(xi)
     np.testing.assert_allclose(top, geo.center() + radius * unit, rtol=0, atol=1e-12)
 
 
@@ -310,6 +308,20 @@ def test_norms_of_huge_finite_vectors_stay_finite():
     assert np.isnan(euclid.dual_norm(np.array([[np.nan, 1.0]]), axis=1)[0])
     # a norm past the largest double is inf, with no overflow warning
     assert l1.norm(np.array([1e308, 1e308])) == np.inf
+
+
+def test_ball_methods_take_huge_finite_vectors_without_overflow():
+    # np.linalg.norm([1e200, 0]) overflows in its dot, a RuntimeWarning the tests raise as an error
+    ball = BallGeometry(2, radius=2.0)
+    big = np.array([1e200, 0.0])
+    assert ball.project(big).tolist() == [2.0, 0.0]
+    assert not ball.contains(big)
+    assert ball.linear_argmax(-big).tolist() == [-2.0, 0.0]
+    assert ball.prox(ball.center(), big).tolist() == [-2.0, 0.0]
+    # below the overflow the same norm call decides, so the results are the same bits
+    v = np.array([3.0, 4.0])
+    assert ball.project(v).tolist() == (v * (2.0 / np.linalg.norm(v))).tolist()
+    assert ball.linear_argmax(v).tolist() == (v * (2.0 / np.linalg.norm(v))).tolist()
 
 
 @settings(max_examples=200, deadline=None)

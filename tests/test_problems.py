@@ -5,12 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from markovmirror import (
     BoxGeometry,
     ChainCursor,
     InputError,
     MinProblem,
+    SimplexGeometry,
+    SolverError,
+    TransitionKernel,
     ViProblem,
     err_vi,
     make_min_instance,
@@ -18,6 +24,8 @@ from markovmirror import (
     matching_pennies,
     stationary,
 )
+from markovmirror import problems
+from markovmirror.problems import _game, _solve_game_lp
 
 
 def zero_shifts(kernel, d):
@@ -104,13 +112,117 @@ def test_game_reference_accepts_floor_fold(two_state, seed, dims):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs most of a cold import; only the game LP needs it
+    # scipy.optimize would cost most of a cold import, and the library needs no scipy
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = "import sys, markovmirror; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the game LP
+
+TWO_STATE = TransitionKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+
+@st.composite
+def payoffs(draw):
+    """(G, c1, c2): a d1 x d2 payoff block, 2 <= d1, d2 <= 12, and its linear terms."""
+    d1, d2 = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["gaussian", "integer", "duplicate", "rank-one", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    halves = st.integers(-2, 2).map(lambda k: k / 2.0)  # small values, so payoffs tie
+    if kind in ("gaussian", "duplicate"):
+        G = rng.normal(size=(d1, d2))
+        c = 0.1 * rng.normal(size=d1 + d2)
+        if kind == "duplicate":
+            # row i of M = G + c1 1' - 1 c2' repeats row k, and column j column l
+            i, k = draw(st.integers(0, d1 - 1)), draw(st.integers(0, d1 - 1))
+            j, l = draw(st.integers(0, d2 - 1)), draw(st.integers(0, d2 - 1))
+            G[i], c[i] = G[k], c[k]
+            G[:, j], c[d1 + j] = G[:, l], c[d1 + l]
+    else:
+        c = draw(arrays(float, d1 + d2, elements=halves))
+        if kind == "integer":
+            G = draw(arrays(float, (d1, d2), elements=st.integers(-2, 2).map(float)))
+        elif kind == "rank-one":
+            G = np.outer(draw(arrays(float, d1, elements=halves)), rng.normal(size=d2))
+        else:
+            G = np.zeros((d1, d2))
+    return G, c[:d1], c[d1:]
+
+
+def _payoff(G, c1, c2):
+    return G + c1[:, None] - c2[None, :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=payoffs())
+def test_game_lp_returns_a_certified_equilibrium(game):
+    G, c1, c2 = game
+    d1, d2 = G.shape
+    z = _solve_game_lp(G, c1, c2)
+    assert z.shape == (d1 + d2,) and np.all(z >= 0.0)
+    for block in (z[:d1], z[d1:]):
+        assert abs(block.sum() - 1.0) <= 1e-14
+    p = _game(SimplexGeometry((d1, d2)), G, np.r_[c1, c2], TWO_STATE, 0.0, None, x_star=z)
+    assert err_vi(p, z) <= 1e-12 * max(1.0, np.max(np.abs(_payoff(G, c1, c2))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=payoffs())
+def test_game_lp_value_matches_highs(game):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    G, c1, c2 = game
+    d1, d2 = G.shape
+    M = _payoff(G, c1, c2)
+    # min over x on the simplex of t subject to M'x <= t
+    res = linprog(c=np.r_[np.zeros(d1), 1.0], A_ub=np.hstack([M.T, -np.ones((d2, 1))]),
+                  b_ub=np.zeros(d2), A_eq=np.r_[np.ones(d1), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0, None)] * d1 + [(None, None)], method="highs")
+    assert res.success
+    x = _solve_game_lp(G, c1, c2)[:d1]
+    assert abs(np.max(M.T @ x) - res.fun) <= 1e-12 * max(1.0, np.max(np.abs(M)))
+
+
+@pytest.mark.parametrize("G", [
+    np.roll(np.eye(5), 1, axis=1) - np.roll(np.eye(5), 1, axis=1).T,
+    np.array([[1.0, -1.0], [-1.0, 1.0]]),
+], ids=["cyclic-shift-5", "matching-pennies"])
+def test_game_lp_finds_the_unique_uniform_equilibrium(G):
+    # at odd n the cyclic shift's only equilibrium is uniform, as is matching pennies'
+    n = G.shape[0]
+    z = _solve_game_lp(G, np.zeros(n), np.zeros(n))
+    np.testing.assert_allclose(z, np.full(2 * n, 1.0 / n), rtol=0, atol=1e-15)
+
+
+def test_game_lp_past_its_pivot_cap_raises(two_state, monkeypatch):
+    monkeypatch.setattr(problems, "_LP_PIVOTS_PER_VARIABLE", 0)
+    with pytest.raises(SolverError, match="^game LP failed to solve$"):
+        make_vi_instance((3, 4), two_state, seed=1)
+
+
+def test_games_build_and_run_with_scipy_unimportable(tmp_path):
+    # the game LP is numpy alone: with every scipy import failing, a game builds and runs
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cfg = tmp_path / "game.cfg"
+    cfg.write_text("problem.kind = game\nproblem.blocks = 4 4\nproblem.noise = 0.3\n"
+                   "chain.n = 4\nalgorithm = mmp-batched\nT = 30\nseeds = 0\n")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from markovmirror import cli, err_vi, make_vi_instance, random_ergodic\n"
+        "p = make_vi_instance((4, 4), random_ergodic(4, seed=1), noise_scale=0.3, seed=3)\n"
+        "assert err_vi(p, p.x_star) <= 1e-9\n"
+        f"sys.exit(cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert any(f.startswith("run_") for f in os.listdir(tmp_path / "out"))
 
 
 def test_vi_monotonicity(two_state, rng):
