@@ -13,11 +13,11 @@ Configs are line-oriented dotted-key text::
 
 Every emitted CSV starts with `# key = value` lines echoing the fully
 resolved config plus the library version; floats print with 17
-significant digits so a reread is bit-exact.  Runs parallelize across
-seeds only (``--jobs``), and each seed draws from its own streams, so
-the job count does not change a row; setting ``MM_DETERMINISTIC=1``
-zeroes the wall_ms column so repeated invocations produce
-byte-identical files.
+significant digits so a reread is bit-exact.  ``run`` and ``sweep``
+spread their (T, seed) cells over ``--jobs`` worker processes, and each
+cell draws from its seed's own streams, so the job count does not
+change a row; setting ``MM_DETERMINISTIC=1`` zeroes the wall_ms column
+so repeated invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 check outside its acceptance window, 2 config
 error, 3 runtime error, 4 ergodicity failure, 5 insufficient
@@ -299,16 +299,11 @@ def _gap_fn(problem):
     return lambda x: err_vi(problem, x)
 
 
-def _resolve_tau(res, kernel):
-    if res["chain.tau_mix"] is not None:
-        return int(res["chain.tau_mix"])
-    return mixing_time(kernel)
-
-
 def _build_instance(res):
     """(problem, tau_mix) shared by every cell of a run or sweep, or read by a check."""
     kernel = build_kernel(res)
-    return build_problem(res, kernel), _resolve_tau(res, kernel)
+    tau_mix = res["chain.tau_mix"]
+    return build_problem(res, kernel), mixing_time(kernel) if tau_mix is None else tau_mix
 
 
 def _run_solver(res, problem, tau_mix, seed, stride):
@@ -357,31 +352,24 @@ def _header(res, tau_mix, extra=()):
     return items
 
 
-def _deterministic():
-    return os.environ.get("MM_DETERMINISTIC", "") == "1"
+def _worker_run(cell):
+    """Pool entry point: the RunRecord of one (T, seed) cell on the instance the command built."""
+    return _run_solver(*cell)
 
 
-def _record_rows(record, deterministic):
-    wall = np.zeros_like(record.wall_ms) if deterministic else record.wall_ms
-    columns = (record.t, record.oracle_calls, record.chain_steps, record.gap, wall)
-    return list(zip(*(c.tolist() for c in columns)))
+def _run_cells(res, grid, stride, jobs):
+    """(tau_mix, records): every (T, seed) cell of `grid` x seeds on one instance, T-major.
 
-
-def _worker_run(payload):
-    """Pool entry point: the CSV rows of one (seed, T) cell on the instance the command built.
-
-    Rows are recorded at `stride`; None records only the row at T.
+    Records are kept at `stride` (None keeps only the row at T).  Cells go
+    to a pool of `jobs` processes when there are at least two of each.
     """
-    res, seed, T, stride, problem, tau_mix = payload
-    return _record_rows(_run_solver(dict(res, T=T), problem, tau_mix, seed, stride),
-                        _deterministic())
-
-
-def _map_jobs(payloads, jobs):
-    if jobs <= 1 or len(payloads) <= 1:
-        return [_worker_run(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(_worker_run, payloads))
+    problem, tau_mix = _build_instance(res)
+    cells = [(dict(res, T=T), problem, tau_mix, seed, stride)
+             for T in grid for seed in res["seeds"]]
+    if jobs <= 1 or len(cells) <= 1:
+        return tau_mix, [_worker_run(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+        return tau_mix, list(pool.map(_worker_run, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +382,18 @@ def _quartiles(gaps):
 
 
 def cmd_run(res, jobs, out_dir):
-    problem, tau_mix = _build_instance(res)
+    tau_mix, records = _run_cells(res, [res["T"]], res["stride"], jobs)
     h = config_hash(res)
-    payloads = [(res, seed, res["T"], res["stride"], problem, tau_mix) for seed in res["seeds"]]
-    results = _map_jobs(payloads, jobs)
     os.makedirs(out_dir, exist_ok=True)
+    zero_wall = os.environ.get("MM_DETERMINISTIC", "") == "1"
     gaps = []
-    for seed, rows in zip(res["seeds"], results):
+    for seed, record in zip(res["seeds"], records):
+        if zero_wall:  # so that repeated runs write byte-identical files
+            record.wall_ms[:] = 0.0
+        rows = zip(*(getattr(record, name).tolist() for name in RUN_COLUMNS))
         path = os.path.join(out_dir, f"run_{h}_seed{seed}.csv")
         _write_csv(path, _header(res, tau_mix, [("seed", str(seed))]), RUN_COLUMNS, rows)
-        gaps.append(rows[-1][3])
+        gaps.append(record.gap[-1])
         print(f"seed {seed}: final gap = {gaps[-1]:.6g} -> {path}")
     gaps = np.asarray(gaps, dtype=float)
     summary = os.path.join(out_dir, f"summary_{h}.csv")
@@ -418,16 +408,14 @@ def cmd_run(res, jobs, out_dir):
 
 
 def cmd_sweep(res, jobs, out_dir):
-    problem, tau_mix = _build_instance(res)
-    h = config_hash(res)
     grid = sorted(set(res["sweep.T"]))
     # a sweep writes only each cell's final gap and calls: record the row at T alone
-    payloads = [(res, seed, T, None, problem, tau_mix) for T in grid for seed in res["seeds"]]
-    results = _map_jobs(payloads, jobs)
-    # results come back in payload order: one block of seeds per T
+    tau_mix, records = _run_cells(res, grid, None, jobs)
+    h = config_hash(res)
+    # one block of seeds per T
     shape = (len(grid), len(res["seeds"]))
-    gaps_by_T = np.array([rows[-1][3] for rows in results], dtype=float).reshape(shape)
-    calls_by_T = np.array([rows[-1][1] for rows in results]).reshape(shape)
+    gaps_by_T = np.array([record.gap[-1] for record in records]).reshape(shape)
+    calls_by_T = np.array([record.oracle_calls[-1] for record in records]).reshape(shape)
     rows = [(T, int(np.median(c)), *_quartiles(g)) for T, c, g in zip(grid, calls_by_T, gaps_by_T)]
     gap_matrix = gaps_by_T.T
     budgets = np.asarray(grid, dtype=float)
@@ -551,7 +539,7 @@ def _build_parser():
             sp.add_argument("--seed", default=None, help="comma-separated seed list override")
             sp.add_argument("--out", default=".", help="output directory")
         if name in ("run", "sweep"):
-            sp.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
+            sp.add_argument("--jobs", type=int, default=1, help="workers for the (T, seed) cells")
     return p
 
 

@@ -113,7 +113,7 @@ class _Recorder:
 
     def __init__(self, T, gap_fn, stride, keep_iterates):
         self.T = T
-        self.stride = None if stride is None else _count(stride, "stride", 1)
+        self.stride = T if stride is None else _count(stride, "stride", 1)
         self.gap_fn = gap_fn
         self.kept = [] if keep_iterates else None
         self.t0 = time.perf_counter()
@@ -123,7 +123,7 @@ class _Recorder:
         """After iteration t: keep `pair` if asked, record a row at the stride."""
         if self.kept is not None:
             self.kept.append((pair[0].copy(), pair[1].copy()))
-        if t != self.T and (self.stride is None or t % self.stride != 0):
+        if t != self.T and t % self.stride != 0:
             return
         if self.gap_fn is None or point is None:
             gap = np.nan
@@ -153,6 +153,16 @@ def _check_step(value, L, name):
     if value > 0.5 / L * (1 + 1e-9):
         raise ScheduleError(f"{name} = {value} exceeds 1/(2 L) = {0.5 / L}")
     return value
+
+
+def _check_chain(problem, cursor, level_rng=None):
+    """InputError unless `cursor` walks the problem's chain and `level_rng` is not its stream."""
+    walked, own = cursor.kernel, problem.kernel
+    if walked is not own and not np.array_equal(walked.P, own.P):
+        raise InputError(f"the cursor walks a {walked.n_states}-state chain that is not the "
+                         f"problem's {own.n_states}-state chain")
+    if level_rng is cursor.rng:
+        raise InputError("level_rng must be a stream of its own, not the cursor's")
 
 
 # The loops below start at the prox-center `geometry.center()`, the point
@@ -197,6 +207,7 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
     accelerated average x_f after T iterations.
     """
     T = _count(T, "T", 1)
+    _check_chain(problem, cursor)
     schedule.validate(problem.L)
     if T < schedule.tau:
         raise ScheduleError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
@@ -214,6 +225,7 @@ def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
     must be independent of the cursor's stream.
     """
     T = _count(T, "T", 1)
+    _check_chain(problem, cursor, level_rng)
     schedule.validate(problem.L)
     oracle = problem.grad_oracle
     rec = _Recorder(T, gap_fn, stride, keep_iterates)
@@ -255,6 +267,7 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
     evaluations but a single chain step.
     """
     T = _count(T, "T", 1)
+    _check_chain(problem, cursor)
     gamma = _check_step(gamma, float(problem.L), "gamma")
     if avg_start is None:
         avg_start = mixing_time(cursor.kernel)
@@ -281,6 +294,7 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
     half-step point.  Averages all half-step iterates from t = 0.
     """
     T = _count(T, "T", 1)
+    _check_chain(problem, cursor, level_rng)
     gamma = _check_step(gamma, float(problem.L), "gamma")
     oracle = _oracle(problem)
     rec = _Recorder(T, gap_fn, stride, keep_iterates)

@@ -147,7 +147,10 @@ class ScalingReport:
 
 
 def _check_centered(kernel, deviations):
-    """(pi, deviations minus their pi-mean) after checking that mean is ~0."""
+    """(pi, deviations minus their pi-mean) after checking one row per state and mean ~0."""
+    if deviations.ndim != 2 or len(deviations) != kernel.n_states:
+        raise InputError(f"deviations of shape {deviations.shape} need one row per state "
+                         f"of the kernel, whose P has shape {kernel.P.shape}")
     pi = stationary(kernel)
     drift = pi @ deviations
     worst = float(np.max(np.abs(drift))) if drift.size else 0.0

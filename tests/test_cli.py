@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from markovmirror import (cli, mamd_batched_schedule, mamd_unbatched_schedule, mmp_batched_params,
                           mmp_unbatched_stepsize, rate_fit)
-from markovmirror.cli import (_SCHEMA, _resolve_tau, build_kernel, build_problem, config_hash,
-                              main, parse_config_text, resolve_config)
+from markovmirror.cli import (_SCHEMA, _build_instance, config_hash, main, parse_config_text,
+                              resolve_config)
 from markovmirror.errors import ConfigError
 
 
@@ -401,10 +401,9 @@ FACTORY_STEPS = {
 
 def _factory_step(text):
     res = resolve_config(parse_config_text(text))
-    kernel = build_kernel(res)
-    problem = build_problem(res, kernel)
+    problem, tau_mix = _build_instance(res)
     D = float(np.sqrt(problem.geometry.diameter_sq()))
-    args = (problem.L, D, problem.sigma, _resolve_tau(res, kernel), res["T"])
+    args = (problem.L, D, problem.sigma, tau_mix, res["T"])
     return FACTORY_STEPS[res["algorithm"]](*args), problem.L
 
 

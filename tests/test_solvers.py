@@ -567,6 +567,39 @@ def _run_with_T(name, p, T):
     return mmp_batched(p, 0.5 / p.L, cursor, T, mlmc, level_rng)
 
 
+@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_cursor_on_another_chain_is_input_error_before_any_draw(dense8, name, n):
+    # a 5-state cursor used to run the 8-state problem to the end on the wrong shift
+    # rows, and a 12-state one to stop part way with numpy's IndexError
+    p = _boundary_problem(name, dense8)
+    cursor = ChainCursor(random_ergodic(n, seed=1), np.random.default_rng(0))
+    drawn = cursor.rng.bit_generator.state
+    with pytest.raises(InputError, match=f"{n}-state chain that is not the problem's 8-state"):
+        _short_run(name, p, cursor)
+    assert cursor.n_consumed == 0 and cursor.rng.bit_generator.state == drawn
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_cursor_on_an_equal_kernel_runs_the_same_run(dense8, name):
+    p = _boundary_problem(name, dense8)
+    twin = ChainCursor(random_ergodic(8, seed=7), np.random.default_rng(3))
+    assert twin.kernel is not p.kernel
+    np.testing.assert_array_equal(_short_run(name, p, twin).x_out,
+                                  _short_run(name, p, cursor_for(p, 3)).x_out)
+
+
+@pytest.mark.parametrize("name", ["mamd_batched", "mmp_batched"])
+def test_level_stream_shared_with_the_cursor_is_input_error(dense8, name):
+    # the levels used to be drawn from the cursor's own stream, interleaved with its states
+    p = _boundary_problem(name, dense8)
+    cursor, mlmc = cursor_for(p), MlmcConfig(1, 12)
+    step = MamdSchedule(0.5 / p.L) if name == "mamd_batched" else 0.5 / p.L
+    with pytest.raises(InputError, match="level_rng must be a stream of its own"):
+        getattr(solvers, name)(p, step, cursor, 12, mlmc, cursor.rng)
+    assert cursor.n_consumed == 0
+
+
 @pytest.mark.parametrize("T", [np.nan, np.inf, 2.7, 0, -3.0])
 @pytest.mark.parametrize("name", SOLVERS)
 def test_non_integral_or_non_finite_T_is_input_error(dense8, name, T):

@@ -284,6 +284,17 @@ def test_deviation_scaling_input_checks(dense8, rng):
         deviation_scaling(dense8, dev, geo.norm_pair, [4, 8], 10, rng)
 
 
+@pytest.mark.parametrize("rows", [5, 12])
+def test_deviations_need_one_row_per_state(dense8, rng, rows):
+    # 5 or 12 rows on the 8-state chain used to end in numpy's matmul ValueError
+    dev, norm_pair = np.zeros((rows, 2)), BoxGeometry(2).norm_pair
+    shapes = rf"shape \({rows}, 2\).*shape \(8, 8\)"
+    with pytest.raises(InputError, match=shapes):
+        deviation_scaling(dense8, dev, norm_pair, [4, 8], 10, rng)
+    with pytest.raises(InputError, match=shapes):
+        batch_bias_profile(dense8, dev, norm_pair, [4, 8])
+
+
 # ---------------------------------------------------------------------------
 # batch-mean bias
 
