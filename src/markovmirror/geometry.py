@@ -11,13 +11,12 @@ Public `prox` checks its arguments and then takes the closed-form
 `_step`, which checks nothing; the solvers start at `center()` and call
 `_step` directly.  Every geometry also carries a generic
 projected-gradient prox solver used to cross-check the closed forms,
-plus the linear-maximization and sampling helpers the validation layer
-needs.
+the linear maximization `err_vi` needs, and a sampler of feasible
+points for randomized checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -126,9 +125,6 @@ class Geometry:
     def sample(self, rng, n=None):
         """Draw a feasible point (or an (n, d) batch) for randomized checks."""
         raise NotImplementedError
-
-    def vertices(self):
-        raise GeometryError(f"{self.kind} geometry has no finite vertex list")
 
     def _mirror_grad(self, v):
         raise NotImplementedError
@@ -260,12 +256,6 @@ class BoxGeometry(_EuclideanGeometry):
     def sample(self, rng, n=None):
         size = (self.d,) if n is None else (n, self.d)
         return rng.uniform(self.lo, self.hi, size=size)
-
-    def vertices(self):
-        if self.d > 16:
-            raise GeometryError("box vertex enumeration capped at d = 16")
-        corners = itertools.product((self.lo, self.hi), repeat=self.d)
-        return [np.array(c, dtype=float) for c in corners]
 
 
 def _ball_norm(v):
@@ -439,9 +429,3 @@ class SimplexGeometry(Geometry):
         pts = np.hstack([rng.dirichlet(np.ones(b), size=m) for b in self.block_dims])
         pts = self.renormalize(pts)
         return pts[0] if n is None else pts
-
-    def vertices(self):
-        count = int(np.prod(self.block_dims))
-        if count > 4096:
-            raise GeometryError("vertex enumeration capped at 4096 combinations")
-        return [self._one_hot(combo) for combo in itertools.product(*map(range, self.block_dims))]

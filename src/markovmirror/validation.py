@@ -2,14 +2,13 @@
 
 Three groups of tools:
 
-* exact error metrics for solver output (`subopt_gap`, `err_vi`,
-  `weak_vi_gap`) and log-log rate fitting with bootstrap CIs;
+* exact error metrics for solver output (`subopt_gap`, `err_vi`) and
+  log-log rate fitting with bootstrap CIs;
 * Monte-Carlo measurement of how the averaged noise deviation decays
   with the batch length (`deviation_scaling`), whose slope should sit
   near -1 and whose constant tracks the mixing time;
 * estimator diagnostics: exact conditional bias of the batch mean via
-  transition-matrix powers (`batch_bias_profile`), moment measurement
-  of the multilevel estimator (`estimator_moments`), and a paired
+  transition-matrix powers (`batch_bias_profile`) and a paired
   unbiasedness check that couples the multilevel draw with its target
   on a shared trajectory (`unbiasedness_check`).
 
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainCursor, stationary
-from .errors import GeometryError, InputError, StatisticsError, _check_scale, _count, _integral
-from .estimators import _draw_level, _eval_rows, _prefix_mean, combine_levels, mlmc_geometric
+from .errors import InputError, StatisticsError, _check_scale, _count, _integral
+from .estimators import _draw_level, _eval_rows, _prefix_mean, combine_levels
 from .problems import _oracle
 
 __all__ = [
@@ -41,13 +40,10 @@ __all__ = [
     "PAIRING_RATIO_BOUND",
     "subopt_gap",
     "err_vi",
-    "weak_vi_gap",
     "ScalingReport",
     "deviation_scaling",
     "BiasReport",
     "batch_bias_profile",
-    "MomentReport",
-    "estimator_moments",
     "PairingReport",
     "unbiasedness_check",
     "RateFit",
@@ -68,8 +64,6 @@ PAIRING_RATIO_BOUND = 4.0
 _ROW_BUDGET = 1 << 12
 # rate fits leave out cells whose gap is at or below this floor
 _GAP_FLOOR = 1e-13
-# random probe points of weak_vi_gap when the geometry has no vertex list
-_N_PROBES = 64
 # seed resamples behind bootstrap_rate_ci's interval
 _N_BOOT = 200
 
@@ -79,9 +73,13 @@ _N_BOOT = 200
 
 
 def subopt_gap(problem, x):
-    """f(x) - f* with a certified optimum; tiny negatives clamp to zero."""
+    """f(x) - f* with a certified optimum; tiny negatives clamp to zero.
+
+    x must be a finite point of the problem's dimension (InputError).
+    """
     if getattr(problem, "f_star", None) is None:
         raise InputError("problem carries no certified optimal value")
+    x = problem.geometry._check_point(x)
     gap = float(problem.f(x) - problem.f_star)
     tol = 1e-12 * max(1.0, abs(problem.f_star))
     if gap < -tol:
@@ -93,42 +91,18 @@ def err_vi(problem, x):
     """Exact dual VI error max_u <F(u), x - u> for affine skew operators.
 
     Skewness kills the quadratic term, so the maximand is linear in u
-    and the maximum sits at a per-block vertex.
+    and the maximum sits at a per-block vertex.  x must be a finite
+    point of the problem's dimension (InputError).
     """
     Q = getattr(problem, "Q", None)
     if Q is None:
         raise InputError("err_vi needs an affine VI problem")
     if not problem.is_skew():
-        raise InputError("exact VI error requires a skew operator; use weak_vi_gap")
-    x = np.asarray(x, dtype=float)
+        raise InputError("exact VI error requires a skew operator")
+    x = problem.geometry._check_point(x)
     lin = Q.T @ x - problem.c
     u = problem.geometry.linear_argmax(lin)
     return float(lin @ u + problem.c @ x)
-
-
-def weak_vi_gap(problem, xs, probes=None):
-    """max over probe points u of the across-run average of <F(u), x - u>.
-
-    `xs` is a single point or a stack of per-run output points; with a
-    finite probe set this lower-bounds err_vi of the averaged criterion.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    geo = problem.geometry
-    if probes is None:
-        try:
-            probes = geo.vertices()
-        except GeometryError:  # no vertex list, or too many vertices
-            probes = None
-        if probes is None or len(probes) == 0 or len(probes) > 4096:
-            rng = np.random.default_rng(0)
-            probes = [geo.sample(rng) for _ in range(_N_PROBES)]
-    best = -np.inf
-    for u in probes:
-        u = np.asarray(u, dtype=float)
-        fu = problem.Q @ u + problem.c
-        gap = float(np.mean((xs - u) @ fu))
-        best = max(best, gap)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -265,40 +239,6 @@ def _trial_streams(problem, n_trials, rng):
     rng_chain, rng_level = (np.random.default_rng(int(s)) for s in rng.integers(0, 2**63, size=2))
     cursor = ChainCursor(problem.kernel, rng_chain)
     return n_trials, cursor, rng_level, _oracle(problem)
-
-
-@dataclass
-class MomentReport:
-    mean: np.ndarray
-    dev_sq_mean: float  # E ||g - mean||_*^2
-    dev_sq_se: float
-    avg_calls: float
-    avg_steps: float
-    n_trials: int
-
-
-def estimator_moments(problem, x, config, n_trials, rng):
-    """Monte-Carlo mean/variance of the multilevel estimate at a fixed point."""
-    n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng)
-    x = np.asarray(x, dtype=float)
-    gs = np.empty((n_trials, x.size))
-    calls = np.empty(n_trials)
-    steps = np.empty(n_trials)
-    for i in range(n_trials):
-        est = mlmc_geometric(oracle, x, cursor, config, rng_level)
-        gs[i] = est.g
-        calls[i] = est.oracle_calls
-        steps[i] = est.chain_steps
-    mean = gs.mean(axis=0)
-    devs = problem.geometry.norm_pair.dual_norm(gs - mean, axis=1) ** 2
-    return MomentReport(
-        mean=mean,
-        dev_sq_mean=float(devs.mean()),
-        dev_sq_se=float(devs.std(ddof=1) / np.sqrt(n_trials)),
-        avg_calls=float(calls.mean()),
-        avg_steps=float(steps.mean()),
-        n_trials=n_trials,
-    )
 
 
 @dataclass

@@ -23,7 +23,6 @@ from markovmirror import (
     cli,
     deviation_scaling,
     errors,
-    estimator_moments,
     estimators,
     geometry,
     lazy_for_mixing_time,
@@ -114,13 +113,11 @@ COUNTS = {
     "MamdSchedule.arrays T": (0, lambda n: MamdSchedule(0.1).arrays(n)),
     "scaling size": (1, lambda n: _deviation(Ns=(n, 16))),
     "scaling n_trials": (2, lambda n: _deviation(n_trials=n)),
-    "moments n_trials": (2, lambda n: estimator_moments(
-        QUAD, QUAD.geometry.center(), MlmcConfig(1, 4), n, np.random.default_rng(0)).mean),
     "pairing n_trials": (2, lambda n: unbiasedness_check(
         GAME, GAME.geometry.center(), MlmcConfig(1, 4), n, np.random.default_rng(0)).mean_diff),
 }
 
-TRIALS = {"scaling n_trials", "moments n_trials", "pairing n_trials"}
+TRIALS = {"scaling n_trials", "pairing n_trials"}
 
 
 @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, "below"])

@@ -22,7 +22,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # public names that nothing outside their module uses, kept on purpose
 KEPT_UNUSED = {
-    "weak_vi_gap": "the only gap metric for the paper's monotone VIs that are not skew",
     "NormPair": "the type of Geometry.norm_pair",
     "Geometry": "the base class of the three geometries",
     "Estimate": "the return type of the estimators",
@@ -30,7 +29,6 @@ KEPT_UNUSED = {
     "ChainDiagnostics": "the return type of diagnose",
     "ScalingReport": "the return type of deviation_scaling",
     "BiasReport": "the return type of batch_bias_profile",
-    "MomentReport": "the return type of estimator_moments",
     "PairingReport": "the return type of unbiasedness_check",
     "RateFit": "the return type of rate_fit and bootstrap_rate_ci",
 }

@@ -5,7 +5,7 @@ from markovmirror import (
     BIAS_SLOPE_WINDOW,
     DEVIATION_SLOPE_WINDOW,
     BoxGeometry,
-    GeometryError,
+    ChainCursor,
     InputError,
     MinProblem,
     MlmcConfig,
@@ -16,18 +16,17 @@ from markovmirror import (
     bootstrap_rate_ci,
     deviation_scaling,
     err_vi,
-    estimator_moments,
     lazy_for_mixing_time,
     make_min_instance,
     make_vi_instance,
     matching_pennies,
     mixing_time,
+    mlmc_geometric,
     random_ergodic,
     rate_fit,
     stationary,
     subopt_gap,
     unbiasedness_check,
-    weak_vi_gap,
 )
 from markovmirror import chain, validation
 from markovmirror.estimators import _draw_level, _eval_rows, combine_levels
@@ -87,48 +86,26 @@ def test_err_vi_rejects_non_skew(two_state):
         err_vi(p, geo.center())
 
 
-def test_weak_gap_with_all_vertices_equals_exact(two_state):
-    # skewness makes <F(u), x - u> linear in u, so probing every vertex
-    # recovers the exact error for a single run
-    p = matching_pennies(two_state, block_dim=3, seed=2)
-    x = p.geometry.renormalize(np.array([0.5, 0.3, 0.2, 0.1, 0.6, 0.3]))
-    assert weak_vi_gap(p, x, probes=p.geometry.vertices()) == pytest.approx(
-        err_vi(p, x), abs=1e-12
-    )
+# the point each case passes at dimension d, and the start of the InputError it must raise
+BAD_POINTS = {
+    "nan": (lambda d: np.full(d, np.nan), "x contains NaN/Inf"),
+    "inf": (lambda d: np.full(d, np.inf), "x contains NaN/Inf"),
+    "column": (lambda d: np.zeros((d, 1)), r"x has shape \(\d+, 1\)"),
+    "long": (lambda d: np.zeros(d + 1), r"x has shape \(\d+,\), expected"),
+}
 
 
-def test_weak_gap_probe_fallback_only_on_geometry_error(two_state, monkeypatch):
-    p = matching_pennies(two_state)
-    x = p.geometry.renormalize(np.array([0.8, 0.2, 0.5, 0.5]))
-    rng = np.random.default_rng(0)
-    sampled = weak_vi_gap(p, x, probes=[p.geometry.sample(rng) for _ in range(64)])
-
-    def capped():
-        raise GeometryError("vertex enumeration capped")
-
-    monkeypatch.setattr(p.geometry, "vertices", capped)
-    assert weak_vi_gap(p, x) == sampled
-
-    def broken():
-        raise ZeroDivisionError("a fault inside vertex enumeration")
-
-    monkeypatch.setattr(p.geometry, "vertices", broken)
-    with pytest.raises(ZeroDivisionError):
-        weak_vi_gap(p, x)
-
-
-def test_weak_gap_averages_across_runs(two_state):
-    p = matching_pennies(two_state)
-    xs = np.array([[0.8, 0.2, 0.5, 0.5], [0.2, 0.8, 0.5, 0.5]])
-    probes = p.geometry.vertices()
-    got = weak_vi_gap(p, xs, probes=probes)
-    manual = max(
-        np.mean([(p.Q @ u) @ (x - u) for x in xs]) for u in probes
-    )
-    assert got == pytest.approx(manual, abs=1e-12)
-    # the average profile is uniform here, so the averaged gap vanishes
-    assert got <= 1e-12
-    assert weak_vi_gap(p, xs[0], probes=probes) > 0.1
+@pytest.mark.parametrize("bad", BAD_POINTS)
+@pytest.mark.parametrize("metric", ["subopt_gap", "err_vi"])
+def test_gap_metrics_reject_a_bad_point(two_state, metric, bad):
+    # a NaN point gave a NaN gap, an inf one warned, and the wrong shape raised numpy's
+    # bare ValueError or blamed an internal coef
+    p = (make_min_instance(5, two_state, seed=1) if metric == "subopt_gap"
+         else make_vi_instance((2, 3), two_state, seed=1))
+    point, message = BAD_POINTS[bad]
+    gap = subopt_gap if metric == "subopt_gap" else err_vi
+    with pytest.raises(InputError, match=f"^{message}"):
+        gap(p, point(p.geometry.d))
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +183,60 @@ def test_deviation_scaling_equals_per_step_loop(dense8, monkeypatch, budget, n_t
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def exact_deviation_law(kernel, deviations, Ns):
-    """Reference: E||(1/N) sum_{i<=N} Delta(z_i)||_2^2 from a stationary start, exactly.
+def lag_covariances(kernel, deviations, n):
+    """Reference: c_k = sum_z pi_z <Delta_z, (P^k Delta)_z> for k < n, exactly.
 
-    Lemma 1's law for a Euclidean dual norm: (N c_0 + 2 sum_{k<N} (N - k) c_k) / N^2,
-    with c_k = sum_z pi_z <Delta_z, (P^k Delta)_z> and Delta centred under pi; one
-    matrix product per lag.
+    The stationary lag covariance E<Delta(z_0), Delta(z_k)> of the deviations
+    Delta centred under pi; one matrix product per lag.
     """
     pi = stationary(kernel)
     centered = deviations - pi @ deviations
-    c = np.empty(max(Ns))
+    c = np.empty(n)
     lagged = centered
-    for k in range(c.size):
+    for k in range(n):
         c[k] = pi @ np.einsum("zj,zj->z", centered, lagged)
         lagged = kernel.P @ lagged
-    return np.array([(N * c[0] + 2 * (np.arange(N - 1, 0, -1) @ c[1:N])) / N**2 for N in Ns])
+    return c
+
+
+def prefix_second_moments(c):
+    """S_n = E||sum_{i<n} Delta(z_i)||_2^2 = n c_0 + 2 sum_{0<k<n} (n - k) c_k for n = 0..len(c)."""
+    n = np.arange(c.size + 1)
+    lag_sum = np.concatenate([[0.0, 0.0], np.cumsum(c[1:])])
+    weighted = np.concatenate([[0.0, 0.0], np.cumsum(np.arange(1, c.size) * c[1:])])
+    return n * c[0] + 2 * (n * lag_sum - weighted)
+
+
+def exact_deviation_law(kernel, deviations, Ns):
+    """Reference: E||(1/N) sum_{i<=N} Delta(z_i)||_2^2 from a stationary start, exactly.
+
+    Lemma 1's law for a Euclidean dual norm: S_N / N^2 over the lag covariances.
+    """
+    S = prefix_second_moments(lag_covariances(kernel, deviations, max(Ns)))
+    return np.array([S[N] / N**2 for N in Ns])
+
+
+def exact_mlmc_levels(kernel, deviations, config):
+    """Reference: the terms P(J = j) E[||g - grad f||_2^2 | J = j] of `mlmc_geometric`, exactly.
+
+    For a Euclidean dual norm and a stationary start, g - grad f is a weighted sum of
+    the deviations at the states the estimate reads.  Level j <= floor(log2 M) gives
+    g_0 + 2^j (g_j - g_{j-1}) over prefix means of B, 2^j B and 2^{j-1} B states; a
+    deeper level, on the truncation mass 2^-floor(log2 M), gives g_0 alone.  Two prefix
+    sums of n <= m states have E<P_n, P_m> = (S_n + S_m - S_{m-n}) / 2 by stationarity.
+    Returns the terms for j = 1..floor(log2 M) and the truncation mass's term.
+    """
+    B, top = config.B, config.max_level
+    S = prefix_second_moments(lag_covariances(kernel, deviations, (1 << top) * B))
+
+    def second_moment(prefixes):  # E||sum_s w_s P_{n_s} / n_s||^2 over (n_s, w_s)
+        return sum(w * v / (n * m) * (S[n] + S[m] - S[abs(m - n)]) / 2
+                   for n, w in prefixes for m, v in prefixes)
+
+    terms = np.array([2.0**-j * second_moment([(B, 1.0), ((1 << j) * B, 2.0**j),
+                                                ((1 << (j - 1)) * B, -2.0**j)])
+                      for j in range(1, top + 1)])
+    return terms, 2.0**-top * S[B] / B**2
 
 
 # a cell's mean is judged within 4 standard errors of the exact law: P(|z| > 4) is 6.3e-5
@@ -241,12 +257,17 @@ def constant_error(rep, exact):
     return abs(np.log(rep.constant) - log_exact) / np.mean(rep.se / rep.mean)
 
 
+def check4_instance(target_tau):
+    """Acceptance check 4's instance over random_ergodic(8, 3), made lazy to mix in target_tau."""
+    base = random_ergodic(8, seed=3)
+    kernel, _, tau = lazy_for_mixing_time(base, target_tau)
+    return make_min_instance(6, base, noise_scale=1.0, seed=0), kernel, tau
+
+
 @pytest.mark.parametrize("target_tau", [6, 12])
 def test_deviation_scaling_cells_match_the_exact_law(target_tau):
     # acceptance check 4's calls: its instance, chains, sizes, trials and seed
-    base = random_ergodic(8, seed=3)
-    p = make_min_instance(6, base, noise_scale=1.0, seed=0)
-    kernel, _, _ = lazy_for_mixing_time(base, target_tau)
+    p, kernel, _ = check4_instance(target_tau)
     Ns = [2**k for k in range(4, 13)]
     rep = deviation_scaling(kernel, p.noise_deviations(), p.geometry.norm_pair, Ns, 2000,
                             np.random.default_rng(7))
@@ -267,6 +288,62 @@ def test_deviation_scaling_on_a_chain_with_zero_entries_matches_the_exact_law():
     exact = exact_deviation_law(kernel, dev, Ns)
     assert np.all(np.abs(rep.mean - exact) <= EXACT_Z * rep.se)
     assert constant_error(rep, exact) <= EXACT_Z  # at most 1.17 over seeds 0-39
+
+
+def mlmc_squared_errors(problem, kernel, config, n_trials, seed):
+    """||g - grad f(x)||_2^2 of `n_trials` mlmc_geometric draws at the center x.
+
+    Each trial starts a fresh cursor at a stationary state drawn from one shared
+    generator, so the trials are independent and their standard error is honest.
+    """
+    x = problem.geometry.center()
+    grad = problem.grad(x)
+    rng_chain, rng_level = (np.random.default_rng([seed, k]) for k in (0, 1))
+    out = np.empty(n_trials)
+    for i in range(n_trials):
+        est = mlmc_geometric(problem.grad_oracle, x, ChainCursor(kernel, rng_chain), config,
+                             rng_level)
+        out[i] = np.sum((est.g - grad) ** 2)
+    return out
+
+
+@pytest.mark.parametrize("target_tau, B, M, n_trials", [
+    (1, 1, 64, 6000),
+    (12, 2, 4, 6000),  # a truncation mass of 1/4
+    # a slow chain and a deep level law skew the squared errors: over seeds 1-240,
+    # 3 read |z| > 4 at 6000 trials and 1 (4.38) at 20000
+    (12, 1, 1024, 20000),
+])
+def test_mlmc_second_moment_matches_the_exact_law(target_tau, B, M, n_trials):
+    p, kernel, _ = check4_instance(target_tau)
+    config = MlmcConfig(B=B, M=M)
+    sq = mlmc_squared_errors(p, kernel, config, n_trials, seed=0)
+    terms, truncated = exact_mlmc_levels(kernel, p.noise_deviations(), config)
+    assert abs(sq.mean() - (terms.sum() + truncated)) <= EXACT_Z * sq.std(ddof=1) / np.sqrt(sq.size)
+
+
+def test_mlmc_level_terms_approach_the_asymptotic_variance():
+    # the multilevel variance law: once 2^j B passes tau, each level adds about the
+    # asymptotic variance sigma^2 = c_0 + 2 sum_{k>=1} c_k, so the variance grows like
+    # sigma^2 log2(M / tau) with sigma^2 ~ tau; before tau a level adds next to nothing
+    p, kernel, tau = check4_instance(48)
+    dev = p.noise_deviations()
+    c = lag_covariances(kernel, dev, 1 << 14)
+    sigma2 = c[0] + 2 * c[1:].sum()
+    assert tau == 48 and sigma2 == pytest.approx(47.707, abs=1e-3)
+    terms, truncated = exact_mlmc_levels(kernel, dev, MlmcConfig(B=1, M=2**14))
+    np.testing.assert_allclose(terms, [0.35, 0.20, 0.22, 0.66, 2.34, 7.12, 16.82, 29.01, 38.04,
+                                       42.87, 45.29, 46.50, 47.10, 47.40], atol=5e-3)
+    span = 2 ** np.arange(1, terms.size + 1)
+    assert np.all(terms[span <= tau // 8] <= 0.01 * sigma2)
+    assert np.all(np.diff(terms[2:]) > 0) and np.all(terms < sigma2)
+    # past 4 tau the shortfall halves with each level: sigma^2 - term_j ~ 2.1 sigma^2 tau / 2^j
+    shortfall = (sigma2 - terms)[span >= 4 * tau]
+    np.testing.assert_allclose(shortfall[1:] / shortfall[:-1], 0.5, atol=0.03)
+    # with B = 2 every level reads twice the states: the terms tend to sigma^2 / B
+    terms2, _ = exact_mlmc_levels(kernel, dev, MlmcConfig(B=2, M=2**13))
+    assert terms2[-1] == pytest.approx(sigma2 / 2, rel=0.01)
+    assert truncated == pytest.approx(2.0**-14 * c[0])
 
 
 def test_deviation_scaling_input_checks(dense8, rng):
@@ -356,19 +433,6 @@ def test_bias_profile_is_exact_for_two_state(two_state):
 
 # ---------------------------------------------------------------------------
 # estimator diagnostics
-
-
-def test_estimator_moments_accounting(dense8, rng):
-    p = make_min_instance(4, dense8, noise_scale=1.0, seed=6)
-    cfg = MlmcConfig(B=2, M=16)
-    rep = estimator_moments(p, p.geometry.center(), cfg, 8000, rng)
-    assert rep.n_trials == 8000
-    assert rep.avg_calls == pytest.approx(cfg.expected_oracle_calls(), rel=0.05)
-    assert rep.avg_steps >= rep.avg_calls
-    assert rep.dev_sq_mean > 0 and rep.dev_sq_se > 0
-    # mean of the estimates stays near the mean-field gradient
-    err = p.geometry.norm_pair.dual_norm(rep.mean - p.grad(p.geometry.center()))
-    assert err <= 6 * np.sqrt(rep.dev_sq_mean / rep.n_trials)
 
 
 def test_unbiasedness_pairing(dense8, rng):
@@ -469,8 +533,6 @@ def test_diagnostics_require_two_trials(dense8, rng):
     p = make_min_instance(3, dense8, noise_scale=1.0, seed=8)
     with pytest.raises(StatisticsError):
         unbiasedness_check(p, p.geometry.center(), MlmcConfig(B=1, M=8), 1, rng)
-    with pytest.raises(StatisticsError):
-        estimator_moments(p, p.geometry.center(), MlmcConfig(B=1, M=8), 1, rng)
 
 
 # ---------------------------------------------------------------------------
