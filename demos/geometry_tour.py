@@ -20,7 +20,7 @@ def describe(geo, name, rng):
     print(f"  sample          {np.array2string(x, precision=3)}")
     print(f"  prox(x, xi)     {np.array2string(stepped, precision=3)}")
     print(f"  |closed-generic| {np.max(np.abs(stepped - generic)):.2e}")
-    print(f"  still feasible  {geo.contains(stepped, tol=1e-9)}")
+    print(f"  still feasible  {geo.contains(stepped)}")
 
 
 def main():

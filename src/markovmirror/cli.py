@@ -409,6 +409,8 @@ def cmd_run(res, jobs, out_dir):
 
 def cmd_sweep(res, jobs, out_dir):
     grid = sorted(set(res["sweep.T"]))
+    if len(grid) < 2:  # checked before any cell runs
+        raise ConfigError(f"sweep.T needs 2 or more distinct budgets to fit a rate, got {grid}")
     # a sweep writes only each cell's final gap and calls: record the row at T alone
     tau_mix, records = _run_cells(res, grid, None, jobs)
     h = config_hash(res)
@@ -504,7 +506,7 @@ def cmd_check(res, out_dir, command):
     """One check command: its CSV and a PASS/FAIL line; exit 1 outside the window."""
     prefix, (lo, hi), columns, size_key, trivial, measure = _CHECKS[command]
     Ns = res[size_key]
-    _check_sizes(Ns, 1)  # the library's sizes check, also for the zero-noise path
+    _check_sizes(Ns, 2)  # a slope needs two sizes, also on the zero-noise path
     problem, tau_mix = _build_instance(res)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command.removeprefix('check-')}_{config_hash(res)}.csv")

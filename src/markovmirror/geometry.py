@@ -33,6 +33,8 @@ SIMPLEX_NU = 1e-9
 # stopping rule of the generic prox: KKT residual and iteration budget
 _PROX_TOL = 1e-10
 _PROX_MAX_ITER = 10_000
+# slack `contains` grants a point past the boundary of its feasible set
+_FEASIBLE_TOL = 1e-10
 
 
 def dual_exponent(p):
@@ -50,18 +52,25 @@ def _by_largest(v):
     return v / np.max(np.abs(v))
 
 
-def _norm(v, ord, axis):
-    """np.linalg.norm(v, ord, axis), save where that overflowed for a finite v, or a finite
-    row of v for axis=1: there it is max|v| * ||v / max|v|||, as a double allows."""
+def _norm(v, ord):
+    """np.linalg.norm along v's trailing axis: one value for a vector, one per row of an
+    (n, d) stack.  Where that overflowed for a finite vector or row, it is
+    max|v| * ||v / max|v|||, as a double allows."""
+    v = np.asarray(v, dtype=float)
+    rows = v.ndim > 1
     with np.errstate(over="ignore"):
-        out = np.linalg.norm(v, ord=ord, axis=axis)
-        if np.all(np.isfinite(out)):
+        if ord == 2 and not rows:  # np.linalg.norm's own code, without its 1 us of wrapper
+            x = v.ravel(order="K")
+            out = np.sqrt(x.dot(x))
+        else:
+            out = np.linalg.norm(v, ord, -1 if rows else None)
+        if np.all(np.isfinite(out)) if rows else math.isfinite(out):
             return out
-        rows = np.atleast_2d(np.asarray(v, dtype=float))  # for axis=None, v is the one row
+        v = np.atleast_2d(v)
         fixed = np.array(out, dtype=float, ndmin=1)
-        for i in np.flatnonzero(~np.isfinite(fixed) & np.all(np.isfinite(rows), axis=1)):
-            fixed[i] = np.max(np.abs(rows[i])) * np.linalg.norm(_by_largest(rows[i]), ord=ord)
-        return fixed if np.ndim(out) else fixed[0]
+        for i in np.flatnonzero(~np.isfinite(fixed) & np.all(np.isfinite(v), axis=1)):
+            fixed[i] = np.max(np.abs(v[i])) * np.linalg.norm(_by_largest(v[i]), ord=ord)
+        return fixed if rows else fixed[0]
 
 
 class NormPair:
@@ -73,11 +82,11 @@ class NormPair:
         self.p = float(p)
         self.q = dual_exponent(p)
 
-    def norm(self, v, axis=None):
-        return _norm(v, self.p, axis)
+    def norm(self, v):
+        return _norm(v, self.p)
 
-    def dual_norm(self, v, axis=None):
-        return _norm(v, self.q, axis)
+    def dual_norm(self, v):
+        return _norm(v, self.q)
 
     def __repr__(self):
         return f"NormPair(p={self.p})"
@@ -85,8 +94,6 @@ class NormPair:
 
 class Geometry:
     """Base class: feasible set + mirror map + norm pair."""
-
-    kind = "abstract"
 
     def __init__(self, d, norm_pair):
         self.d = _count(d, "dimension", 1)
@@ -111,7 +118,7 @@ class Geometry:
     def center(self):
         raise NotImplementedError
 
-    def contains(self, x, tol=1e-10):
+    def contains(self, x):
         raise NotImplementedError
 
     def project(self, v):
@@ -226,8 +233,6 @@ class _EuclideanGeometry(Geometry):
 class BoxGeometry(_EuclideanGeometry):
     """[lo, hi]^d with the half-squared Euclidean mirror map (p = 2)."""
 
-    kind = "box"
-
     def __init__(self, d, lo=0.0, hi=1.0):
         super().__init__(d)
         self.lo = float(lo)
@@ -240,11 +245,10 @@ class BoxGeometry(_EuclideanGeometry):
     def center(self):
         return np.full(self.d, 0.5 * (self.lo + self.hi))
 
-    def contains(self, x, tol=1e-10):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.d,) and bool(
-            np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol)
-        )
+        return x.shape == (self.d,) and bool(np.all(x >= self.lo - _FEASIBLE_TOL)
+                                             and np.all(x <= self.hi + _FEASIBLE_TOL))
 
     def project(self, v):
         return np.minimum(np.maximum(v, self.lo), self.hi)
@@ -258,17 +262,8 @@ class BoxGeometry(_EuclideanGeometry):
         return rng.uniform(self.lo, self.hi, size=size)
 
 
-def _ball_norm(v):
-    """np.linalg.norm(v), inf with no warning where that overflows for a finite v;
-    `_on_sphere` rescales such a v, and inf is past any radius."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(v)
-
-
 class BallGeometry(_EuclideanGeometry):
     """Origin-centred Euclidean ball with the half-squared Euclidean mirror map (p = 2)."""
-
-    kind = "ball"
 
     def __init__(self, d, radius=1.0):
         super().__init__(d)
@@ -280,36 +275,32 @@ class BallGeometry(_EuclideanGeometry):
     def center(self):
         return np.zeros(self.d)
 
-    def contains(self, x, tol=1e-10):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            return False
-        return bool(_ball_norm(x) <= self.radius + tol)
+        return x.shape == (self.d,) and bool(self.norm_pair.norm(x) <= self.radius + _FEASIBLE_TOL)
 
     def project(self, v):
         v = np.asarray(v, dtype=float)
-        r = _ball_norm(v)
+        r = self.norm_pair.norm(v)
         return v.copy() if r <= self.radius else self._on_sphere(v, r)
 
     def linear_argmax(self, coef):
         coef = self._check_point(coef, "coef")
-        r = _ball_norm(coef)
-        if r == 0.0:
-            return self.center()
-        return self._on_sphere(coef, r)
+        r = self.norm_pair.norm(coef)
+        return self.center() if r == 0.0 else self._on_sphere(coef, r)
 
     def _on_sphere(self, off, r):
         """The sphere point in the direction of `off`, whose norm is r."""
         if not math.isfinite(r):
-            # the norm of a finite vector overflowed; scale it down first
+            # the norm of a finite vector is past the largest double; scale it down first
             off = _by_largest(off)
-            r = np.linalg.norm(off)
+            r = self.norm_pair.norm(off)
         return off * (self.radius / r)
 
     def sample(self, rng, n=None):
         m = 1 if n is None else n
         g = rng.normal(size=(m, self.d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g /= self.norm_pair.norm(g)[:, None]
         radii = self.radius * rng.uniform(size=(m, 1)) ** (1.0 / self.d)
         pts = g * radii
         return pts[0] if n is None else pts
@@ -337,8 +328,6 @@ class SimplexGeometry(Geometry):
     Every prox output is folded onto {y_i >= nu/dim, sum = 1} by mixing a
     nu-fraction of the uniform block back in.
     """
-
-    kind = "simplex-product"
 
     def __init__(self, block_dims):
         self.block_dims = tuple(_count(b, "simplex block dimension", 2)
@@ -401,13 +390,11 @@ class SimplexGeometry(Geometry):
     def center(self):
         return np.repeat(1.0 / self._dims, self._dims)
 
-    def contains(self, x, tol=1e-10):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            return False
-        sums = np.add.reduceat(x, self._starts)
-        return bool(np.all(np.abs(sums - 1.0) <= 1e-12 + tol)
-                    and np.all(x >= self._floors - tol))
+        return x.shape == (self.d,) and bool(
+            np.all(np.abs(np.add.reduceat(x, self._starts) - 1.0) <= _FEASIBLE_TOL)
+            and np.all(x >= self._floors - _FEASIBLE_TOL))
 
     def project(self, v):
         blocks = self.blocks(np.asarray(v, dtype=float))

@@ -43,7 +43,7 @@ def _operator_norm(M, p):
 
 def _checked_sigma(geometry, shifts, sigma):
     """Recorded noise level: the stated value if consistent, else the recomputed max."""
-    measured = float(np.max(geometry.norm_pair.dual_norm(shifts, axis=1))) if shifts.size else 0.0
+    measured = float(np.max(geometry.norm_pair.dual_norm(shifts))) if shifts.size else 0.0
     if sigma is None:
         return measured
     sigma = _check_scale(sigma, "sigma", zero_ok=True)
@@ -58,7 +58,10 @@ def _make_shifts(rng, kernel, geometry, scale):
         return np.zeros((kernel.n_states, geometry.d))
     g = rng.normal(size=(kernel.n_states, geometry.d))
     g -= stationary(kernel) @ g
-    peak = np.max(geometry.norm_pair.dual_norm(g, axis=1))
+    peak = np.max(geometry.norm_pair.dual_norm(g))
+    if peak == 0.0:  # a one-state chain: every zero-mean shift is 0
+        raise InputError("noise_scale > 0 needs a chain whose zero-mean shifts are not all "
+                         "zero, i.e. two or more states")
     return g * (scale / peak)
 
 
@@ -268,7 +271,7 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
     elif geometry_kind == "ball":
         geo = BallGeometry(d, radius=1.0)
         direction = rng.normal(size=d)
-        direction /= np.linalg.norm(direction)
+        direction /= geo.norm_pair.norm(direction)
         target = geo.center() + 0.6 * geo.radius * rng.uniform() ** (1.0 / d) * direction
     elif geometry_kind == "simplex":
         geo = SimplexGeometry(d)

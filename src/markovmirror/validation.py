@@ -175,7 +175,7 @@ def deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng):
             states = kernel._move(states, u)
             sums += centered.take(states, axis=0)
             if step in targets:
-                vals = norm_pair.dual_norm(sums / step, axis=1) ** 2
+                vals = norm_pair.dual_norm(sums / step) ** 2
                 mean[k] = vals.mean()
                 se[k] = vals.std(ddof=1) / np.sqrt(n_trials)
                 k += 1
@@ -220,7 +220,7 @@ def batch_bias_profile(kernel, deviations, norm_pair, Ns):
         cur = kernel.P @ cur
         acc += cur
         if step in targets:
-            norms = norm_pair.dual_norm(acc / step, axis=1) ** 2
+            norms = norm_pair.dual_norm(acc / step) ** 2
             out[k] = float(pi @ norms)
             k += 1
     logN = np.log(Ns.astype(float))

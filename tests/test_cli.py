@@ -505,6 +505,29 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
     assert texts[0] == texts[1]
 
 
+def test_process_pool_sweep_under_forkserver_matches_single_job(tmp_path):
+    # forkserver is the default start method on Linux from Python 3.14 on
+    cfg = write_config(
+        tmp_path,
+        "problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
+        "algorithm = mamd-batched\nsweep.T = 16 32\nseeds = 0 1\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "jobs1")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import multiprocessing, sys\n"
+         "from markovmirror.cli import main\n"
+         "multiprocessing.set_start_method('forkserver', force=True)\n"
+         "sys.exit(main(sys.argv[1:]))",
+         "sweep", "--config", cfg, "--out", str(tmp_path / "jobs2"), "--jobs", "2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (name,) = os.listdir(tmp_path / "jobs1")
+    assert os.listdir(tmp_path / "jobs2") == [name]
+    assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
+
+
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "sweep.T =\nseeds = 0\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -626,6 +649,25 @@ def test_check_lemma2_fast_chain_leaves_window(tmp_path, capsys):
     assert "FAIL check-lemma2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, text", [
+    ("check-lemma1", "check.N = 16\n"),
+    ("check-lemma2", "check.M = 4\n"),
+    ("check-lemma2", "check.M = 4\nproblem.noise = 0\n"),
+    ("sweep", "sweep.T = 4 4 4\n"),
+], ids=["lemma1", "lemma2", "lemma2-zero-noise", "sweep"])
+def test_a_slope_over_fewer_than_two_sizes_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                    command, text):
+    # check-lemma2 used to print FAIL with a nan bias slope and exit 1, or PASS at zero
+    # noise; sweep ran every cell and then exited 5
+    monkeypatch.setattr(cli, "_build_instance", lambda res: pytest.fail("an instance was built"))
+    cfg = write_config(tmp_path, "problem.d = 2\nchain.n = 2\nT = 4\nseeds = 0\n" + text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 
@@ -681,6 +723,22 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
     captured = capsys.readouterr()
     assert f"unrecognized arguments: {flag}" in captured.err and captured.out == ""
     assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_noise_on_a_one_state_chain_exits_2_with_one_line(tmp_path):
+    # it used to print two divide-by-zero RuntimeWarnings before the config error
+    cfg = write_config(tmp_path, "chain.matrix = 1\nT = 4\n")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from markovmirror.cli import main; sys.exit(main(sys.argv[1:]))",
+         "run", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["config error: noise_scale > 0 needs a chain whose "
+                                        "zero-mean shifts are not all zero, i.e. two or more "
+                                        "states"]
+    assert not (tmp_path / "out").exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -351,7 +351,7 @@ def test_sigma_is_exact(dense8):
         p = make_min_instance(5, dense8, noise_scale=scale, seed=6)
         assert p.sigma == scale
         deviations = p.noise_deviations()
-        measured = np.max(p.geometry.norm_pair.dual_norm(deviations, axis=1)) if scale else 0.0
+        measured = np.max(p.geometry.norm_pair.dual_norm(deviations)) if scale else 0.0
         assert measured == pytest.approx(scale, abs=1e-12)
 
 
@@ -375,6 +375,17 @@ def test_zero_noise_is_deterministic(two_state):
     x = p.geometry.center()
     np.testing.assert_array_equal(p.grad_oracle(x, 0), p.grad_oracle(x, 1))
     assert p.sigma == 0.0
+
+
+def test_noise_on_a_one_state_chain_is_an_input_error():
+    # the zero-mean shifts of one state are all 0; scaling them to a peak divided by zero,
+    # a RuntimeWarning that pyproject raises as an error, before "shifts must be finite"
+    one = TransitionKernel(np.array([[1.0]]))
+    for make in (lambda: make_min_instance(3, one, noise_scale=1.0),
+                 lambda: make_vi_instance((2, 2), one, noise_scale=1.0)):
+        with pytest.raises(InputError, match="two or more states"):
+            make()
+    assert make_min_instance(3, one, noise_scale=0.0).sigma == 0.0
 
 
 def test_factory_seed_determinism(two_state):

@@ -14,6 +14,7 @@ from markovmirror import (
     SolverError,
     ViProblem,
     err_vi,
+    lazy_for_mixing_time,
     make_min_instance,
     make_vi_instance,
     mamd_batched,
@@ -507,7 +508,7 @@ def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
     checked = Geometry._check_prox_args
 
     def counted(self, x, xi):
-        seen.append(self.kind)
+        seen.append(type(self).__name__)
         return checked(self, x, xi)
 
     monkeypatch.setattr(Geometry, "_check_prox_args", counted)
@@ -516,7 +517,7 @@ def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
         _short_run(name, p, cursor_for(p))
         assert seen == [], name
     p.geometry.prox(p.geometry.center(), np.zeros(p.geometry.d))
-    assert seen == ["simplex-product"]  # the counter does see a checked step
+    assert seen == ["SimplexGeometry"]  # the counter does see a checked step
 
 
 # ---------------------------------------------------------------------------
@@ -635,3 +636,41 @@ def test_negative_avg_start_is_input_error(dense8):
     p = _boundary_problem("mmp_unbatched", dense8)
     with pytest.raises(InputError, match="avg_start must be an integer >= 0"):
         mmp_unbatched(p, 0.5 / p.L_tilde, cursor_for(p), 10, avg_start=-5)
+
+
+# ---------------------------------------------------------------------------
+# the mixing-time dependence the paper calls optimal: batched runs pay sqrt(tau)
+
+
+def test_batched_gap_grows_like_sqrt_tau_and_unbatched_faster():
+    # slope of log median final gap against log tau, tau in {4, 16, 64}, on check 7's
+    # chain and 10-d box quadratic at sigma = 0.2: mamd_batched at T = 1024 over seeds
+    # 0-14, mamd_unbatched at T = 4096 over seeds 0-4.  Over 40 disjoint seed blocks the
+    # batched slope read 0.31 to 0.62 (median 0.47) and the unbatched one exceeded it by
+    # 0.67 to 1.04.  Every batched median stays well below the starting gap; the unbatched
+    # one at tau = 64 stays at 0.92 of it, which holds its slope down, so the margin is
+    # the smaller for it.
+    base = random_ergodic(8, seed=3)
+    log_tau, batched, unbatched = [], [], []
+    for target in (4, 16, 64):
+        kernel, _, tau = lazy_for_mixing_time(base, target)
+        p = make_min_instance(10, kernel, noise_scale=0.2, seed=2)
+        D = np.sqrt(p.geometry.diameter_sq())
+        schedule, cfg = mamd_batched_schedule(p.L, D, p.sigma, tau, 1024)
+        single = mamd_unbatched_schedule(p.L, D, p.sigma, tau, 4096)
+        gaps_b, gaps_u = [], []
+        for seed in range(15):
+            streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+            if seed < 5:
+                rec = mamd_unbatched(p, single, ChainCursor(kernel, streams[0]), 4096)
+                gaps_u.append(subopt_gap(p, rec.x_out))
+            rec = mamd_batched(p, schedule, ChainCursor(kernel, streams[1]), 1024, cfg, streams[2])
+            gaps_b.append(subopt_gap(p, rec.x_out))
+        assert np.median(gaps_b) <= 0.25 * subopt_gap(p, p.geometry.center())
+        log_tau.append(np.log(tau))
+        batched.append(np.log(np.median(gaps_b)))
+        unbatched.append(np.log(np.median(gaps_u)))
+    slope_b = np.polyfit(log_tau, batched, 1)[0]
+    slope_u = np.polyfit(log_tau, unbatched, 1)[0]
+    assert 0.25 <= slope_b <= 0.75, slope_b
+    assert slope_u >= slope_b + 0.4, (slope_b, slope_u)

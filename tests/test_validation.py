@@ -158,7 +158,7 @@ def per_step_deviation_scaling(kernel, deviations, norm_pair, Ns, n_trials, rng)
         states = kernel._move(states, rng.random(n_trials))
         sums += centered[states]
         if step in Ns:
-            vals = norm_pair.dual_norm(sums / step, axis=1) ** 2
+            vals = norm_pair.dual_norm(sums / step) ** 2
             mean.append(vals.mean())
             se.append(vals.std(ddof=1) / np.sqrt(n_trials))
     return np.array(mean), np.array(se)
