@@ -224,6 +224,9 @@ def resolve_config(raw, solve=False):
         # the default algorithm is mamd-batched, so the algorithm line may be absent
         raise ConfigError(f"algorithm {alg} needs problem.kind = quadratic",
                           line=line("algorithm") or line("problem.kind"))
+    if len(set(res["seeds"])) != len(res["seeds"]):
+        # a repeated seed would enter the medians and the bootstrap twice
+        raise ConfigError(f"seeds must be distinct, got {res['seeds']}", line=line("seeds"))
     kind, blocks = res["problem.kind"], res["problem.blocks"]
     equal = kind == "matching-pennies"  # a square game: both players have the same strategies
     if kind != "quadratic" and (len(blocks) != 2 or equal and blocks[0] != blocks[1]):

@@ -4,8 +4,9 @@ Both families share the same noise mechanism: a per-chain-state shift
 vector with zero stationary mean, so the expected oracle equals the
 mean-field gradient/operator exactly.  Constructors record the
 norm-correct smoothness constant and the exact noise level, and attach
-x*: exact by construction for a quadratic, certified by err_vi for a
-game.
+x* where the construction fixes it: a quadratic's planted minimizer and
+matching pennies' uniform profile.  A random game carries none; err_vi
+is exact without it.
 """
 
 from __future__ import annotations
@@ -13,22 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import stationary
-from .errors import InputError, SolverError, _check_scale, _count
+from .errors import InputError, _check_scale, _count
 from .geometry import BallGeometry, BoxGeometry, SimplexGeometry
 
 __all__ = ["MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
            "matching_pennies"]
 
-# err_vi a game's certified equilibrium must reach
-_REF_VI_TOL = 1e-9
 # largest |Q + Q'| entry of an operator that counts as skew
 _SKEW_TOL = 1e-10
 # scale of a random game's linear term c, relative to its payoff entries
 _AFFINE_SCALE = 0.1
-# the game LP: pivots allowed per variable before it counts as failed, and its
-# pivot and ratio tolerance on the payoff scaled to [1, 2]
-_LP_PIVOTS_PER_VARIABLE = 50
-_LP_TOL = 1e-12
 
 
 def _operator_norm(M, p):
@@ -191,54 +186,6 @@ class ViProblem(_ShiftedProblem):
         return self.shifts
 
 
-def _solve_game_lp(G, c1, c2):
-    """Equilibrium of the zero-sum game with payoff G and linear terms, by a tableau simplex.
-
-    With the linear terms folded in, the payoff M is shifted and scaled to
-    A in [1, 2] (von Neumann): x = p / sum(p) for the p >= 0 that maximizes
-    1'p subject to A'p <= 1, and y is the normalized dual q.  The slack
-    basis is feasible, so there is no phase 1, and Bland's rule (the
-    lowest index enters, the lowest basic index leaves a tie) keeps
-    degenerate games from cycling.  p and q come from solving the final
-    basis again, not from the tableau the pivots have rounded.
-    """
-    d1, d2 = G.shape
-    # linear terms fold into the payoff matrix on the product of simplexes
-    M = G + c1[:, None] - c2[None, :]
-    A = 1.0 + (M - M.min()) / ((M.max() - M.min()) or 1.0)
-    K = np.hstack([A.T, np.eye(d2)])  # A'p + s = 1, slacks s
-    # rows: the constraints, then the reduced costs of max 1'p; last column: the right side
-    T = np.zeros((d2 + 1, d1 + d2 + 1))
-    T[:d2, :-1] = K
-    T[:d2, -1] = 1.0
-    T[d2, :d1] = -1.0
-    basis = np.arange(d1, d1 + d2)
-    for _ in range(_LP_PIVOTS_PER_VARIABLE * (d1 + d2)):
-        entering = np.flatnonzero(T[d2, :-1] < -_LP_TOL)
-        if entering.size == 0:
-            break
-        j = entering[0]
-        rows = np.flatnonzero(T[:d2, j] > _LP_TOL)
-        if rows.size == 0:  # unbounded, which a positive A rules out save by rounding
-            raise SolverError("game LP failed to solve")
-        ratios = T[rows, -1] / T[rows, j]
-        ties = rows[ratios <= ratios.min() + _LP_TOL]
-        r = ties[np.argmin(basis[ties])]
-        # one rank-1 update: row r divided by the pivot, column j cleared elsewhere
-        col = T[:, j].copy()
-        col[r] -= 1.0
-        T -= np.outer(col, T[r] / T[r, j])
-        basis[r] = j
-    else:
-        raise SolverError("game LP failed to solve")
-    B = K[:, basis]
-    p = np.zeros(d1 + d2)
-    p[basis] = np.linalg.solve(B, np.ones(d2))
-    x = np.maximum(p[:d1], 0.0)
-    y = np.maximum(np.linalg.solve(B.T, (basis < d1).astype(float)), 0.0)
-    return np.r_[x / x.sum(), y / y.sum()]
-
-
 def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
                       smoothness=1.0, eigenvalues=None):
     """Random quadratic instance with a known interior minimizer.
@@ -289,31 +236,15 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
 def _game(geo, G, c, kernel, noise_scale, rng, x_star=None):
     """The zero-sum game with payoff block G over the two blocks of `geo` as a skew ViProblem.
 
-    Its shifts are drawn from `rng` after G and c.  x* is `x_star`, or else
-    the game LP's equilibrium folded onto the simplex floor; err_vi
-    certifies it either way.
+    Its shifts are drawn from `rng` after G and c.  x* is `x_star`, which
+    only a construction that fixes the equilibrium passes.
     """
-    from .validation import err_vi  # local import to avoid a module cycle
-
     d1 = G.shape[0]
     Q = np.zeros((geo.d, geo.d))
     Q[:d1, d1:] = G
     Q[d1:, :d1] = -G.T
     shifts = _make_shifts(rng, kernel, geo, noise_scale)
-    problem = ViProblem(geo, Q, c, shifts, kernel, sigma=noise_scale)
-    if x_star is None:
-        x = _solve_game_lp(G, c[:d1], c[d1:])
-        # the floor fold (1 - nu) x + nu * center adds <= nu * err_vi(center): err_vi is convex
-        fold = _REF_VI_TOL + geo.nu * err_vi(problem, geo.center())
-        checks = ((x, _REF_VI_TOL), (geo.renormalize(x), fold))
-    else:
-        checks = ((x_star, _REF_VI_TOL),)
-    for point, bound in checks:
-        gap = err_vi(problem, point)
-        if gap > bound:
-            raise SolverError(f"game equilibrium has gap {gap:.3e} > {bound:.3e}")
-    problem.x_star = point
-    return problem
+    return ViProblem(geo, Q, c, shifts, kernel, x_star=x_star, sigma=noise_scale)
 
 
 def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0, lipschitz=1.0):

@@ -91,8 +91,9 @@ def err_vi(problem, x):
     """Exact dual VI error max_u <F(u), x - u> for affine skew operators.
 
     Skewness kills the quadratic term, so the maximand is linear in u
-    and the maximum sits at a per-block vertex.  x must be a finite
-    point of the problem's dimension (InputError).
+    and the maximum sits at a per-block vertex.  u = x gives 0, so a
+    negative vertex value is rounding and reads as 0.  x must be a
+    finite point of the problem's dimension (InputError).
     """
     Q = getattr(problem, "Q", None)
     if Q is None:
@@ -102,7 +103,7 @@ def err_vi(problem, x):
     x = problem.geometry._check_point(x)
     lin = Q.T @ x - problem.c
     u = problem.geometry.linear_argmax(lin)
-    return float(lin @ u + problem.c @ x)
+    return max(float(lin @ u + problem.c @ x), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,12 @@ class ScalingReport:
 
 
 def _check_centered(kernel, deviations):
-    """(pi, deviations minus their pi-mean) after checking one row per state and mean ~0."""
+    """(pi, deviations minus their pi-mean) after checking one finite row per state and mean ~0."""
     if deviations.ndim != 2 or len(deviations) != kernel.n_states:
         raise InputError(f"deviations of shape {deviations.shape} need one row per state "
                          f"of the kernel, whose P has shape {kernel.P.shape}")
+    if not np.isfinite(deviations).all():  # NaN passes the drift test below
+        raise InputError("deviations contain NaN/Inf")
     pi = stationary(kernel)
     drift = pi @ deviations
     worst = float(np.max(np.abs(drift))) if drift.size else 0.0
@@ -265,7 +268,7 @@ def unbiasedness_check(problem, x, config, n_trials, rng):
     so every output is bit-equal to the per-trial loop's.
     """
     n_trials, cursor, rng_level, oracle = _trial_streams(problem, n_trials, rng)
-    x = np.asarray(x, dtype=float)
+    x = problem.geometry._check_point(x)
     n_pref = (1 << config.max_level) * config.B
     per_block = max(1, _ROW_BUDGET // n_pref)
     diffs = np.empty((n_trials, x.size))

@@ -668,6 +668,23 @@ def test_a_slope_over_fewer_than_two_sizes_exits_2_before_any_work(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text, args, line", [
+    ("seeds = 0 0\n", [], 5), ("seeds = 3,1,3\n", [], 5), ("", ["--seed", "0,0,1"], None),
+], ids=["file", "file-comma", "flag"])
+def test_a_repeated_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, text,
+                                                 args, line):
+    # run wrote seed 0's CSV twice under n_seeds = 2, and sweep counted it twice in its fit
+    monkeypatch.setattr(cli, "_build_instance", lambda res: pytest.fail("an instance was built"))
+    cfg = write_config(tmp_path, "problem.d = 2\nchain.n = 2\nT = 4\nsweep.T = 4 8\n" + text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *args]) == 2
+    captured = capsys.readouterr()
+    where = "" if line is None else f"config line {line}: "
+    assert captured.err.startswith(f"config error: {where}seeds must be distinct")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 

@@ -101,7 +101,7 @@ COUNTS = {
     "ball dimension": (1, lambda n: BallGeometry(n).center()),
     "simplex scalar block": (2, lambda n: SimplexGeometry(n).block_dims),
     "simplex block in a sequence": (2, lambda n: SimplexGeometry((n, 3)).block_dims),
-    "game block": (2, lambda n: make_vi_instance((n, 3), KERNEL, seed=0).x_star),
+    "game block": (2, lambda n: make_vi_instance((n, 3), KERNEL, seed=0).Q),
     "matching_pennies block_dim": (2, lambda n: matching_pennies(KERNEL, block_dim=n).Q),
     "solver stride": (1, _solve),
     **{f"{name} T": (1, lambda n, run=run: run(n).x_out) for name, run in SOLVERS.items()},

@@ -64,3 +64,17 @@ def test_every_public_name_is_used_outside_its_module():
                     if not any(path != home[name] and name in names
                                for path, names in used.items()))
     assert unused == sorted(KEPT_UNUSED)
+
+
+def test_no_function_body_imports():
+    # every import sits at module level, so an import cycle between modules fails at
+    # import time instead of hiding in a function body
+    inner = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in Path(markovmirror.__file__).parent.rglob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert inner == []

@@ -305,9 +305,9 @@ def test_deterministic_mamd_gap_quarters_when_T_doubles(two_state):
 
 
 def test_deterministic_mmp_gap_halves_when_T_doubles(two_state):
-    # a noiseless game whose mixed equilibrium lies away from the start point
+    # a noiseless game whose start point, the center, is far from an equilibrium
     p = make_vi_instance((3, 3), two_state, noise_scale=0.0, seed=3)
-    assert np.abs(p.x_star - p.geometry.center()).max() > 0.5
+    assert err_vi(p, p.geometry.center()) > 0.1
     rec = mmp_batched(p, 0.5 / p.L, cursor_for(p), 256, MlmcConfig(1, 256),
                       np.random.default_rng(0), stride=128,
                       gap_fn=lambda x: err_vi(p, x))

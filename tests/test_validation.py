@@ -9,6 +9,7 @@ from markovmirror import (
     InputError,
     MinProblem,
     MlmcConfig,
+    SimplexGeometry,
     StatisticsError,
     TransitionKernel,
     ViProblem,
@@ -77,6 +78,17 @@ def test_err_vi_zero_at_equilibrium(two_state):
     p = matching_pennies(two_state)
     assert err_vi(p, p.x_star) <= 1e-12
     assert err_vi(p, np.array([1.0, 0.0, 0.5, 0.5])) > 0.1
+
+
+def test_err_vi_is_never_negative(two_state):
+    # u = x gives 0; on a constant payoff, where every profile is an equilibrium,
+    # the vertex value rounded to -3e-16 at most random points
+    geo = SimplexGeometry((2, 2))
+    Q = np.zeros((4, 4))
+    Q[:2, 2:], Q[2:, :2] = -1.3, 1.3
+    p = ViProblem(geo, Q, np.array([0.04, 0.04, 0.06, 0.06]), np.zeros((2, 4)), two_state)
+    for x in geo.sample(np.random.default_rng(0), 20):
+        assert 0.0 <= err_vi(p, x) <= 1e-15
 
 
 def test_err_vi_rejects_non_skew(two_state):
@@ -372,6 +384,19 @@ def test_deviations_need_one_row_per_state(dense8, rng, rows):
         batch_bias_profile(dense8, dev, norm_pair, [4, 8])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_deviations_are_input_error(dense8, rng, value):
+    # NaN passed the drift test (nan > 1e-10 is False) and both fits returned slope nan;
+    # inf failed it as "not centered", a StatisticsError
+    p = make_min_instance(4, dense8, noise_scale=1.0, seed=5)
+    dev, norm_pair = p.noise_deviations().copy(), p.geometry.norm_pair
+    dev[3, 1] = value
+    with pytest.raises(InputError, match="^deviations contain NaN/Inf$"):
+        deviation_scaling(dense8, dev, norm_pair, [4, 8], 10, rng)
+    with pytest.raises(InputError, match="^deviations contain NaN/Inf$"):
+        batch_bias_profile(dense8, dev, norm_pair, [4, 8])
+
+
 # ---------------------------------------------------------------------------
 # batch-mean bias
 
@@ -441,6 +466,15 @@ def test_unbiasedness_pairing(dense8, rng):
                              4000, rng)
     assert rep.max_abs_ratio <= 4.0
     assert rep.mean_diff.shape == (4,)
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_unbiasedness_check_rejects_a_bad_point(dense8, rng, bad):
+    # a NaN point read max_abs_ratio = inf, as if the estimator were biased
+    p = make_min_instance(4, dense8, noise_scale=1.0, seed=6)
+    point, message = BAD_POINTS[bad]
+    with pytest.raises(InputError, match=f"^{message}"):
+        unbiasedness_check(p, point(p.geometry.d), MlmcConfig(B=1, M=4), 10, rng)
 
 
 def per_trial_unbiasedness(oracle, x, config, n_trials, cursor, rng_level):
