@@ -166,7 +166,7 @@ _SCHEMA = {
     "chain.tau_mix": ("int", None, ">= 1"),
     "algorithm": (tuple(_METHODS), "mamd-batched"),
     # mmp's gamma or mamd's c in MamdSchedule(c, tau), replacing the factory's when set
-    "stepsize": ("float", None),
+    "stepsize": ("float", None, "> 0"),
     "T": ("int", 256, ">= 1"),
     "B": ("int", None, ">= 1"),
     "M": ("int", None, ">= 1"),
@@ -575,8 +575,8 @@ def main(argv=None):
         print(f"statistics error: {e}", file=sys.stderr)
         return 5
     except InputError as e:
-        # ConfigError, and schedule/parameter violations, which trace back
-        # to the config in CLI use
+        # ConfigError, and any other bad argument (a stepsize past 1/(2L),
+        # T inside the warmup), which traces back to the config in CLI use
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (MarkovMirrorError, OSError) as e:

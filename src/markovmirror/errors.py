@@ -1,15 +1,17 @@
 """Exception types shared across the library, and its input rules.
 
 The CLI maps these onto stable exit codes, so new failure modes should
-reuse one of the classes below rather than raising bare ValueErrors.
+reuse one of the classes below rather than raising bare ValueErrors:
+InputError (ConfigError among them) exits 2, SolverError and any other
+library error 3, ErgodicityError 4 and StatisticsError 5.
 Every public count and scale is checked by `_count` or `_check_scale`.
 """
 
 import math
 from numbers import Integral, Real
 
-__all__ = ["MarkovMirrorError", "InputError", "GeometryError", "ErgodicityError",
-           "ScheduleError", "SolverError", "StatisticsError", "ConfigError"]
+__all__ = ["MarkovMirrorError", "InputError", "ErgodicityError", "SolverError",
+           "StatisticsError", "ConfigError"]
 
 
 class MarkovMirrorError(Exception):
@@ -17,23 +19,15 @@ class MarkovMirrorError(Exception):
 
 
 class InputError(MarkovMirrorError, ValueError):
-    """Malformed user input: bad shapes, out-of-range parameters, dimension mismatch."""
-
-
-class GeometryError(InputError):
-    """Infeasible point, unsupported norm exponent, or a prox subproblem that failed."""
+    """Bad input: a shape, a point off its set, or a broken run condition (c > 1/(2L), T < tau)."""
 
 
 class ErgodicityError(MarkovMirrorError):
     """Kernel is not irreducible and aperiodic, or chain diagnostics failed to converge."""
 
 
-class ScheduleError(InputError):
-    """Stepsize/momentum schedule violates the run conditions it is checked against."""
-
-
 class SolverError(MarkovMirrorError):
-    """A solve did not reach its tolerance within its iteration cap, or met a non-finite estimate."""
+    """A failed solve: prox out of iterations, a non-finite estimate, or an infeasible iterate."""
 
 
 class StatisticsError(MarkovMirrorError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _count
+from .errors import InputError, _count
 
 __all__ = ["Estimate", "MlmcConfig", "batch_mean", "combine_levels", "mlmc_geometric"]
 
@@ -64,9 +64,11 @@ class MlmcConfig:
 
 
 def _eval_rows(oracle, x, states):
+    """The oracle's rows at `states`; InputError unless it returns one row of x's size per state."""
     vals = np.asarray(oracle(x, states), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[None, :]
+    if vals.shape != (len(states), np.size(x)):
+        raise InputError(f"oracle returned shape {vals.shape}, expected one row per state: "
+                         f"({len(states)}, {np.size(x)})")
     return vals
 
 
@@ -110,19 +112,23 @@ def batch_mean(oracle, x, cursor, batch):
 def combine_levels(values, level, B, M):
     """Multilevel combination g_0 + 2^J (g_J - g_{J-1}) over prefix means.
 
-    `values` holds the oracle rows for at least min(2^level, needed) * B
-    consecutive samples on its last two axes (rows, d), so a stack of
-    trials that drew the same level is combined in one call; levels with
-    2^level > M fall back to g_0.  Shared by the production estimator
-    and the paired validation trials.
+    `values` holds the oracle rows of 2^level * B or more consecutive
+    samples on its last two axes (rows, d), so a stack of trials that drew
+    the same level is combined in one call; a level with 2^level > M falls
+    back to g_0, which needs B rows.  Shared by the production estimator
+    and the paired validation trials.  InputError if level < 1 or too few rows.
     """
+    level = _count(level, "level", 1)
     values = np.asarray(values, dtype=float)
+    span = 1 << level
+    rows = B if span > M else span * B
+    if values.ndim < 2 or values.shape[-2] < rows:
+        raise InputError(f"level {level} with B = {B}, M = {M} reads {rows} rows, "
+                         f"got values of shape {values.shape}")
     g0 = _prefix_mean(values, B)
-    if (1 << level) > M:
+    if span > M:
         return g0
-    g_hi = _prefix_mean(values, (1 << level) * B)
-    g_lo = _prefix_mean(values, (1 << (level - 1)) * B)
-    return g0 + float(1 << level) * (g_hi - g_lo)
+    return g0 + float(span) * (_prefix_mean(values, rows) - _prefix_mean(values, span // 2 * B))
 
 
 def _draw_level(rng, size=None):

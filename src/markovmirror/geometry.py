@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import GeometryError, InputError, _check_scale, _count
+from .errors import InputError, SolverError, _check_scale, _count
 
 __all__ = ["NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeometry"]
 
@@ -41,7 +41,7 @@ def dual_exponent(p):
     """Return q with 1/p + 1/q = 1; p must lie in [1, 2]."""
     p = float(p)
     if not 1.0 <= p <= 2.0 or not np.isfinite(p):
-        raise GeometryError(f"norm exponent p={p!r} outside [1, 2]")
+        raise InputError(f"norm exponent p={p!r} outside [1, 2]")
     if p == 1.0:
         return np.inf
     return p / (p - 1.0)
@@ -194,7 +194,7 @@ class Geometry:
                     break
                 step *= 0.5
                 if step < 1e-18:
-                    raise GeometryError("prox line search collapsed")
+                    raise SolverError("prox line search collapsed")
             if h_trial <= hy + 1e-15:
                 y_prev, y, hy = y, y_trial, h_trial
                 t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
@@ -206,7 +206,7 @@ class Geometry:
                 mom = 0.0
                 y_prev = y.copy()
             step = min(step * 1.5, 1e6)
-        raise GeometryError(
+        raise SolverError(
             f"generic prox did not reach KKT residual {_PROX_TOL:g} in {_PROX_MAX_ITER} iterations"
         )
 
@@ -347,7 +347,7 @@ class SimplexGeometry(Geometry):
 
     def _check_interior(self, x):
         if np.min(x) <= 0.0:
-            raise GeometryError("entropy mirror map needs a strictly interior base point")
+            raise InputError("entropy mirror map needs a strictly interior base point")
 
     def _check_anchor(self, x):
         super()._check_anchor(x)
@@ -358,7 +358,7 @@ class SimplexGeometry(Geometry):
         y = self._check_point(y, "y")
         self._check_interior(x)
         if np.min(y) < 0.0:
-            raise GeometryError("bregman target point has negative coordinates")
+            raise InputError("bregman target point has negative coordinates")
         # y * log(y/x) with the 0 log 0 = 0 convention, plus mass-correction
         # terms that vanish when both block sums are exactly 1
         with np.errstate(divide="ignore", invalid="ignore"):

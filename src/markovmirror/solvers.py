@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import mixing_time
-from .errors import GeometryError, InputError, ScheduleError, SolverError, _check_scale, _count
+from .errors import InputError, SolverError, _check_scale, _count
 from .estimators import MlmcConfig, _at_state, _states, batch_mean, mlmc_geometric
 from .problems import _oracle
 
@@ -78,7 +78,7 @@ class MamdSchedule:
         beta(tau) = 1, beta >= 1 and the telescoping condition
         (beta_{t+1} - 1) gamma_{t+1} <= beta_t gamma_t hold for every
         (c, tau), so what is left is 0 < c <= 1/(2L), i.e.
-        beta_t >= 2 gamma_t L at every t.  Raises ScheduleError
+        beta_t >= 2 gamma_t L at every t.  Raises InputError
         otherwise.
         """
         _check_step(self.c, L, "stepsize constant c")
@@ -135,7 +135,7 @@ class _Recorder:
     def finish(self, geo, x_out, x_last):
         """The RunRecord, once the final iterate is checked to lie in `geo`'s set."""
         if not geo.contains(x_last):
-            raise GeometryError("final iterate left the feasible set")
+            raise SolverError("final iterate left the feasible set")
         rows = np.array(self.rows, dtype=_ROW)
         return RunRecord(
             **{name: rows[name].copy() for name in _ROW.names},
@@ -146,12 +146,12 @@ class _Recorder:
 
 
 def _check_step(value, L, name):
-    """`value` as a float if it lies in (0, 1/(2L)]; ScheduleError otherwise."""
+    """`value` as a float if it lies in (0, 1/(2L)]; InputError otherwise."""
     value = float(value)
     if not (np.isfinite(value) and value > 0):
-        raise ScheduleError(f"{name} must be positive and finite, got {value}")
+        raise InputError(f"{name} must be positive and finite, got {value}")
     if value > 0.5 / L * (1 + 1e-9):
-        raise ScheduleError(f"{name} = {value} exceeds 1/(2 L) = {0.5 / L}")
+        raise InputError(f"{name} = {value} exceeds 1/(2 L) = {0.5 / L}")
     return value
 
 
@@ -210,7 +210,7 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
     _check_chain(problem, cursor)
     schedule.validate(problem.L)
     if T < schedule.tau:
-        raise ScheduleError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
+        raise InputError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
     oracle = problem.grad_oracle
     states = _states(cursor, T)
     rec = _Recorder(T, gap_fn, stride, keep_iterates)
@@ -273,9 +273,7 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
         avg_start = mixing_time(cursor.kernel)
     avg_start = _count(avg_start, "avg_start", 0)
     if T <= avg_start:
-        raise ScheduleError(
-            f"T = {T} leaves an empty averaging window starting at {avg_start}"
-        )
+        raise InputError(f"T = {T} leaves an empty averaging window starting at {avg_start}")
     oracle = _oracle(problem)
     # each state twice: the full step re-reads the state the half step drew,
     # so it costs an oracle call but no chain step

@@ -75,7 +75,7 @@ _N_BOOT = 200
 def subopt_gap(problem, x):
     """f(x) - f* with a certified optimum; tiny negatives clamp to zero.
 
-    x must be a finite point of the problem's dimension (InputError).
+    x must be a finite point of the problem's dimension with f(x) >= f* (InputError).
     """
     if getattr(problem, "f_star", None) is None:
         raise InputError("problem carries no certified optimal value")
@@ -83,7 +83,7 @@ def subopt_gap(problem, x):
     gap = float(problem.f(x) - problem.f_star)
     tol = 1e-12 * max(1.0, abs(problem.f_star))
     if gap < -tol:
-        raise StatisticsError(f"gap {gap:.3e} is negative beyond tolerance; bad reference?")
+        raise InputError(f"gap {gap:.3e} is negative beyond tolerance; bad reference?")
     return max(gap, 0.0)
 
 
@@ -132,7 +132,7 @@ def _check_centered(kernel, deviations):
     drift = pi @ deviations
     worst = float(np.max(np.abs(drift))) if drift.size else 0.0
     if worst > 1e-10:
-        raise StatisticsError(
+        raise InputError(
             f"deviations are not centered under the stationary law (max {worst:.3e})"
         )
     return pi, deviations - drift

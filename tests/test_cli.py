@@ -18,6 +18,7 @@ from markovmirror import (cli, mamd_batched_schedule, mamd_unbatched_schedule, m
                           mmp_unbatched_stepsize, rate_fit)
 from markovmirror.cli import (_SCHEMA, _build_instance, config_hash, main, parse_config_text,
                               resolve_config)
+from markovmirror import errors
 from markovmirror.errors import ConfigError
 
 
@@ -165,6 +166,10 @@ def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
     ("problem.kind = game\nalgorithm = mmp\nproblem.blocks = 3\n", [], 3),
     ("problem.kind = game\nalgorithm = mmp\nproblem.blocks = 2 3 4\n", [], 3),
     ("chain.n = 101\n", [], 1),
+    ("stepsize = -1\n", [], 1),
+    ("stepsize = 0\n", [], 1),
+    ("stepsize = nan\n", [], 1),
+    ("stepsize = inf\n", [], 1),
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, text, args, line):
     cfg = write_config(tmp_path, "T = 20\n" + text)
@@ -759,6 +764,31 @@ def test_noise_on_a_one_state_chain_exits_2_with_one_line(tmp_path):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_exit_codes():
+    """{error class: (exit code, stderr label)} from README's exit-code paragraph."""
+    paragraph = README.read_text(encoding="utf-8").split("Exit codes, ")[1].split("\n\n")[0]
+    codes = {}
+    for entry in re.split(r"(?=`\d` )", " ".join(paragraph.split()))[1:]:
+        code, label = re.match(r"`(\d)` ([a-z ]+)", entry).groups()
+        codes.update((name, (int(code), label)) for name in re.findall(r"`(\w+Error)`", entry))
+    return codes
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_readme_exit_codes_match_each_error_class(tmp_path, capsys, monkeypatch, name):
+    listed = _readme_exit_codes()
+    assert set(listed) == set(errors.__all__)
+    code, label = listed[name]
+
+    def build(res):
+        raise getattr(errors, name)("raised on purpose")
+
+    monkeypatch.setattr(cli, "_build_instance", build)
+    cfg = write_config(tmp_path, "problem.d = 2\nchain.n = 2\nT = 4\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"{label}: raised on purpose\n"
 
 
 def test_readme_synopsis_lists_each_commands_flags():

@@ -153,6 +153,34 @@ def test_combine_levels_matches_manual_prefix_means(rng):
 def test_combine_levels_truncates_above_cap(rng):
     values = rng.normal(size=(8, 2))
     np.testing.assert_array_equal(combine_levels(values, 3, 1, 4), values[:1].mean(axis=0))
+    # a truncated level reads only the first B rows
+    np.testing.assert_array_equal(combine_levels(values[:1], 3, 1, 4), values[0])
+
+
+@pytest.mark.parametrize("level, rows", [(2, 3), (0, 4), (-1, 4)])
+def test_combine_levels_rejects_a_bad_level_or_too_few_rows(level, rows):
+    # 3 rows at level 2 (B = 1, M = 4) gave their sum over 4, [3, 3, 3]; a level
+    # below 1 ended in a negative shift count
+    values = np.arange(12.0).reshape(4, 3)[:rows]
+    with pytest.raises(InputError, match="level"):
+        combine_levels(values, level, 1, 4)
+
+
+@pytest.mark.parametrize("oracle, d", [
+    (lambda x, z: np.array([1.0, 2.0, 3.0]), 3),  # ignores z: one row for a block of states
+    (lambda x, z: np.ones(len(z)), 1),  # one value, not one row, per state
+], ids=["one-row-for-the-block", "one-value-per-state"])
+@pytest.mark.parametrize("draw", [
+    lambda oracle, x, cursor: batch_mean(oracle, x, cursor, 4),
+    lambda oracle, x, cursor: mlmc_geometric(oracle, x, cursor, MlmcConfig(B=2, M=64),
+                                             np.random.default_rng(0)),
+], ids=["batch_mean", "mlmc_geometric"])
+def test_an_oracle_must_return_one_row_per_state(dense8, oracle, d, draw):
+    # batch_mean took [1, 2, 3] as one of 4 rows and returned [0.25, 0.5, 0.75];
+    # the mlmc estimate of the same constant read [0, 0, 0]
+    cursor = ChainCursor(dense8, np.random.default_rng(1))
+    with pytest.raises(InputError, match=rf"one row per state: \(\d+, {d}\)"):
+        draw(oracle, np.zeros(d), cursor)
 
 
 @pytest.mark.parametrize("d", [1, 4])

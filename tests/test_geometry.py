@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from markovmirror import (
     BallGeometry,
     BoxGeometry,
-    GeometryError,
     InputError,
     NormPair,
     SimplexGeometry,
@@ -96,7 +95,7 @@ def test_bregman_entropy_is_kl():
 
 def test_bregman_entropy_boundary_base_rejected():
     geo = SimplexGeometry(2)
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError, match="strictly interior base point"):
         geo.bregman(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
 

@@ -10,7 +10,6 @@ from markovmirror import (
     MamdSchedule,
     MlmcConfig,
     MinProblem,
-    ScheduleError,
     SolverError,
     ViProblem,
     err_vi,
@@ -94,10 +93,10 @@ def test_schedule_violations_raise():
     # beta(tau) = 1, beta >= 1 and telescoping hold for every (c, tau);
     # what is left to reject is a stepsize constant c outside (0, 1/(2L)]
     for c in (0.0, -0.1, np.nan, np.inf):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(InputError, match="must be positive and finite"):
             MamdSchedule(c).validate(1.0)
     # beta < 2 gamma L
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError, match="exceeds 1/\\(2 L\\)"):
         MamdSchedule(1.0).validate(5.0)
 
 
@@ -116,28 +115,27 @@ def test_parameter_validation():
 def test_run_shorter_than_warmup_rejected(two_state):
     p = one_dim_quadratic(two_state)
     sched = mamd_unbatched_schedule(p.L, 1.0, 0.0, 5, 100)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError, match="shorter than the warmup"):
         mamd_unbatched(p, sched, cursor_for(p), 3)
 
 
 def test_mmp_stepsize_cap_enforced(two_state):
     p = matching_pennies(two_state)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError, match="exceeds 1/\\(2 L\\)"):
         mmp_unbatched(p, 0.51 / p.L_tilde, cursor_for(p), 50)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError, match="exceeds 1/\\(2 L\\)"):
         mmp_batched(p, 0.51 / p.L, cursor_for(p), 50, MlmcConfig(1, 50),
                     np.random.default_rng(0))
-    with pytest.raises(ScheduleError):
-        # empty averaging window
+    with pytest.raises(InputError, match="empty averaging window"):
         mmp_unbatched(p, 0.1, cursor_for(p), 2, avg_start=5)
 
 
 def test_mmp_rejects_non_finite_stepsize(two_state):
     p = matching_pennies(two_state)
     for gamma in (np.nan, np.inf):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(InputError, match="must be positive and finite"):
             mmp_unbatched(p, gamma, cursor_for(p), 50, avg_start=0)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(InputError, match="must be positive and finite"):
             mmp_batched(p, gamma, cursor_for(p), 50, MlmcConfig(1, 50),
                         np.random.default_rng(0))
 
@@ -499,7 +497,7 @@ def test_mmp_unbatched_caps_gamma_by_L_on_a_min_problem(dense8):
     assert not hasattr(p, "L_tilde")
     rec = mmp_unbatched(p, 0.5 / p.L, cursor_for(p), 12, avg_start=2)
     assert p.geometry.contains(rec.x_out)
-    with pytest.raises(ScheduleError, match="exceeds 1/\\(2 L\\)"):
+    with pytest.raises(InputError, match="exceeds 1/\\(2 L\\)"):
         mmp_unbatched(p, 0.51 / p.L, cursor_for(p), 12, avg_start=2)
 
 

@@ -57,7 +57,7 @@ def test_subopt_gap_flags_bad_reference(two_state):
     # claimed optimum above the true minimum: gaps go negative
     p = MinProblem(geo, np.eye(2), np.zeros(2), np.zeros((2, 2)), two_state,
                    f_star=1.0)
-    with pytest.raises(StatisticsError):
+    with pytest.raises(InputError, match="bad reference"):
         subopt_gap(p, np.zeros(2))
 
 
@@ -365,7 +365,7 @@ def test_deviation_scaling_input_checks(dense8, rng):
         deviation_scaling(dense8, dev, geo.norm_pair, [4, 8], 1, rng)  # 1 trial
     with pytest.raises(InputError):
         deviation_scaling(dense8, dev, geo.norm_pair, [4], 10, rng)  # 1 cell
-    with pytest.raises(StatisticsError):
+    with pytest.raises(InputError, match="not centered"):
         # uncentered deviations
         deviation_scaling(dense8, np.ones((8, 2)), geo.norm_pair, [4, 8], 10, rng)
     with pytest.raises(StatisticsError):
@@ -387,7 +387,7 @@ def test_deviations_need_one_row_per_state(dense8, rng, rows):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_deviations_are_input_error(dense8, rng, value):
     # NaN passed the drift test (nan > 1e-10 is False) and both fits returned slope nan;
-    # inf failed it as "not centered", a StatisticsError
+    # inf failed it as "not centered"
     p = make_min_instance(4, dense8, noise_scale=1.0, seed=5)
     dev, norm_pair = p.noise_deviations().copy(), p.geometry.norm_pair
     dev[3, 1] = value
