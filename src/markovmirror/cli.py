@@ -157,8 +157,6 @@ _SCHEMA = {
     "problem.geometry": (("box", "ball", "simplex"), "box"),
     "problem.noise": ("float", 1.0, ">= 0"),
     "problem.seed": ("int", 0, ">= 0"),
-    "problem.smoothness": ("float", 1.0, "> 0"),
-    "problem.lipschitz": ("float", 1.0, "> 0"),
     "chain.matrix": ("matrix", None),
     "chain.n": ("int", 8, ">= 2", "<= 100"),  # random_ergodic's entry floor needs n <= 100
     "chain.seed": ("int", 0, ">= 0"),
@@ -278,7 +276,6 @@ def build_problem(res, kernel):
             geometry_kind=res["problem.geometry"],
             noise_scale=res["problem.noise"],
             seed=res["problem.seed"],
-            smoothness=res["problem.smoothness"],
         )
     if kind == "game":
         return make_vi_instance(
@@ -286,7 +283,6 @@ def build_problem(res, kernel):
             kernel,
             noise_scale=res["problem.noise"],
             seed=res["problem.seed"],
-            lipschitz=res["problem.lipschitz"],
         )
     return matching_pennies(
         kernel,
@@ -325,7 +321,7 @@ def _run_solver(res, problem, tau_mix, seed, stride):
     step = res["stepsize"]
     if step is not None:
         schedule = MamdSchedule(step, schedule.tau) if method.gradient else step
-    cursor = ChainCursor(problem.kernel, np.random.default_rng(chain_seq), start="stationary")
+    cursor = ChainCursor(problem.kernel, np.random.default_rng(chain_seq))
     return getattr(solvers, method.solver)(
         problem, schedule, cursor, T, *batch, gap_fn=_gap_fn(problem), stride=stride,
         **dict.fromkeys(method.tau_keywords, tau_mix))
@@ -425,7 +421,7 @@ def cmd_sweep(res, jobs, out_dir):
     gap_matrix = gaps_by_T.T
     budgets = np.asarray(grid, dtype=float)
     if len(res["seeds"]) >= 2:
-        fit = bootstrap_rate_ci(budgets, gap_matrix, rng=np.random.default_rng(0))
+        fit = bootstrap_rate_ci(budgets, gap_matrix)
     else:
         fit = rate_fit(budgets, gap_matrix[0])
     extra = [("rate.slope", fit.slope), ("rate.ci", fit.ci)]

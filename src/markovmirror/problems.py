@@ -6,7 +6,9 @@ mean-field gradient/operator exactly.  Constructors record the
 norm-correct smoothness constant and the exact noise level, and attach
 x* where the construction fixes it: a quadratic's planted minimizer and
 matching pennies' uniform profile.  A random game carries none; err_vi
-is exact without it.
+is exact without it.  The instances have unit scale: a run at scale s
+with noise sigma is the run at scale 1 with noise sigma / s, every gap
+times s, since every stepsize comes from (L, D, sigma, tau).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class _ShiftedProblem:
     and check the structure M needs.
     """
 
-    def _setup(self, geometry, M, v, shifts, kernel, x_star, sigma, f_star=None):
+    def _setup(self, geometry, M, v, shifts, kernel, x_star, sigma):
         M = np.array(M, dtype=float)
         v = np.asarray(v, dtype=float)
         shifts = np.asarray(shifts, dtype=float)
@@ -83,8 +85,10 @@ class _ShiftedProblem:
         d = geometry.d
         if M.shape != (d, d) or v.shape != (d,):
             raise InputError(f"{self._names} shapes {M.shape}/{v.shape} do not match d={d}")
+        if x_star is not None and x_star.shape != (d,):
+            raise InputError(f"x_star has shape {x_star.shape}, expected ({d},)")
         for name, value in ((self._names, M), (self._names, v), ("shifts", shifts),
-                            ("x_star", x_star), ("f_star", f_star)):
+                            ("x_star", x_star)):
             if value is not None and not np.isfinite(value).all():
                 raise InputError(f"{name} must be finite")
         M = self._check_matrix(M)
@@ -112,16 +116,16 @@ class MinProblem(_ShiftedProblem):
     """min over the feasible set of f(x) = x'Ax/2 - b'x, A symmetric PSD.
 
     The stochastic gradient at chain state z is A x - b - c_z with
-    state shifts c_z of zero stationary mean.
+    state shifts c_z of zero stationary mean.  f_star is f(x_star), or
+    None without an x_star.
     """
 
     is_minimization = True
     _names = "A/b"
 
-    def __init__(self, geometry, A, b, shifts, kernel, x_star=None, f_star=None,
-                 sigma=None):
-        self.f_star = None if f_star is None else float(f_star)
-        self.A, self.b = self._setup(geometry, A, b, shifts, kernel, x_star, sigma, self.f_star)
+    def __init__(self, geometry, A, b, shifts, kernel, x_star=None, sigma=None):
+        self.A, self.b = self._setup(geometry, A, b, shifts, kernel, x_star, sigma)
+        self.f_star = None if self.x_star is None else self.f(self.x_star)
 
     def _check_matrix(self, A):
         if np.max(np.abs(A - A.T)) > 1e-10:
@@ -187,16 +191,14 @@ class ViProblem(_ShiftedProblem):
 
 
 def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
-                      smoothness=1.0, eigenvalues=None):
+                      eigenvalues=None):
     """Random quadratic instance with a known interior minimizer.
 
     The target point is drawn strictly inside the feasible set and b is
     chosen as A @ target, so the unconstrained and constrained minimizers
     coincide and f* is exact.  `eigenvalues` overrides the default
-    uniform-[0.05, 1] * smoothness spectrum (its max is pinned to
-    `smoothness` otherwise).
+    uniform-[0.05, 1] spectrum, whose max is pinned to 1.
     """
-    _check_scale(smoothness, "smoothness")
     d = _count(d, "dimension", 1)
     rng = np.random.default_rng(seed)
     W = rng.normal(size=(d, d))
@@ -204,7 +206,6 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
     if eigenvalues is None:
         eigs = rng.uniform(0.05, 1.0, size=d)
         eigs[int(np.argmax(eigs))] = 1.0
-        eigs *= smoothness
     else:
         eigs = np.asarray(eigenvalues, dtype=float)
         if eigs.shape != (d,) or not (np.isfinite(eigs).all() and np.min(eigs) >= 0.0):
@@ -228,9 +229,7 @@ def make_min_instance(d, kernel, geometry_kind="box", noise_scale=1.0, seed=0,
     b = A @ target
 
     shifts = _make_shifts(rng, kernel, geo, noise_scale)
-    f_star = 0.5 * float(target @ A @ target) - float(b @ target)
-    return MinProblem(geo, A, b, shifts, kernel, x_star=target, f_star=f_star,
-                      sigma=noise_scale)
+    return MinProblem(geo, A, b, shifts, kernel, x_star=target, sigma=noise_scale)
 
 
 def _game(geo, G, c, kernel, noise_scale, rng, x_star=None):
@@ -247,16 +246,18 @@ def _game(geo, G, c, kernel, noise_scale, rng, x_star=None):
     return ViProblem(geo, Q, c, shifts, kernel, x_star=x_star, sigma=noise_scale)
 
 
-def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0, lipschitz=1.0):
-    """Random two-player zero-sum game as a skew VI over a simplex product."""
-    _check_scale(lipschitz, "lipschitz")
+def make_vi_instance(block_dims, kernel, noise_scale=1.0, seed=0):
+    """Random two-player zero-sum game as a skew VI over a simplex product.
+
+    The payoff block has max |entry| 1, so L = 1 in the l1 geometry.
+    """
     geo = SimplexGeometry(block_dims)
     if geo.n_blocks != 2:
         raise InputError(f"game instances need two blocks, got {geo.block_dims}")
     rng = np.random.default_rng(seed)
     G = rng.normal(size=geo.block_dims)
-    G *= lipschitz / np.max(np.abs(G))
-    c = _AFFINE_SCALE * lipschitz * rng.normal(size=geo.d)
+    G *= 1.0 / np.max(np.abs(G))  # not G /= max: that rounds differently in the last bit
+    c = _AFFINE_SCALE * rng.normal(size=geo.d)
     return _game(geo, G, c, kernel, noise_scale, rng)
 
 

@@ -79,17 +79,22 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "problem.dims" in capsys.readouterr().err
 
 
-# keys the schema no longer has, each with a value it took and a command that read it
+COMMANDS = ("run", "sweep", "diagnose-chain", "check-lemma1", "check-lemma2")
+# keys the schema no longer has, each with a value it took and a command that read it;
+# the two scales were read by every command, which builds the problem or echoes its config
 DELETED_KEYS = [("schedule.source = explicit", "run"), ("schedule.c = 0.01", "run"),
                 ("schedule.gamma = 0.05", "run"), ("synthetic.exponent = -2", "sweep"),
                 ("metrics = none", "sweep"), ("check.B = 1", "check-lemma2"),
-                ("out = results", "check-lemma1")]
+                ("out = results", "check-lemma1"),
+                *((line, command) for line in ("problem.smoothness = 2.5", "problem.lipschitz = 1")
+                  for command in COMMANDS)]
 
 
 @pytest.mark.parametrize("line, command", DELETED_KEYS)
 def test_a_deleted_key_exits_2_as_unknown(tmp_path, capsys, line, command):
     cfg = write_config(tmp_path, f"T = 8\n{line}\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = [] if command == "diagnose-chain" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", cfg, *out]) == 2
     captured = capsys.readouterr()
     key = line.partition(" = ")[0]
     assert captured.err == f"config error: config line 2: unknown key {key!r}\n"
@@ -142,15 +147,8 @@ def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
     ("", ["--seed", "-2"], None),
     ("problem.seed = -1\n", [], 1),
     ("chain.seed = -3\n", [], 1),
-    ("problem.smoothness = nan\n", [], 1),
-    ("problem.smoothness = inf\n", [], 1),
-    ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = -inf\n", [], 3),
     ("chain.laziness = -0.5\n", [], 1),
     ("chain.laziness = nan\n", [], 1),
-    ("problem.smoothness = 0\n", [], 1),
-    ("problem.smoothness = -1\n", [], 1),
-    ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = 0\n", [], 3),
-    ("problem.kind = game\nalgorithm = mmp\nproblem.lipschitz = -1\n", [], 3),
     ("chain.tau_mix = 0\n", [], 1),
     ("problem.noise = 0\nalgorithm = mmp\nchain.tau_mix = -5\n", [], 3),
     ("chain.matrix = nan 1 ; 0.5 0.5\n", [], 1),
@@ -827,3 +825,26 @@ def test_readme_config_table_lists_each_schema_key():
     section = README.read_text(encoding="utf-8").split("### Config keys\n")[1].split("\n#")[0]
     keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
     assert sorted(keys) == sorted(_SCHEMA) and len(keys) == len(_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def _readme_blocks(lang):
+    return [b.split("```")[0] for b in README.read_text(encoding="utf-8").split(f"```{lang}\n")[1:]]
+
+
+def test_readme_quick_start_runs(capsys):
+    (block,) = _readme_blocks("python")
+    exec(compile(block, "README quick start", "exec"), {})
+    gap, calls = capsys.readouterr().out.split()
+    assert float(gap) >= 0.0 and int(calls) > 0
+
+
+def test_readme_example_configs_resolve():
+    # a key deleted from the schema cannot linger in the docs
+    run_example, check_example = _readme_blocks("text")
+    res = resolve_config(parse_config_text(run_example), solve=True)
+    assert (res["problem.kind"], res["algorithm"]) == ("game", "mmp-batched")
+    assert resolve_config(parse_config_text(check_example))["chain.laziness"] == 0.97

@@ -282,25 +282,40 @@ def test_vi_factory_reference(dense8):
 
 
 def test_smoothness_euclidean_is_spectral_norm(dense8):
-    p = make_min_instance(6, dense8, geometry_kind="box", seed=3, smoothness=2.5)
+    p = make_min_instance(6, dense8, geometry_kind="box", seed=3)
     assert p.L == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(p.A))), abs=1e-9)
-    assert p.L == pytest.approx(2.5, abs=1e-9)  # spectrum pinned to `smoothness`
+    assert p.L == pytest.approx(1.0, abs=1e-9)  # the spectrum's max is pinned to 1
 
 
 def test_smoothness_simplex_is_max_entry(dense8):
     p = make_min_instance(6, dense8, geometry_kind="simplex", seed=3)
     assert p.L == pytest.approx(np.max(np.abs(p.A)), abs=1e-12)
-    g = make_vi_instance((3, 3), dense8, seed=1, lipschitz=1.7)
-    assert g.L == pytest.approx(1.7, abs=1e-9)
+    g = make_vi_instance((3, 3), dense8, seed=1)
+    assert g.L == pytest.approx(1.0, abs=1e-12)  # the payoff's max |entry| is pinned to 1
     assert g.L_tilde == g.L
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
-def test_non_positive_or_non_finite_scale_rejected(dense8, value):
-    with pytest.raises(InputError, match="smoothness must be positive and finite"):
-        make_min_instance(4, dense8, smoothness=value)
-    with pytest.raises(InputError, match="lipschitz must be positive and finite"):
-        make_vi_instance((2, 3), dense8, lipschitz=value)
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+def test_f_star_is_f_at_the_planted_minimizer(two_state, kind):
+    # MinProblem computes f* as f(x*); the factory's own formula for it was a second copy
+    for seed in range(8):
+        p = make_min_instance(5, two_state, geometry_kind=kind, noise_scale=0.3, seed=seed)
+        assert p.f_star == p.f(p.x_star)
+        assert type(p.f_star) is float
+    no_x_star = MinProblem(BoxGeometry(2), np.eye(2), np.zeros(2), zero_shifts(two_state, 2),
+                           two_state)
+    assert no_x_star.f_star is None
+
+
+@pytest.mark.parametrize("x_star", [0.0, np.zeros(3), np.zeros((2, 1))])
+def test_a_misshapen_x_star_is_input_error(two_state, x_star):
+    # accepted unchecked before f* = f(x*); in f they raise numpy's ValueError, not InputError
+    with pytest.raises(InputError, match="x_star has shape"):
+        MinProblem(BoxGeometry(2), np.eye(2), np.zeros(2), zero_shifts(two_state, 2), two_state,
+                   x_star=x_star)
+    with pytest.raises(InputError, match="x_star has shape"):
+        ViProblem(BoxGeometry(2), np.zeros((2, 2)), np.zeros(2), zero_shifts(two_state, 2),
+                  two_state, x_star=x_star)
 
 
 def test_sigma_is_exact(dense8):
@@ -375,7 +390,7 @@ def _finite_problem(two_state, **bad):
     """A box MinProblem (or, with Q, a ViProblem) with one argument replaced by `bad`."""
     geo = BoxGeometry(2, -1.0, 1.0)
     args = dict(A=np.eye(2), b=np.zeros(2), shifts=zero_shifts(two_state, 2), kernel=two_state,
-                x_star=np.zeros(2), f_star=0.0)
+                x_star=np.zeros(2))
     if "Q" in bad:
         return ViProblem(geo, bad["Q"], np.zeros(2), args["shifts"], two_state)
     args.update(bad)
@@ -387,9 +402,9 @@ NAN_ROW = np.array([[np.nan, 0.0], [0.0, 0.0]])
 
 @pytest.mark.parametrize("bad", [
     {"shifts": NAN_ROW}, {"b": np.array([np.nan, 0.0])}, {"x_star": np.array([np.nan, 0.0])},
-    {"f_star": np.nan}, {"sigma": np.nan}, {"sigma": np.inf}, {"A": NAN_ROW},
+    {"sigma": np.nan}, {"sigma": np.inf}, {"A": NAN_ROW},
     {"A": np.array([[np.inf, 0.0], [0.0, 1.0]])}, {"Q": NAN_ROW},
-], ids=["shifts", "b", "x_star", "f_star", "sigma-nan", "sigma-inf", "A-nan", "A-inf", "Q-nan"])
+], ids=["shifts", "b", "x_star", "sigma-nan", "sigma-inf", "A-nan", "A-inf", "Q-nan"])
 def test_non_finite_problem_data_is_input_error(two_state, bad):
     # NaN passed the zero-mean and sigma comparisons; a NaN or inf matrix
     # entry escaped from eigvalsh as LinAlgError

@@ -21,6 +21,7 @@ from markovmirror import (
     mamd_unbatched,
     mamd_unbatched_schedule,
     matching_pennies,
+    mixing_time,
     mmp_batched,
     mmp_batched_params,
     mmp_unbatched,
@@ -38,7 +39,7 @@ def cursor_for(problem, seed=0):
 def one_dim_quadratic(kernel, lo=-1.0, hi=1.0):
     geo = BoxGeometry(1, lo, hi)
     return MinProblem(geo, np.eye(1), np.zeros(1), np.zeros((kernel.n_states, 1)),
-                      kernel, x_star=np.zeros(1), f_star=0.0)
+                      kernel, x_star=np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +416,67 @@ def test_golden_runs_reproduce_frozen_rows():
 
 
 # ---------------------------------------------------------------------------
+# scale invariance: every stepsize comes from (L, D, sigma, tau), so a problem's
+# scale s with noise sigma runs as scale 1 with noise sigma / s, every gap times s
+
+
+FACTORIES = {"mamd_unbatched": mamd_unbatched_schedule, "mamd_batched": mamd_batched_schedule,
+             "mmp_unbatched": mmp_unbatched_stepsize, "mmp_batched": mmp_batched_params}
+
+
+def _scaled(p, scale, noise=1.0):
+    """`p` with its matrix and linear term times `scale` (L too) and its shifts times `noise`."""
+    if p.is_minimization:
+        return MinProblem(p.geometry, scale * p.A, scale * p.b, noise * p.shifts, p.kernel,
+                          x_star=p.x_star)
+    return ViProblem(p.geometry, scale * p.Q, scale * p.c, noise * p.shifts, p.kernel)
+
+
+def _factory_run(name, p, tau, T):
+    """A run of `name` at its factory's stepsize, with the gap recorded at T alone."""
+    D = np.sqrt(p.geometry.diameter_sq())
+    step = FACTORIES[name](p.L, D, p.sigma, tau, T)
+    metric = subopt_gap if p.is_minimization else err_vi
+    batch = ()
+    if name.endswith("_batched"):
+        step, mlmc = step
+        batch = (mlmc, np.random.default_rng(6))
+    kw = {"avg_start": tau} if name == "mmp_unbatched" else {}
+    return getattr(solvers, name)(p, step, cursor_for(p, 5), T, *batch,
+                                  gap_fn=lambda x: metric(p, x), **kw)
+
+
+def _assert_scaled_run(name, unit, scaled, scale, tau, T=48):
+    want, got = _factory_run(name, unit, tau, T), _factory_run(name, scaled, tau, T)
+    np.testing.assert_allclose(got.x_out, want.x_out, rtol=0, atol=1e-12)
+    assert got.gap[-1] == pytest.approx(scale * want.gap[-1], rel=1e-11)
+
+
+# the stepsize caps: the noise term binds in 12 of 14 cases at sigma = 0.5, 1/(2L) in all at 1e-5
+SCALE_NOISE = [(2.5, 0.5), (0.3, 1e-5)]
+
+
+@pytest.mark.parametrize("scale, sigma", SCALE_NOISE)
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+@pytest.mark.parametrize("name", FACTORIES)
+def test_a_quadratic_scale_is_a_noise_scale(dense8, name, kind, scale, sigma):
+    eigs, tau = np.array([0.2, 0.45, 0.7, 1.0]), mixing_time(dense8)
+    unit, scaled = (make_min_instance(4, dense8, geometry_kind=kind, noise_scale=noise, seed=2,
+                                      eigenvalues=s * eigs)
+                    for s, noise in ((1.0, sigma / scale), (scale, sigma)))
+    assert scaled.L == pytest.approx(scale * unit.L, rel=1e-12)
+    _assert_scaled_run(name, unit, scaled, scale, tau)
+
+
+@pytest.mark.parametrize("scale, sigma", SCALE_NOISE)
+@pytest.mark.parametrize("name", ["mmp_unbatched", "mmp_batched"])
+def test_a_game_scale_is_a_noise_scale(dense8, name, scale, sigma):
+    game = make_vi_instance((3, 4), dense8, noise_scale=sigma, seed=4)
+    _assert_scaled_run(name, _scaled(game, 1.0, 1.0 / scale), _scaled(game, scale), scale,
+                       mixing_time(dense8))
+
+
+# ---------------------------------------------------------------------------
 # checks at the solver boundary: every estimate finite, no per-step prox checks
 
 
@@ -423,8 +485,10 @@ SOLVERS = ("mamd_unbatched", "mamd_batched", "mmp_unbatched", "mmp_batched")
 
 def _boundary_problem(name, kernel, scale=1.0):
     if name.startswith("mamd"):
-        return make_min_instance(3, kernel, noise_scale=0.5, seed=1, smoothness=scale)
-    return make_vi_instance((2, 3), kernel, noise_scale=0.5, seed=1, lipschitz=scale)
+        p = make_min_instance(3, kernel, noise_scale=0.5, seed=1)
+    else:
+        p = make_vi_instance((2, 3), kernel, noise_scale=0.5, seed=1)
+    return p if scale == 1.0 else _scaled(p, scale)
 
 
 def _short_run(name, p, cursor, T=12, **kw):
