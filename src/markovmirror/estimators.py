@@ -5,11 +5,18 @@ states z, returning one row per state.  Every estimate reports the
 oracle evaluations it actually performed and the chain samples it
 consumed; the two differ for the truncated multilevel estimator, whose
 cursor always moves 2^J * B states even when the level is truncated.
+
+The solvers draw a run's states and levels before its loop: a plan
+(`_unbatched_plan`, `_level_plan`) is each iteration's read of the
+chain plus the running oracle-call and chain-step totals, and the
+single-estimate functions `batch_mean` and `mlmc_geometric` are the
+same reads for one estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,9 +32,10 @@ _MAX_LEVEL = 62
 # matrix-power jump instead of materializing unused states
 _SKIP_THRESHOLD = 4096
 
-# states one-at-a-time readers draw from the cursor per advance call; advance
-# holds a chunk's uniforms as Python floats, and 4096 of them raised a
-# 2^15-step run's peak RSS by 1 MB with no speed gain over 1024
+# states a plan draws from the cursor per advance call (a batched plan reads
+# one iteration's states at once when they are more); advance holds a
+# chunk's uniforms as Python floats, and 4096 of them raised a 2^15-step
+# run's peak RSS by 1 MB with no speed gain over 1024
 _CHUNK = 1024
 
 
@@ -81,10 +89,25 @@ def _prefix_mean(values, n):
     return values[..., :n, :].sum(axis=-2) / n
 
 
-def _at_state(oracle, x, state, steps):
-    """One oracle evaluation at a chain state the caller drew; `steps` chain steps charged."""
-    return Estimate(np.asarray(oracle(x, state), dtype=float), oracle_calls=1,
-                    chain_steps=steps, level=0)
+def _batch_g(oracle, x, states):
+    """The mean of the oracle's rows at `states`."""
+    return _prefix_mean(_eval_rows(oracle, x, states), len(states))
+
+
+def _level_cost(level, B, M):
+    """(oracle calls, chain steps) of a multilevel estimate at `level`.
+
+    The cursor moves the level's whole span of 2^level * B states; the
+    oracle reads all of them, or only the first B when 2^level > M.
+    """
+    span = (1 << level) * B
+    return (span if (1 << level) <= M else B), span
+
+
+def _level_g(oracle, x, read, config):
+    """The multilevel estimate at x from a plan's read (head states, level states, level)."""
+    _, states, level = read
+    return combine_levels(_eval_rows(oracle, x, states), level, config.B, config.M)
 
 
 def _states(cursor, T):
@@ -101,12 +124,70 @@ def _states(cursor, T):
         T -= n
 
 
+def _unbatched_plan(cursor, T, calls):
+    """An unbatched run's plan: one chain state per iteration, read by `calls` oracle calls.
+
+    Returns (reads, calls, steps): the states as `_states` yields them,
+    and the oracle calls and chain steps after t = 0, ..., T iterations.
+    """
+    return _states(cursor, T), range(0, calls * (T + 1), calls), range(T + 1)
+
+
+def _level_plan(cursor, level_rng, T, config, head):
+    """A batched run's plan, its T levels drawn from `level_rng` in one call.
+
+    Iteration t reads `head` states for a batch mean (0 for none), then
+    its level's span.  Returns (reads, calls, steps): reads yields each
+    iteration's (head states, level states, level), and calls and steps
+    are the running totals after t = 0, ..., T iterations.
+    """
+    levels = _draw_level(level_rng, size=T).tolist()
+    costs = [_level_cost(level, config.B, config.M) for level in levels]
+    calls = list(accumulate((head + c for c, _ in costs), initial=0))
+    steps = list(accumulate((head + s for _, s in costs), initial=0))
+    return _level_reads(cursor, levels, costs, head), calls, steps
+
+
+def _level_reads(cursor, levels, costs, head):
+    """Each iteration's (head states, level states, level), read from the cursor in blocks.
+
+    Iteration t moves the cursor `head` states, then its level's span:
+    the oracle reads the first `calls` states of it, and the rest is
+    advanced too when it is at most _SKIP_THRESHOLD states long, or
+    crossed by one `skip` otherwise.  The iterations up to a skip are
+    read by one `advance` of at most _CHUNK states (one iteration's, if
+    it alone needs more), which reads the uniforms a per-iteration walk
+    reads, in the same order.  A block's advance and skip both happen
+    before its first iteration is yielded.
+    """
+    moved, skipped = [], []
+    for calls, span in costs:
+        rest = span - calls
+        jump = rest if rest > _SKIP_THRESHOLD else 0
+        moved.append(head + span - jump)
+        skipped.append(jump)
+    t, T = 0, len(costs)
+    while t < T:
+        first, size, skip = t, 0, 0
+        while t < T and not skip and (t == first or size + moved[t] <= _CHUNK):
+            size += moved[t]
+            skip = skipped[t]
+            t += 1
+        states = cursor.advance(size)
+        if skip:
+            cursor.skip(skip)
+        at = 0
+        for u in range(first, t):
+            mid = at + head
+            yield states[at:mid], states[mid:mid + costs[u][0]], levels[u]
+            at += moved[u]
+
+
 def batch_mean(oracle, x, cursor, batch):
     """Plain mean over the next `batch` chain states."""
     batch = _count(batch, "batch", 1)
-    states = cursor.advance(batch)
-    vals = _eval_rows(oracle, x, states)
-    return Estimate(g=_prefix_mean(vals, batch), oracle_calls=batch, chain_steps=batch, level=0)
+    return Estimate(g=_batch_g(oracle, x, cursor.advance(batch)), oracle_calls=batch,
+                    chain_steps=batch, level=0)
 
 
 def combine_levels(values, level, B, M):
@@ -120,15 +201,14 @@ def combine_levels(values, level, B, M):
     """
     level = _count(level, "level", 1)
     values = np.asarray(values, dtype=float)
-    span = 1 << level
-    rows = B if span > M else span * B
+    rows, span = _level_cost(level, B, M)
     if values.ndim < 2 or values.shape[-2] < rows:
         raise InputError(f"level {level} with B = {B}, M = {M} reads {rows} rows, "
                          f"got values of shape {values.shape}")
     g0 = _prefix_mean(values, B)
-    if span > M:
+    if rows < span:  # truncated
         return g0
-    return g0 + float(span) * (_prefix_mean(values, rows) - _prefix_mean(values, span // 2 * B))
+    return g0 + float(1 << level) * (_prefix_mean(values, rows) - _prefix_mean(values, span // 2))
 
 
 def _draw_level(rng, size=None):
@@ -149,16 +229,11 @@ def mlmc_geometric(oracle, x, cursor, config, rng):
     Draws J with P{J = j} = 2^-j from `rng` (a stream independent of the
     cursor's), always advances the cursor by 2^J * B states, and
     evaluates the oracle on all of them when 2^J <= M or on just the
-    first B when the level is truncated.
+    first B when the level is truncated.  It is a batched plan's read
+    for one iteration.
     """
     level = _draw_level(rng)
-    span = (1 << level) * config.B
-    calls = span if (1 << level) <= config.M else config.B
-    vals = _eval_rows(oracle, x, cursor.advance(calls))
-    rest = span - calls
-    if rest > _SKIP_THRESHOLD:
-        cursor.skip(rest)
-    elif rest > 0:
-        cursor.advance(rest)
-    return Estimate(g=combine_levels(vals, level, config.B, config.M), oracle_calls=calls,
+    calls, span = _level_cost(level, config.B, config.M)
+    read, = _level_reads(cursor, [level], [(calls, span)], 0)
+    return Estimate(g=_level_g(oracle, x, read, config), oracle_calls=calls,
                     chain_steps=span, level=level)

@@ -33,7 +33,8 @@ SIMPLEX_NU = 1e-9
 # stopping rule of the generic prox: KKT residual and iteration budget
 _PROX_TOL = 1e-10
 _PROX_MAX_ITER = 10_000
-# slack `contains` grants a point past the boundary of its feasible set
+# slack `contains` grants a point past the boundary of its feasible set, at
+# unit scale; a ball's scales with its radius, a box's with its width
 _FEASIBLE_TOL = 1e-10
 
 
@@ -114,6 +115,15 @@ class Geometry:
 
     def diameter_sq(self):
         raise NotImplementedError
+
+    def _check_diameter(self):
+        """InputError unless diameter_sq() is a finite double; the stepsizes' D comes from it."""
+        try:
+            finite = math.isfinite(self.diameter_sq())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InputError(f"{type(self).__name__}: the squared diameter overflows a double")
 
     def center(self):
         raise NotImplementedError
@@ -237,7 +247,9 @@ class BoxGeometry(_EuclideanGeometry):
         super().__init__(d)
         self.lo = float(lo)
         self.hi = float(hi)
-        _check_scale(self.hi - self.lo, f"box [{lo}, {hi}] width")
+        width = _check_scale(self.hi - self.lo, f"box [{lo}, {hi}] width")
+        self._slack = _FEASIBLE_TOL * max(1.0, width)
+        self._check_diameter()
 
     def diameter_sq(self):
         return self.d * (self.hi - self.lo) ** 2 / 8.0
@@ -247,8 +259,8 @@ class BoxGeometry(_EuclideanGeometry):
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.d,) and bool(np.all(x >= self.lo - _FEASIBLE_TOL)
-                                             and np.all(x <= self.hi + _FEASIBLE_TOL))
+        return x.shape == (self.d,) and bool(np.all(x >= self.lo - self._slack)
+                                             and np.all(x <= self.hi + self._slack))
 
     def project(self, v):
         return np.minimum(np.maximum(v, self.lo), self.hi)
@@ -268,6 +280,8 @@ class BallGeometry(_EuclideanGeometry):
     def __init__(self, d, radius=1.0):
         super().__init__(d)
         self.radius = _check_scale(radius, "ball radius")
+        self._slack = _FEASIBLE_TOL * max(1.0, self.radius)
+        self._check_diameter()
 
     def diameter_sq(self):
         return self.radius**2 / 2.0
@@ -277,7 +291,7 @@ class BallGeometry(_EuclideanGeometry):
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.d,) and bool(self.norm_pair.norm(x) <= self.radius + _FEASIBLE_TOL)
+        return x.shape == (self.d,) and bool(self.norm_pair.norm(x) <= self.radius + self._slack)
 
     def project(self, v):
         v = np.asarray(v, dtype=float)
@@ -336,9 +350,11 @@ class SimplexGeometry(Geometry):
         self.nu = SIMPLEX_NU
         self.n_blocks = len(self.block_dims)
         # the block layout: segment reductions over all blocks at once are
-        # reduceat over the block starts, repeated back by the block dims
+        # reduceat over the block starts, spread back over each block by a
+        # take of its coordinates' block index (cheaper than np.repeat)
         self._dims = np.array(self.block_dims)
         self._starts = np.concatenate(([0], np.cumsum(self._dims)[:-1]))
+        self._block = np.repeat(np.arange(self.n_blocks), self._dims)
         self._floors = np.repeat(self.nu / self._dims, self._dims)
 
     def blocks(self, x):
@@ -374,13 +390,13 @@ class SimplexGeometry(Geometry):
 
     def renormalize(self, y):
         """Fold nonnegative blockwise-unit rows (trailing axis) onto the floored simplex."""
-        sums = np.repeat(np.add.reduceat(y, self._starts, axis=-1), self._dims, axis=-1)
+        sums = np.add.reduceat(y, self._starts, axis=-1).take(self._block, axis=-1)
         return (1.0 - self.nu) * (y / sums) + self._floors
 
     def _step(self, x, xi):
         # exponential reweighting, stabilized by subtracting each block's max
         a = np.log(x) - xi / self.n_blocks
-        a -= np.repeat(np.maximum.reduceat(a, self._starts), self._dims)
+        a -= np.maximum.reduceat(a, self._starts).take(self._block)
         return self.renormalize(np.exp(a))
 
     def diameter_sq(self):

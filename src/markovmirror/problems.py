@@ -95,7 +95,8 @@ class _ShiftedProblem:
         if shifts.shape != (kernel.n_states, d):
             raise InputError(f"shifts shape {shifts.shape} != ({kernel.n_states}, {d})")
         pi = stationary(kernel)
-        if np.max(np.abs(pi @ shifts)) > 1e-12:
+        # relative to the shifts' size: centring them leaves about eps times their peak
+        if np.max(np.abs(pi @ shifts)) > 1e-12 * max(1.0, np.max(np.abs(shifts))):
             raise InputError("state shifts must have zero stationary mean")
         self.geometry = geometry
         self.shifts = shifts
@@ -104,6 +105,14 @@ class _ShiftedProblem:
         self.sigma = _checked_sigma(geometry, shifts, sigma)
         self.x_star = x_star
         return M, v
+
+    def _shift_rows(self, z):
+        """The shift row of state z, or the (k, d) rows of a state vector.
+
+        One int state takes a view of its row, several a take: indexing
+        is the cheaper for one row, take for many.
+        """
+        return self.shifts[z] if type(z) is int else self.shifts.take(z, axis=0)
 
     def _point(self, x):
         x = np.asarray(x, dtype=float)
@@ -144,7 +153,7 @@ class MinProblem(_ShiftedProblem):
 
     def grad_oracle(self, x, z):
         """Stochastic gradient A x - b - c_z; z may be an int or a state vector."""
-        return self.grad(x) - self.shifts.take(z, axis=0)
+        return self.grad(x) - self._shift_rows(z)
 
     def noise_deviations(self):
         """Rows D[z] with grad_oracle(x, z) = grad(x) + D[z]."""
@@ -183,7 +192,7 @@ class ViProblem(_ShiftedProblem):
 
     def op_oracle(self, x, z):
         """Stochastic operator Qx + c + e_z; z may be an int or a state vector."""
-        return self.op(x) + self.shifts.take(z, axis=0)
+        return self.op(x) + self._shift_rows(z)
 
     def noise_deviations(self):
         """Rows D[z] with op_oracle(x, z) = op(x) + D[z]."""

@@ -8,15 +8,19 @@ Two families, each one loop that takes its estimators as arguments:
 * stochastic mirror prox for monotone VIs and matrix games
   (`mmp_unbatched` / `mmp_batched`) with a constant stepsize.
 
-The unbatched variants consume one correlated chain state per
-iteration, drawn from the cursor in chunks (`estimators._states`); the
-batched variants replace the single draw with a batch mean and a
-truncated-geometric multilevel estimate, which restores clean stepsize
-constants at the price of more oracle calls per iteration.  With
-B = M = 1 the batched loops produce the unbatched iterates only when the
-oracle is noiseless: M = 1 truncates every level J >= 1 to a single
-sample yet still advances the cursor by 2^J states, so on a noisy
-problem the two read different states of the stream.
+Each run draws its plan before its loop (`estimators._unbatched_plan`,
+`estimators._level_plan`): the chain states every iteration reads and
+the running oracle-call and chain-step totals, so the loop body only
+computes the estimate, checks it and takes the prox step.  The
+unbatched variants read one correlated chain state per iteration,
+drawn from the cursor in chunks; the batched variants draw all T
+truncated-geometric levels first and read each iteration's batch mean
+and multilevel states from blocks of the cursor's walk, which restores
+clean stepsize constants at the price of more oracle calls per
+iteration.  With B = M = 1 the batched loops produce the unbatched
+iterates only when the oracle is noiseless: M = 1 truncates every level
+J >= 1 to a single sample yet still advances the cursor by 2^J states,
+so on a noisy problem the two read different states of the stream.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .chain import mixing_time
 from .errors import InputError, SolverError, _check_scale, _count
-from .estimators import MlmcConfig, _at_state, _states, batch_mean, mlmc_geometric
+from .estimators import MlmcConfig, _batch_g, _level_g, _level_plan, _unbatched_plan
 from .problems import _oracle
 
 __all__ = [
@@ -109,17 +113,23 @@ _ROW = np.dtype([("t", np.int64), ("oracle_calls", np.int64), ("chain_steps", np
 
 
 class _Recorder:
-    """Rows, kept iterate pairs and the RunRecord of one run of T iterations."""
+    """Rows, kept iterate pairs and the RunRecord of one run of T iterations.
+
+    `calls` and `steps`, set from the run's plan once the inputs are
+    checked, are its oracle calls and chain steps after t iterations,
+    indexed by t.
+    """
 
     def __init__(self, T, gap_fn, stride, keep_iterates):
         self.T = T
         self.stride = T if stride is None else _count(stride, "stride", 1)
         self.gap_fn = gap_fn
         self.kept = [] if keep_iterates else None
+        self.calls = self.steps = None
         self.t0 = time.perf_counter()
         self.rows = []
 
-    def maybe(self, t, calls, steps, point, pair):
+    def maybe(self, t, point, pair):
         """After iteration t: keep `pair` if asked, record a row at the stride."""
         if self.kept is not None:
             self.kept.append((pair[0].copy(), pair[1].copy()))
@@ -130,7 +140,7 @@ class _Recorder:
         else:
             gap = float(self.gap_fn(point))
         wall = (time.perf_counter() - self.t0) * 1e3
-        self.rows.append((t, calls, steps, gap, wall))
+        self.rows.append((t, self.calls[t], self.steps[t], gap, wall))
 
     def finish(self, geo, x_out, x_last):
         """The RunRecord, once the final iterate is checked to lie in `geo`'s set."""
@@ -172,30 +182,29 @@ def _check_chain(problem, cursor, level_rng=None):
 # the feasible set, which the final check confirms.
 
 
-def _stepped(gamma, est, t):
-    """gamma times the estimate, the argument of one prox step; SolverError if not finite."""
-    xi = gamma * est.g
+def _stepped(gamma, g, t):
+    """gamma times the estimate g, the argument of one prox step; SolverError if not finite."""
+    xi = gamma * g
     if not np.isfinite(xi).all():
         raise SolverError(f"non-finite estimate at iteration {t}")
     return xi
 
 
-def _descent(problem, schedule, T, estimate, rec):
-    """Accelerated mirror descent; `estimate(x)` draws the gradient Estimate at x."""
-    betas, gammas = (a.tolist() for a in schedule.arrays(T))
+def _descent(problem, schedule, estimate, reads, rec):
+    """Accelerated mirror descent over the reads of a run's plan.
+
+    `estimate(x, read)` is the gradient estimate at x from one iteration's read.
+    """
+    betas, gammas = (a.tolist() for a in schedule.arrays(rec.T))
     geo = problem.geometry
     x = geo.center()
     x_f = x.copy()
-    calls = steps = 0
-    for t in range(T):
+    for t, read in enumerate(reads):
         inv = 1.0 / betas[t]
         x_g = inv * x + (1.0 - inv) * x_f
-        est = estimate(x_g)
-        x = geo._step(x, _stepped(gammas[t], est, t))
+        x = geo._step(x, _stepped(gammas[t], estimate(x_g, read), t))
         x_f = inv * x + (1.0 - inv) * x_f
-        calls += est.oracle_calls
-        steps += est.chain_steps
-        rec.maybe(t + 1, calls, steps, x_f, (x, x_f))
+        rec.maybe(t + 1, x_f, (x, x_f))
     return rec.finish(geo, x_f, x)
 
 
@@ -211,10 +220,9 @@ def mamd_unbatched(problem, schedule, cursor, T, *, gap_fn=None, stride=None,
     schedule.validate(problem.L)
     if T < schedule.tau:
         raise InputError(f"T = {T} is shorter than the warmup tau = {schedule.tau}")
-    oracle = problem.grad_oracle
-    states = _states(cursor, T)
     rec = _Recorder(T, gap_fn, stride, keep_iterates)
-    return _descent(problem, schedule, T, lambda x: _at_state(oracle, x, next(states), 1), rec)
+    reads, rec.calls, rec.steps = _unbatched_plan(cursor, T, 1)
+    return _descent(problem, schedule, problem.grad_oracle, reads, rec)
 
 
 def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
@@ -229,32 +237,30 @@ def mamd_batched(problem, schedule, cursor, T, mlmc, level_rng, *, gap_fn=None,
     schedule.validate(problem.L)
     oracle = problem.grad_oracle
     rec = _Recorder(T, gap_fn, stride, keep_iterates)
-    return _descent(problem, schedule, T,
-                    lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng), rec)
+    reads, rec.calls, rec.steps = _level_plan(cursor, level_rng, T, mlmc, 0)
+    return _descent(problem, schedule, lambda x, read: _level_g(oracle, x, read, mlmc),
+                    reads, rec)
 
 
-def _mirror_prox(problem, gamma, T, half, full, avg_start, rec):
-    """Mirror prox: `half(x)` and `full(x_half)` draw the two operator Estimates.
+def _mirror_prox(problem, gamma, half, full, reads, avg_start, rec):
+    """Mirror prox over the reads of a run's plan.
 
-    Averages the half-step iterates from iteration `avg_start` on.
+    `half(x, read)` and `full(x_half, read)` are the two operator estimates
+    from one iteration's read.  Averages the half-step iterates from
+    iteration `avg_start` on.
     """
     geo = problem.geometry
     x = geo.center()
     x_hat = None
-    calls = steps = 0
-    for t in range(T):
-        est_half = half(x)
-        x_half = geo._step(x, _stepped(gamma, est_half, t))
-        est_full = full(x_half)
-        x = geo._step(x, _stepped(gamma, est_full, t))
-        calls += est_half.oracle_calls + est_full.oracle_calls
-        steps += est_half.chain_steps + est_full.chain_steps
+    for t, read in enumerate(reads):
+        x_half = geo._step(x, _stepped(gamma, half(x, read), t))
+        x = geo._step(x, _stepped(gamma, full(x_half, read), t))
         if t >= avg_start:
             if x_hat is None:
                 x_hat = x_half.copy()
             else:
                 x_hat += (x_half - x_hat) / (t - avg_start + 1)
-        rec.maybe(t + 1, calls, steps, x_hat, (x_half, x))
+        rec.maybe(t + 1, x_hat, (x_half, x))
     return rec.finish(geo, x_hat, x)
 
 
@@ -275,12 +281,10 @@ def mmp_unbatched(problem, gamma, cursor, T, *, gap_fn=None, stride=None,
     if T <= avg_start:
         raise InputError(f"T = {T} leaves an empty averaging window starting at {avg_start}")
     oracle = _oracle(problem)
-    # each state twice: the full step re-reads the state the half step drew,
-    # so it costs an oracle call but no chain step
-    states = (state for state in _states(cursor, T) for _ in (0, 1))
+    # the full step re-reads the state the half step read: an oracle call but no chain step
     rec = _Recorder(T, gap_fn, stride, keep_iterates)
-    return _mirror_prox(problem, gamma, T, lambda x: _at_state(oracle, x, next(states), 1),
-                        lambda x: _at_state(oracle, x, next(states), 0), avg_start, rec)
+    reads, rec.calls, rec.steps = _unbatched_plan(cursor, T, 2)
+    return _mirror_prox(problem, gamma, oracle, oracle, reads, avg_start, rec)
 
 
 def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
@@ -296,9 +300,9 @@ def mmp_batched(problem, gamma, cursor, T, mlmc, level_rng, *, gap_fn=None,
     gamma = _check_step(gamma, float(problem.L), "gamma")
     oracle = _oracle(problem)
     rec = _Recorder(T, gap_fn, stride, keep_iterates)
-    return _mirror_prox(problem, gamma, T,
-                        lambda x: batch_mean(oracle, x, cursor, mlmc.B),
-                        lambda x: mlmc_geometric(oracle, x, cursor, mlmc, level_rng), 0, rec)
+    reads, rec.calls, rec.steps = _level_plan(cursor, level_rng, T, mlmc, mlmc.B)
+    return _mirror_prox(problem, gamma, lambda x, read: _batch_g(oracle, x, read[0]),
+                        lambda x, read: _level_g(oracle, x, read, mlmc), reads, 0, rec)
 
 
 # ---------------------------------------------------------------------------

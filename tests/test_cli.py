@@ -130,6 +130,12 @@ def test_non_finite_or_negative_noise_rejected(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_large_noise_runs(tmp_path):
+    # the shifts' zero-mean check is relative to their size; at noise 1e5 it exited 2
+    cfg = write_config(tmp_path, RUN_CFG.replace("problem.noise = 0.5", "problem.noise = 100000"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("grid", ["64 0 128", "-4"])
 def test_sweep_grid_below_one_rejected(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, f"seeds = 0\nsweep.T = {grid}\n")

@@ -14,12 +14,13 @@ from markovmirror import (
     mlmc_geometric,
     random_ergodic,
 )
-from markovmirror.estimators import _MAX_LEVEL, _at_state, _draw_level
+from markovmirror.estimators import _MAX_LEVEL, _draw_level
 
 
 def single_sample(oracle, x, cursor):
-    """One oracle evaluation at the next chain state: the unbatched solvers' per-iteration draw."""
-    return _at_state(oracle, x, int(cursor.advance(1)[0]), 1)
+    """One oracle evaluation at the next chain state: an unbatched solver's per-iteration read."""
+    return Estimate(np.asarray(oracle(x, int(cursor.advance(1)[0])), dtype=float),
+                    oracle_calls=1, chain_steps=1, level=0)
 
 
 class ForcedLevels:

@@ -414,6 +414,50 @@ def test_membership_tolerances():
     assert not box.contains(np.array([-0.1, 0.5]))
 
 
+def test_projections_onto_a_large_ball_are_contained():
+    # the ball's slack scales with its radius: an absolute 1e-10 is under one ulp of 1e6,
+    # and rejected 86 of 2000 projected points at radius 1e6
+    rng = np.random.default_rng(0)
+    for radius in (1e6, 1e8):
+        ball = BallGeometry(10, radius=radius)
+        outside = rng.normal(size=(2000, 10)) * (10 * radius)
+        assert all(ball.contains(ball.project(v)) for v in outside)
+        assert not ball.contains(np.r_[radius * (1 + 1e-9), np.zeros(9)])
+
+
+def test_blends_of_a_wide_box_boundary_are_contained():
+    # the box's slack scales with its width: the momentum blend inv * x + (1 - inv) * x_f
+    # of x = x_f = hi rounds to one ulp past hi for some inv = 1/beta, and an ulp of 1e8
+    # is 1.5e-8, past an absolute slack of 1e-10
+    rng = np.random.default_rng(0)
+    box = BoxGeometry(1, -1e8, 1e8)
+    invs = 1.0 / rng.integers(1, 1000, size=2000)
+    blends = [np.array([inv * box.hi + (1.0 - inv) * box.hi]) for inv in invs]
+    assert any(b[0] > box.hi for b in blends)
+    assert all(box.contains(b) for b in blends)
+    assert not box.contains(np.array([box.hi * (1 + 1e-9)]))
+
+
+def test_slack_at_unit_scale_is_unchanged():
+    # a set of size up to 1 keeps the absolute slack 1e-10
+    for ball in (BallGeometry(2, radius=0.5), BallGeometry(2, radius=1.0)):
+        assert ball.contains(np.array([ball.radius + 0.9e-10, 0.0]))
+        assert not ball.contains(np.array([ball.radius + 1.1e-10, 0.0]))
+    for box in (BoxGeometry(2, 0.0, 0.5), BoxGeometry(2)):
+        assert box.contains(np.array([box.hi + 0.9e-10, box.lo - 0.9e-10]))
+        assert not box.contains(np.array([box.hi + 1.1e-10, box.lo]))
+
+
+@pytest.mark.parametrize("make", [lambda: BallGeometry(3, radius=1e300),
+                                  lambda: BoxGeometry(3, -1e300, 1e300),
+                                  lambda: BoxGeometry(10, 0.0, 1.3e154)],
+                         ids=["ball-pow-overflows", "box-pow-overflows", "box-product-is-inf"])
+def test_a_diameter_past_the_largest_double_is_input_error(make):
+    # diameter_sq() raised a bare OverflowError on the first two, and gave inf on the third
+    with pytest.raises(InputError, match="squared diameter overflows a double"):
+        make()
+
+
 def test_sample_is_feasible(rng):
     for geo in all_geometries():
         batch = geo.sample(rng, n=64)

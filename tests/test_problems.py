@@ -21,6 +21,7 @@ from markovmirror import (
     make_min_instance,
     make_vi_instance,
     matching_pennies,
+    random_ergodic,
     stationary,
 )
 from markovmirror.problems import _game
@@ -57,6 +58,21 @@ def test_nonzero_mean_shifts_rejected(two_state):
     geo = BoxGeometry(2, -1.0, 1.0)
     with pytest.raises(InputError):
         MinProblem(geo, np.eye(2), np.zeros(2), np.ones((2, 2)), two_state)
+
+
+def test_large_noise_shifts_pass_the_zero_mean_check():
+    # centring leaves a stationary mean of about eps times the shifts' peak, so the check
+    # is relative to it; at noise 1e5 an absolute 1e-12 rejected all 20 of these seeds
+    kernel = random_ergodic(8, seed=3)
+    for seed in range(20):
+        p = make_min_instance(10, kernel, noise_scale=1e5, seed=seed)
+        assert p.sigma == 1e5
+        game = make_vi_instance((4, 4), kernel, noise_scale=1e5, seed=seed)
+        assert game.sigma == 1e5
+    # a mean of 1e-9 times the peak is no rounding error
+    biased = p.shifts + 1e-9 * np.max(np.abs(p.shifts))
+    with pytest.raises(InputError, match="zero stationary mean"):
+        MinProblem(p.geometry, p.A, p.b, biased, kernel)
 
 
 def test_oracle_mean_over_chain_matches_grad(dense8):

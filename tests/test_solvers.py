@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovmirror import (
+    BallGeometry,
     BoxGeometry,
     ChainCursor,
-    Estimate,
     Geometry,
     InputError,
     MamdSchedule,
@@ -12,8 +14,10 @@ from markovmirror import (
     MinProblem,
     SolverError,
     ViProblem,
+    combine_levels,
     err_vi,
     lazy_for_mixing_time,
+    make_lazy,
     make_min_instance,
     make_vi_instance,
     mamd_batched,
@@ -27,6 +31,7 @@ from markovmirror import (
     mmp_unbatched,
     mmp_unbatched_stepsize,
     random_ergodic,
+    stationary,
     subopt_gap,
 )
 from markovmirror import estimators, solvers
@@ -583,19 +588,109 @@ def test_solver_loops_take_no_checked_prox_steps(dense8, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# unbatched solvers draw their states in chunks; runs match one advance(1) per iteration
+# the per-iteration reference: a loop that draws each estimate from the cursor on its
+# own iteration; the solvers, which draw a run's states and levels before the loop,
+# equal it bit for bit
+
+
+def _reference_mlmc(oracle, x, cursor, config, level_rng):
+    """One multilevel estimate read on its own: (g, oracle calls, chain steps).
+
+    Draws its level, advances the cursor by the states the oracle reads,
+    evaluates them, then crosses the rest of the span: by `advance` up to
+    _SKIP_THRESHOLD states, by `skip` past it.
+    """
+    level = min(int(level_rng.geometric(0.5)), estimators._MAX_LEVEL)
+    span = (1 << level) * config.B
+    calls = span if (1 << level) <= config.M else config.B
+    g = combine_levels(oracle(x, cursor.advance(calls)), level, config.B, config.M)
+    rest = span - calls
+    if rest > estimators._SKIP_THRESHOLD:
+        cursor.skip(rest)
+    elif rest > 0:
+        cursor.advance(rest)
+    return g, calls, span
+
+
+def reference_run(name, p, step, cursor, T, mlmc=None, level_rng=None, avg_start=0,
+                  gap_fn=None):
+    """`name`'s run as a loop that draws its estimate from the cursor on every iteration.
+
+    The bit-for-bit reference for the solvers, which draw a run's states
+    and levels before their loop.  Returns (rows, iterates, x_out,
+    x_last): a row (t, oracle calls, chain steps, gap) and the kept
+    iterate pair after every iteration.
+    """
+    oracle = p.grad_oracle if p.is_minimization else p.op_oracle
+    geo = p.geometry
+    x = geo.center()
+    rows, kept = [], []
+    calls = steps = 0
+
+    def record(t, point, pair):
+        gap = np.nan if gap_fn is None or point is None else float(gap_fn(point))
+        rows.append((t, calls, steps, gap))
+        kept.append((pair[0].copy(), pair[1].copy()))
+
+    if name.startswith("mamd"):
+        betas, gammas = (a.tolist() for a in step.arrays(T))
+        x_f = x.copy()
+        for t in range(T):
+            inv = 1.0 / betas[t]
+            x_g = inv * x + (1.0 - inv) * x_f
+            if name == "mamd_unbatched":
+                g, c, s = np.asarray(oracle(x_g, int(cursor.advance(1)[0])), dtype=float), 1, 1
+            else:
+                g, c, s = _reference_mlmc(oracle, x_g, cursor, mlmc, level_rng)
+            x = geo._step(x, gammas[t] * g)
+            x_f = inv * x + (1.0 - inv) * x_f
+            calls, steps = calls + c, steps + s
+            record(t + 1, x_f, (x, x_f))
+        return rows, kept, x_f, x
+    x_hat = None
+    for t in range(T):
+        if name == "mmp_unbatched":
+            g = np.asarray(oracle(x, int(cursor.advance(1)[0])), dtype=float)
+            x_half = geo._step(x, step * g)
+            # the full step re-reads the state the half step drew
+            g, c, s = np.asarray(oracle(x_half, cursor.state), dtype=float), 2, 1
+        else:
+            g = np.asarray(oracle(x, cursor.advance(mlmc.B)), dtype=float).mean(axis=0)
+            x_half = geo._step(x, step * g)
+            g, c, s = _reference_mlmc(oracle, x_half, cursor, mlmc, level_rng)
+            c, s = c + mlmc.B, s + mlmc.B
+        x = geo._step(x, step * g)
+        calls, steps = calls + c, steps + s
+        if t >= avg_start:
+            if x_hat is None:
+                x_hat = x_half.copy()
+            else:
+                x_hat += (x_half - x_hat) / (t - avg_start + 1)
+        record(t + 1, x_hat, (x_half, x))
+    return rows, kept, x_hat, x
+
+
+def _assert_run_equals_reference(rec, ref):
+    rows, kept, x_out, x_last = ref
+    want = np.array([r[:3] for r in rows], dtype=np.int64)
+    for i, field in enumerate(("t", "oracle_calls", "chain_steps")):
+        np.testing.assert_array_equal(getattr(rec, field), want[:, i], err_msg=field)
+    np.testing.assert_array_equal(rec.gap, [r[3] for r in rows], err_msg="gap")
+    np.testing.assert_array_equal(rec.x_out, x_out, err_msg="x_out")
+    np.testing.assert_array_equal(rec.x_last, x_last, err_msg="x_last")
+    assert len(rec.iterates) == len(kept)
+    for got, want_pair in zip(rec.iterates, kept):
+        np.testing.assert_array_equal(got, want_pair)
 
 
 def _per_iteration_run(name, p, cursor, T):
-    """The unbatched loop with an `advance(1)` draw on every iteration (the reference)."""
-    oracle = p.grad_oracle if name == "mamd_unbatched" else p.op_oracle
-    rec = solvers._Recorder(T, None, 1, True)
-    draw = lambda x: estimators._at_state(oracle, x, int(cursor.advance(1)[0]), 1)  # noqa: E731
+    """`_short_run`'s unbatched run as the per-iteration reference loop."""
     if name == "mamd_unbatched":
-        return solvers._descent(p, MamdSchedule(0.5 / p.L, tau=2), T, draw, rec)
-    reread = lambda x: Estimate(np.asarray(oracle(x, cursor.state), dtype=float),  # noqa: E731
-                                oracle_calls=1, chain_steps=0, level=0)
-    return solvers._mirror_prox(p, 0.5 / p.L_tilde, T, draw, reread, 2, rec)
+        return reference_run(name, p, MamdSchedule(0.5 / p.L, tau=2), cursor, T)
+    return reference_run(name, p, 0.5 / p.L_tilde, cursor, T, avg_start=2)
+
+
+# unbatched solvers draw their states in chunks; runs match one advance(1) per iteration
 
 
 @pytest.mark.parametrize("T", [7, 8, 9, 17])
@@ -610,10 +705,7 @@ def test_chunked_states_match_per_iteration_draws(dense8, monkeypatch, name, T):
     advance = cur.advance
     cur.advance = lambda steps: sizes.append(steps) or advance(steps)
     rec = _short_run(name, p, cur, T=T, stride=1, keep_iterates=True)
-    for field in ("t", "oracle_calls", "chain_steps", "x_out", "x_last"):
-        np.testing.assert_array_equal(getattr(rec, field), getattr(ref, field), err_msg=field)
-    for got, want in zip(rec.iterates, ref.iterates, strict=True):
-        np.testing.assert_array_equal(got, want)
+    _assert_run_equals_reference(rec, ref)
     assert cur.n_consumed == ref_cursor.n_consumed == T
     assert cur.state == ref_cursor.state
     assert max(sizes) <= 8 and sum(sizes) == T
@@ -736,3 +828,154 @@ def test_batched_gap_grows_like_sqrt_tau_and_unbatched_faster():
     slope_u = np.polyfit(log_tau, unbatched, 1)[0]
     assert 0.25 <= slope_b <= 0.75, slope_b
     assert slope_u >= slope_b + 0.4, (slope_b, slope_u)
+
+
+# ---------------------------------------------------------------------------
+# plan-first runs: each run draws its states and levels before its loop, and
+# equals the per-iteration loop bit for bit on hard inputs
+
+
+PLAN_KERNELS = {alpha: make_lazy(random_ergodic(6, seed=4), alpha) for alpha in (0.0, 0.9, 0.9999)}
+# one instance per kernel and family for every hypothesis example
+PLAN_PROBLEMS = {
+    alpha: {"mamd": make_min_instance(3, kernel, noise_scale=0.5, seed=1),
+            "mmp": make_vi_instance((2, 3), kernel, noise_scale=0.5, seed=1)}
+    for alpha, kernel in PLAN_KERNELS.items()
+}
+
+
+def _plan_case(name, p, T, B, M, seed):
+    """(step, streams, keyword args) of a run of `name` at the stepsize 1/(2L)."""
+    if name == "mamd_unbatched":
+        step, kw = MamdSchedule(0.5 / p.L, tau=min(2, T)), {}
+    elif name == "mamd_batched":
+        step, kw = MamdSchedule(0.5 / p.L), {"mlmc": MlmcConfig(B, M)}
+    elif name == "mmp_unbatched":
+        step, kw = 0.5 / p.L_tilde, {"avg_start": min(2, T - 1)}
+    else:
+        step, kw = 0.5 / p.L, {"mlmc": MlmcConfig(B, M)}
+    return step, np.random.SeedSequence(seed).spawn(2), kw
+
+
+def _plan_streams(p, streams):
+    """A fresh cursor and level stream on `streams`."""
+    cursor = ChainCursor(p.kernel, np.random.default_rng(streams[0]))
+    return cursor, np.random.default_rng(streams[1])
+
+
+def _plan_run(name, p, step, cursor, level_rng, T, mlmc=None, **kw):
+    """The solver's run; the batched ones take `mlmc` and `level_rng`."""
+    args = () if mlmc is None else (mlmc, level_rng)
+    return getattr(solvers, name)(p, step, cursor, T, *args, **kw)
+
+
+def _count_skips(cursor):
+    skips = []
+    skip = cursor.skip
+    cursor.skip = lambda steps: skips.append(steps) or skip(steps)
+    return skips
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(SOLVERS), alpha=st.sampled_from(sorted(PLAN_KERNELS)),
+       T=st.integers(1, 40), B=st.integers(1, 4), M=st.sampled_from([1, 2, 5, 64, 2**20]),
+       seed=st.integers(0, 2**32 - 1))
+# B past the skip threshold with M = 1: every iteration's truncated rest is skipped
+@example(name="mamd_batched", alpha=0.9, T=3, B=estimators._SKIP_THRESHOLD + 1, M=1, seed=0)
+@example(name="mmp_batched", alpha=0.9999, T=3, B=estimators._SKIP_THRESHOLD + 1, M=1, seed=1)
+def test_plan_first_runs_equal_the_per_iteration_loops(name, alpha, T, B, M, seed):
+    p = PLAN_PROBLEMS[alpha][name[:name.index("_")]]
+    metric = subopt_gap if p.is_minimization else err_vi
+    step, streams, kw = _plan_case(name, p, T, B, M, seed)
+    ref_cursor, ref_levels = _plan_streams(p, streams)
+    ref_skips = _count_skips(ref_cursor)
+    ref = reference_run(name, p, step, ref_cursor, T, level_rng=ref_levels,
+                        gap_fn=lambda x: metric(p, x), **kw)
+    cursor, level_rng = _plan_streams(p, streams)
+    skips = _count_skips(cursor)
+    rec = _plan_run(name, p, step, cursor, level_rng, T, gap_fn=lambda x: metric(p, x),
+                    stride=1, keep_iterates=True, **kw)
+    _assert_run_equals_reference(rec, ref)
+    assert (cursor.state, cursor.n_consumed) == (ref_cursor.state, ref_cursor.n_consumed)
+    assert skips == ref_skips
+    if B > estimators._SKIP_THRESHOLD:
+        assert len(skips) == T
+    assert cursor.rng.random() == ref_cursor.rng.random()
+    assert level_rng.random() == ref_levels.random()
+
+
+class _CountingOracle:
+    """An oracle that counts the rows it evaluates."""
+
+    def __init__(self, oracle):
+        self.oracle, self.rows = oracle, 0
+
+    def __call__(self, x, z):
+        self.rows += np.size(z)
+        return self.oracle(x, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SOLVERS), alpha=st.sampled_from(sorted(PLAN_KERNELS)),
+       T=st.integers(1, 30), B=st.integers(1, 5), M=st.sampled_from([1, 3, 2**20]),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="mamd_batched", alpha=0.9999, T=1, B=3, M=1, seed=0)
+@example(name="mmp_batched", alpha=0.9999, T=1, B=3, M=2**20, seed=0)
+@example(name="mmp_unbatched", alpha=0.9999, T=1, B=1, M=1, seed=0)
+def test_solver_invariants_hold_on_hard_inputs(name, alpha, T, B, M, seed):
+    # at the largest stepsize, 1/(2L): the oracle rows equal the recorded calls, the
+    # cursor's states the recorded steps, the final iterates are feasible, and the run
+    # is reproducible by seed
+    family = name[:name.index("_")]
+    kernel = PLAN_KERNELS[alpha]
+    if family == "mamd":
+        p = make_min_instance(3, kernel, geometry_kind="ball", noise_scale=0.5, seed=1)
+        attr = "grad_oracle"
+    else:
+        p, attr = make_vi_instance((2, 3), kernel, noise_scale=0.5, seed=1), "op_oracle"
+    counting = _CountingOracle(getattr(p, attr))
+    setattr(p, attr, counting)
+    step, streams, kw = _plan_case(name, p, T, B, M, seed)
+    cursor, level_rng = _plan_streams(p, streams)
+    rec = _plan_run(name, p, step, cursor, level_rng, T, stride=1, **kw)
+    assert counting.rows == rec.oracle_calls[-1]
+    assert cursor.n_consumed == rec.chain_steps[-1]
+    assert p.geometry.contains(rec.x_last) and p.geometry.contains(rec.x_out)
+    again = _plan_run(name, p, step, *_plan_streams(p, streams), T, stride=1, **kw)
+    for field in ("t", "oracle_calls", "chain_steps", "x_out", "x_last"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(rec, field), err_msg=field)
+
+
+def test_runs_on_a_large_ball_end_feasible():
+    # every step of these runs ends on the sphere of radius 1e6; the feasibility check's
+    # slack scales with the radius, where an absolute 1e-10, under one ulp of 1e6, made
+    # seeds 26 and 28 raise "final iterate left the feasible set"
+    kernel = random_ergodic(4, seed=0)
+    for seed in range(20, 30):
+        rng = np.random.default_rng(seed)
+        target = rng.normal(size=10)
+        target *= 2e6 / np.linalg.norm(target)  # the minimizer lies outside the ball
+        shifts = rng.normal(size=(4, 10))
+        shifts -= stationary(kernel) @ shifts
+        p = MinProblem(BallGeometry(10, radius=1e6), np.eye(10), target, shifts, kernel)
+        rec = mamd_unbatched(p, MamdSchedule(0.5, tau=0), cursor_for(p, seed), 20)
+        assert p.geometry.norm_pair.norm(rec.x_last) == pytest.approx(1e6, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["mamd_batched", "mmp_batched"])
+def test_batched_plans_read_the_cursor_in_capped_blocks(dense8, name):
+    # a block of iterations between skips is one advance of at most _CHUNK states, or
+    # one iteration's states when they alone are more, however long the run
+    p = _boundary_problem(name, dense8)
+    head = 1 if name == "mmp_batched" else 0
+    cursor, T = cursor_for(p, 3), 3000
+    sizes = []
+    advance = cursor.advance
+    cursor.advance = lambda steps: sizes.append(steps) or advance(steps)
+    step = MamdSchedule(0.5 / p.L) if name == "mamd_batched" else 0.5 / p.L
+    rec = getattr(solvers, name)(p, step, cursor, T, MlmcConfig(1, 2), np.random.default_rng(1))
+    # with M = 2 an iteration moves head + 2^J states, up to a truncated rest of 4096
+    one_iteration = {head + (1 << j) for j in range(1, 13)}
+    assert all(size <= estimators._CHUNK or size in one_iteration for size in sizes)
+    assert len(sizes) < T / 10
+    assert cursor.n_consumed == rec.chain_steps[-1]
