@@ -14,7 +14,8 @@ Configs are line-oriented dotted-key text::
 Every emitted CSV starts with `# key = value` lines echoing the fully
 resolved config plus the library version; floats print with 17
 significant digits so a reread is bit-exact.  ``run`` and ``sweep``
-spread their (T, seed) cells over ``--jobs`` worker processes, and each
+spread their (T, seed) cells over ``--jobs`` processes: the command's
+own and ``--jobs`` - 1 pool workers, each sent the instance once.  Each
 cell draws from its seed's own streams, so the job count does not
 change a row; setting ``MM_DETERMINISTIC=1`` zeroes the wall_ms column
 so repeated invocations produce byte-identical files.
@@ -351,24 +352,54 @@ def _header(res, tau_mix, extra=()):
     return items
 
 
-def _worker_run(cell):
-    """Pool entry point: the RunRecord of one (T, seed) cell on the instance the command built."""
-    return _run_solver(*cell)
+# (res, problem, tau_mix, stride) that a pool worker received at its start
+_served = None
+
+
+def _serve(*instance):
+    """Pool initializer: keep the instance every cell this worker runs is solved on."""
+    global _served
+    _served = instance
+
+
+def _worker_run(cell, instance=None):
+    """The RunRecord of one (T, seed) cell on `instance`, or in a pool worker on `_served`."""
+    T, seed = cell
+    res, problem, tau_mix, stride = instance or _served
+    return _run_solver(dict(res, T=T), problem, tau_mix, seed, stride)
 
 
 def _run_cells(res, grid, stride, jobs):
     """(tau_mix, records): every (T, seed) cell of `grid` x seeds on one instance, T-major.
 
-    Records are kept at `stride` (None keeps only the row at T).  Cells go
-    to a pool of `jobs` processes when there are at least two of each.
+    Records are kept at `stride` (None keeps only the row at T).  With
+    `jobs` >= 2 and two or more cells, the command runs cells beside a
+    pool of min(jobs, cells) - 1 workers, each sent the instance once at
+    its start.  The pool takes cells from the front of the list and the
+    command from the back, a cell at a time, while the pool has not
+    started it; records keep cell order either way.  On a failure the
+    cells no one has started are cancelled, and every worker has exited
+    when this returns or raises.
     """
     problem, tau_mix = _build_instance(res)
-    cells = [(dict(res, T=T), problem, tau_mix, seed, stride)
-             for T in grid for seed in res["seeds"]]
-    if jobs <= 1 or len(cells) <= 1:
-        return tau_mix, [_worker_run(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        return tau_mix, list(pool.map(_worker_run, cells))
+    instance = (res, problem, tau_mix, stride)
+    cells = [(T, seed) for T in grid for seed in res["seeds"]]
+    workers = min(jobs, len(cells)) - 1
+    if workers < 1:
+        return tau_mix, [_worker_run(cell, instance) for cell in cells]
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=instance)
+    try:
+        futures = [pool.submit(_worker_run, cell) for cell in cells]
+        records = [None] * len(cells)
+        # the pool starts cells in list order, so the first cell it has
+        # started ends the command's share
+        for i in reversed(range(len(cells))):
+            if not futures[i].cancel():
+                break
+            records[i] = _worker_run(cells[i], instance)
+        return tau_mix, [r if f.cancelled() else f.result() for r, f in zip(records, futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +571,7 @@ def _build_parser():
             sp.add_argument("--seed", default=None, help="comma-separated seed list override")
             sp.add_argument("--out", default=".", help="output directory")
         if name in ("run", "sweep"):
-            sp.add_argument("--jobs", type=int, default=1, help="workers for the (T, seed) cells")
+            sp.add_argument("--jobs", type=int, default=1, help="processes for the (T, seed) cells")
     return p
 
 

@@ -22,10 +22,15 @@ from .geometry import BallGeometry, BoxGeometry, SimplexGeometry
 __all__ = ["MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
            "matching_pennies"]
 
-# largest |Q + Q'| entry of an operator that counts as skew
-_SKEW_TOL = 1e-10
+# matrix tests' slack relative to the largest entry, and absolute below 1:
+# the symmetry and PSD tests, and the largest |Q + Q'| of a skew operator
+_MATRIX_TOL = 1e-10
 # scale of a random game's linear term c, relative to its payoff entries
 _AFFINE_SCALE = 0.1
+
+
+def _matrix_tol(M):
+    return _MATRIX_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
 def _operator_norm(M, p):
@@ -137,10 +142,11 @@ class MinProblem(_ShiftedProblem):
         self.f_star = None if self.x_star is None else self.f(self.x_star)
 
     def _check_matrix(self, A):
-        if np.max(np.abs(A - A.T)) > 1e-10:
+        tol = _matrix_tol(A)
+        if np.max(np.abs(A - A.T)) > tol:
             raise InputError("A must be symmetric")
         A = 0.5 * (A + A.T)
-        if np.min(np.linalg.eigvalsh(A)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(A)) < -tol:
             raise InputError("A must be positive semidefinite")
         return A
 
@@ -180,12 +186,12 @@ class ViProblem(_ShiftedProblem):
         self.L_tilde = self.L
 
     def _check_matrix(self, Q):
-        if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-10:
+        if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -_matrix_tol(Q):
             raise InputError("Q must have PSD symmetric part (monotone operator)")
         return Q
 
     def is_skew(self):
-        return bool(np.max(np.abs(self.Q + self.Q.T)) <= _SKEW_TOL)
+        return bool(np.max(np.abs(self.Q + self.Q.T)) <= _matrix_tol(self.Q))
 
     def op(self, x):
         return self.Q @ self._point(x) + self.c

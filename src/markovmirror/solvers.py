@@ -185,7 +185,7 @@ def _check_chain(problem, cursor, level_rng=None):
 def _stepped(gamma, g, t):
     """gamma times the estimate g, the argument of one prox step; SolverError if not finite."""
     xi = gamma * g
-    if not np.isfinite(xi).all():
+    if not np.logical_and.reduce(np.isfinite(xi)):
         raise SolverError(f"non-finite estimate at iteration {t}")
     return xi
 

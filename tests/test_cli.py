@@ -1,12 +1,15 @@
 import argparse
 import ast
 import contextlib
+import functools
 import io
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -356,22 +359,24 @@ def test_deterministic_mode_keeps_the_job_count(tmp_path, monkeypatch):
     asked = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        # runs each cell as it is submitted, so the command's process runs none
+        def __init__(self, max_workers, initializer, initargs):
             asked.append(max_workers)
+            initializer(*initargs)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            pass
 
-        def map(self, fn, items):
-            return map(fn, items)
-
+    monkeypatch.setattr(cli, "_served", None)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     cfg = write_config(tmp_path, RUN_CFG)  # two seeds
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
-    assert asked == [2]
+    assert asked == [1]  # the command's process is the second job
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -506,12 +511,79 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
         "algorithm = mamd-batched\nsweep.T = 16 32\nseeds = 0 1\n",
     )
     texts = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
         name = [f for f in os.listdir(out) if f.startswith("sweep_")][0]
         texts.append((name, (out / name).read_bytes()))
-    assert texts[0] == texts[1]
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+# a sweep of four cells, T-major: (16, 0), (16, 1), (32, 0), (32, 1)
+POOL_CFG = ("problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
+            "algorithm = mamd-batched\nsweep.T = 16 32\nseeds = 0 1\n")
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 64])
+def test_the_pool_has_one_worker_fewer_than_the_jobs(tmp_path, monkeypatch, jobs):
+    asked = []
+
+    class IdlePool:
+        # starts no cell, so the command's process runs every one
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+
+        def submit(self, fn, *args):
+            return Future()
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", IdlePool)
+    cfg = write_config(tmp_path, POOL_CFG)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", str(jobs)]) == 0
+    assert asked == [min(jobs, 4) - 1]
+
+
+def test_the_command_runs_cells_beside_its_worker(tmp_path, monkeypatch):
+    run, mine = cli._worker_run, []
+
+    # wrapped under the entry's own name, so that it still pickles into the pool
+    @functools.wraps(run)
+    def counted(cell, instance=None):
+        mine.append(cell)  # a worker appends to its own copy of the list
+        return run(cell, instance)
+
+    monkeypatch.setattr(cli, "_worker_run", counted)
+    cfg = write_config(tmp_path, POOL_CFG)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
+    # the command takes cells from the back while the worker starts at the front
+    assert 1 <= len(mine) < 4
+    assert mine == [(32, 1), (32, 0), (16, 1)][:len(mine)]
+
+
+@pytest.mark.parametrize("where", ["the command", "a worker"])
+def test_a_failing_cell_exits_3_and_leaves_no_worker(tmp_path, monkeypatch, capsys, where):
+    # the worker starts at the first cell, the command at the last
+    failing = (16, 0) if where == "a worker" else (32, 1)
+    command, solve = os.getpid(), cli._run_solver
+
+    def failing_solve(res, problem, tau_mix, seed, stride):
+        if (res["T"], seed) == failing:
+            raise errors.SolverError(
+                f"raised in {'the command' if os.getpid() == command else 'a worker'}")
+        return solve(res, problem, tau_mix, seed, stride)
+
+    monkeypatch.setattr(cli, "_run_solver", failing_solve)
+    # fork on every Python (3.14's default is forkserver), so the worker inherits the patch
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    cfg = write_config(tmp_path, POOL_CFG)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 3
+    assert capsys.readouterr().err == f"runtime error: raised in {where}\n"
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_process_pool_sweep_under_forkserver_matches_single_job(tmp_path):

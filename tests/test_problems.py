@@ -221,6 +221,49 @@ def test_min_rejects_asymmetric_or_indefinite(two_state):
         MinProblem(geo, -np.eye(2), np.zeros(2), zero_shifts(two_state, 2), two_state)
 
 
+def _conjugated(seed, M):
+    """V M V' for a random orthogonal V: M's symmetry and spectrum, up to rounding."""
+    V, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=M.shape))
+    return V @ M @ V.T
+
+
+def test_a_large_spectrum_builds():
+    # the eigensolver's rounding at 1e9 is past an absolute slack of 1e-10
+    p = make_min_instance(6, random_ergodic(4, 0), eigenvalues=[0, .2, .4, .6, .8, 1e9])
+    assert p.L == pytest.approx(1e9)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8, 1e9])
+def test_matrices_at_a_large_scale_keep_their_structure(two_state, scale):
+    # symmetric PSD with a zero eigenvalue, monotone and skew in exact arithmetic;
+    # the matrix tests' absolute 1e-10 rejected each in some of these 20 draws
+    geo, shifts = BoxGeometry(6, 0.0, 1.0), zero_shifts(two_state, 6)
+    for seed in range(20):
+        S = _conjugated(seed, scale * np.diag([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
+        G = np.random.default_rng(seed).normal(size=(6, 6))
+        K = _conjugated(seed, scale * (G - G.T))
+        MinProblem(geo, S, np.zeros(6), shifts, two_state)
+        ViProblem(geo, 0.5 * (S + S.T) + K, np.zeros(6), shifts, two_state)
+        assert ViProblem(geo, K, np.zeros(6), shifts, two_state).is_skew()
+
+
+def test_matrix_slack_below_unit_scale_is_the_absolute_1e10(two_state):
+    geo, shifts, zero = BoxGeometry(2, -1.0, 1.0), zero_shifts(two_state, 2), np.zeros(2)
+    for eps, ok in ((4e-11, True), (2e-10, False)):
+        asymmetric = np.array([[1.0, eps], [0.0, 1.0]])
+        indefinite = np.diag([-eps, 1.0])
+        for build in (lambda: MinProblem(geo, asymmetric, zero, shifts, two_state),
+                      lambda: MinProblem(geo, indefinite, zero, shifts, two_state),
+                      lambda: ViProblem(geo, indefinite, zero, shifts, two_state)):
+            if ok:
+                build()
+            else:
+                with pytest.raises(InputError):
+                    build()
+        Q = np.array([[eps, 1.0], [-1.0, 0.0]])  # |Q + Q'| is 2 eps
+        assert ViProblem(geo, Q, zero, shifts, two_state).is_skew() == ok
+
+
 # ---------------------------------------------------------------------------
 # hand-computable instances
 
