@@ -24,15 +24,17 @@ _STATIONARY_RESIDUAL = 1e-10
 # The chains behind the frozen reference numbers settle within 2,743 products, under a
 # quarter of 2^14.  2^15 also keeps check 7's base chain made 0.999-lazy (21,374
 # products) on power iteration, so its pi is unchanged; the cost is about 0.015 s
-# (2-core Xeon) more power iteration on each chain that goes on to GTH.
+# (2-core Xeon) more power iteration on each chain that goes on to GTH, which in
+# `lazy_for_mixing_time` is only a candidate near the threshold or the one returned.
 _MAX_POWER_STEPS = 2**15
 _MAX_TV_STEPS = 10**6
 _MAX_ALPHA = 0.9999
 # the mixing time is tau(1/4): the first t with worst-start TV <= 1/4
 _TV_THRESHOLD = 0.25
-# products per power-iteration block, the last one cut at the budget.  On the 51 chains of
-# check 7's bisection (median 1,125 products to settle) it computes 54,144 for 52,722
-# needed; 128 computes about as many, but costs a fast chain (15 products) twice as much
+# products per power-iteration block, the last one cut at the budget.  On the 16 chains
+# check 7's bisection power-iterates (its base chain, 15 products to settle, and the 15
+# candidates near the threshold, 1,125 each) it computes 17,344 for 16,890 needed; 128
+# computes about as many, but costs a fast chain twice as much
 _BLOCK = 64
 
 
@@ -248,33 +250,75 @@ def make_lazy(kernel, alpha):
     return TransitionKernel(alpha * np.eye(n) + (1.0 - alpha) * kernel.P)
 
 
+# the factor by which a base-pi margin must clear `_tv_error`, for its first-order rounding
+_MARGIN_SAFETY = 4
+
+
+def _tv_error(n, target_tau, eta, delta, alpha):
+    """Bound on |computed TV - d(t)|, t < target_tau, summed over a lazy candidate's two scans.
+
+    d(t), the exact worst-start TV, is nonincreasing (Levin & Peres, *Markov
+    Chains and Mixing Times*, ch. 4), so the scan with the candidate's own pi
+    reaches target_tau iff d(target_tau - 1) > 1/4, and a margin beyond this
+    bound on the scan with the base pi decides as that scan would.  A Dobrushin
+    coefficient delta < 1 (here plus eta, the rows' largest distance from sum 1)
+    shrinks zero-mass vectors by delta a step (Seneta, *Non-negative Matrices and
+    Markov Chains*, ch. 3), and alpha I + (1 - alpha) P has one below alpha +
+    (1 - alpha) delta.  So power iteration stopped at an l1 step <=
+    _STATIONARY_TOL, rounding n eps / 2 a product, is within
+    b = (delta (_STATIONARY_TOL + eta) + 4 n eps) / (1 - delta) of pi in l1; the
+    4 n eps also covers the normalisation and the rounding of the lazy matrix.
+    GTH's pi (past _MAX_POWER_STEPS products, so 1 - delta < 1e-3) errs by
+    O(n^3 eps) (O'Cinneide, Numer. Math. 65, 1993), below b for n <= 100.  A TV
+    moves by half its pi's error.  A row of a computed P^t errs by (t - 1) n eps / 2
+    in l1, under target_tau n eps / 2 a scan with the TV sum, and rows summing to
+    1 + eta let d(t) rise by eta a step.  inf where a delta is not below 1.
+    """
+    deltas = (delta, alpha + (1.0 - alpha) * delta)
+    if not max(deltas) < 1.0:
+        return np.inf
+    eps = np.finfo(float).eps
+    b = [(d * (_STATIONARY_TOL + eta) + 4 * n * eps) / (1.0 - d) for d in deltas]
+    return 0.5 * sum(b) + target_tau * (n * eps + eta)
+
+
 def lazy_for_mixing_time(kernel, target_tau):
     """Smallest-laziness variant whose mixing time reaches target_tau.
 
     Bisects on alpha in [0, 0.9999]; returns (lazy_kernel, alpha, achieved_tau).
+    A candidate whose TV at target_tau - 1 by the base pi (laziness keeps pi)
+    clears 1/4 by `_MARGIN_SAFETY` * `_tv_error` is decided by it, as its own
+    pi and scan would decide it; the rest, and the returned kernel, take `mixing_time`.
     """
     target_tau = _count(target_tau, "target_tau", 1)
     base_tau = mixing_time(kernel)
     if base_tau >= target_tau:
         return kernel, 0.0, base_tau
     lo, hi = 0.0, _MAX_ALPHA
+    pi = stationary(kernel)
     # unreachable if even the slowest chain mixes sooner; it keeps pi, so scan with the base pi
-    slowest = _worst_tv(make_lazy(kernel, hi).P, stationary(kernel))
+    slowest = _worst_tv(make_lazy(kernel, hi).P, pi)
     if any(next(slowest) <= _TV_THRESHOLD for _ in range(target_tau - 1)):
         raise InputError(f"target mixing time {target_tau} unreachable below alpha={hi}")
-    lazy = None
+    P = kernel.P
+    eta = float(np.abs(P.sum(axis=1) - 1.0).max())  # the rows' distance from sum 1
+    delta = 0.5 * max(np.abs(P - row).sum(axis=1).max() for row in P) + eta
+    lazy = hi_tau = None
     for _ in range(50):
         mid = 0.5 * (lo + hi)
         candidate = make_lazy(kernel, mid)
-        tau = mixing_time(candidate)
-        if tau >= target_tau:
+        power = np.linalg.matrix_power(candidate.P, target_tau - 1)
+        margin = next(_worst_tv(power, pi)) - _TV_THRESHOLD
+        bound = _tv_error(kernel.n_states, target_tau, eta, delta, mid)
+        # decided by the margin, or measured; a TV lies in [0, 1], and NaN fails both tests
+        tau = None if _MARGIN_SAFETY * bound < abs(margin) < 1.0 else mixing_time(candidate)
+        if (margin > 0.0) if tau is None else (tau >= target_tau):
             hi, lazy, hi_tau = mid, candidate, tau
         else:
             lo = mid
     if lazy is None:  # hi never moved off the slowest chain
         lazy = make_lazy(kernel, hi)
-        hi_tau = mixing_time(lazy)
-    return lazy, hi, hi_tau
+    return lazy, hi, mixing_time(lazy) if hi_tau is None else hi_tau
 
 
 def random_ergodic(n_states, seed):

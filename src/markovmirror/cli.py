@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import multiprocessing
 import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +47,7 @@ from .errors import (
     ErgodicityError,
     InputError,
     MarkovMirrorError,
+    SolverError,
     StatisticsError,
     _count,
 )
@@ -352,7 +355,7 @@ def _header(res, tau_mix, extra=()):
     return items
 
 
-# (res, problem, tau_mix, stride) that a pool worker received at its start
+# (res, problem, tau_mix, stride, cells, taken) that a pool worker received at its start
 _served = None
 
 
@@ -362,11 +365,25 @@ def _serve(*instance):
     _served = instance
 
 
+def _claim(taken, i):
+    """Mark cell i taken; False if another process took it first."""
+    with taken.get_lock():
+        free = not taken[i]
+        taken[i] = True
+    return free
+
+
 def _worker_run(cell, instance=None):
     """The RunRecord of one (T, seed) cell on `instance`, or in a pool worker on `_served`."""
     T, seed = cell
-    res, problem, tau_mix, stride = instance or _served
+    res, problem, tau_mix, stride = instance or _served[:4]
     return _run_solver(dict(res, T=T), problem, tau_mix, seed, stride)
+
+
+def _pool_run(i):
+    """In a pool worker: cell i's RunRecord, or None if the command has taken it."""
+    cells, taken = _served[4:]
+    return _worker_run(cells[i]) if _claim(taken, i) else None
 
 
 def _run_cells(res, grid, stride, jobs):
@@ -376,10 +393,13 @@ def _run_cells(res, grid, stride, jobs):
     `jobs` >= 2 and two or more cells, the command runs cells beside a
     pool of min(jobs, cells) - 1 workers, each sent the instance once at
     its start.  The pool takes cells from the front of the list and the
-    command from the back, a cell at a time, while the pool has not
-    started it; records keep cell order either way.  On a failure the
-    cells no one has started are cancelled, and every worker has exited
-    when this returns or raises.
+    command from the back, leaving the pool one cell per worker; each
+    claims a cell in a shared array before running it, so they stop where
+    they meet, and records keep cell order either way.  Claims replace
+    cancelling futures, on which a pool that breaks fails in its own
+    thread.  Every future is read, so a worker that dies is a SolverError.
+    On a failure every cell is marked taken, so no worker starts another,
+    and every worker has exited when this returns or raises.
     """
     problem, tau_mix = _build_instance(res)
     instance = (res, problem, tau_mix, stride)
@@ -387,19 +407,24 @@ def _run_cells(res, grid, stride, jobs):
     workers = min(jobs, len(cells)) - 1
     if workers < 1:
         return tau_mix, [_worker_run(cell, instance) for cell in cells]
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=instance)
+    taken = multiprocessing.Array("b", len(cells))
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_serve,
+                               initargs=(*instance, cells, taken))
     try:
-        futures = [pool.submit(_worker_run, cell) for cell in cells]
+        futures = [pool.submit(_pool_run, i) for i in range(len(cells))]
         records = [None] * len(cells)
-        # the pool starts cells in list order, so the first cell it has
-        # started ends the command's share
-        for i in reversed(range(len(cells))):
-            if not futures[i].cancel():
+        for i in reversed(range(workers, len(cells))):
+            if not _claim(taken, i):
                 break
             records[i] = _worker_run(cells[i], instance)
-        return tau_mix, [r if f.cancelled() else f.result() for r, f in zip(records, futures)]
+        results = [f.result() for f in futures]
+        return tau_mix, [p if r is None else r for r, p in zip(records, results)]
+    except BrokenProcessPool as e:  # a worker died or could not start
+        raise SolverError(f"a --jobs worker stopped: {e}") from None
     finally:
-        pool.shutdown(cancel_futures=True)
+        with taken.get_lock():
+            taken[:] = [True] * len(cells)
+        pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,13 @@ def test_stationary_rejects_a_nan_law():
         stationary(kernel)
 
 
-def _bisection_candidates(base, target, monkeypatch):
-    """Every kernel `lazy_for_mixing_time(base, target)` asks `stationary` about."""
+def _bisection_candidates(base, target, monkeypatch, bisect=lazy_for_mixing_time):
+    """Every kernel `bisect(base, target)` asks `stationary` about."""
     seen = []
     real = chain.stationary
     with monkeypatch.context() as m:
         m.setattr(chain, "stationary", lambda kernel: seen.append(kernel.P) or real(kernel))
-        lazy_for_mixing_time(base, target)
+        bisect(base, target)
     return seen
 
 
@@ -339,8 +339,8 @@ def test_lazy_for_mixing_time_pinned_alpha(target, alpha):
 
 
 def test_lazy_for_mixing_time_keeps_the_last_measured_kernel(monkeypatch):
-    # one base measurement plus one per bisection step; the returned kernel
-    # and tau are the ones measured at the final hi, not recomputed
+    # the returned kernel and tau are ones the exact path measured: at the final hi,
+    # or once after the bisection when the margin decided that candidate
     measured = []
     original = chain.mixing_time
 
@@ -350,10 +350,82 @@ def test_lazy_for_mixing_time_keeps_the_last_measured_kernel(monkeypatch):
         return tau
 
     monkeypatch.setattr(chain, "mixing_time", counted)
-    lazy, alpha, tau = lazy_for_mixing_time(random_ergodic(8, seed=3), 48)
-    assert len(measured) == 51
+    base = random_ergodic(8, seed=3)
+    lazy, alpha, tau = lazy_for_mixing_time(base, 48)
     assert (lazy, tau) in measured
-    np.testing.assert_array_equal(lazy.P, make_lazy(random_ergodic(8, seed=3), alpha).P)
+    fresh = make_lazy(base, alpha)
+    np.testing.assert_array_equal(lazy.P, fresh.P)
+    # it carries the pi its own power iteration gave its scan, not the base pi
+    np.testing.assert_array_equal(lazy._pi, stationary(fresh))
+    assert mixing_time(lazy) == tau
+
+
+def exact_bisection(kernel, target_tau):
+    """Reference: the bisection that measures every candidate by its own pi and scan."""
+    base_tau = mixing_time(kernel)
+    if base_tau >= target_tau:
+        return kernel, 0.0, base_tau
+    lo, hi = 0.0, chain._MAX_ALPHA
+    slowest = chain._worst_tv(make_lazy(kernel, hi).P, stationary(kernel))
+    if any(next(slowest) <= 0.25 for _ in range(target_tau - 1)):
+        raise InputError("unreachable")
+    lazy = None
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        candidate = make_lazy(kernel, mid)
+        tau = mixing_time(candidate)
+        if tau >= target_tau:
+            hi, lazy, hi_tau = mid, candidate, tau
+        else:
+            lo = mid
+    if lazy is None:
+        lazy = make_lazy(kernel, hi)
+        hi_tau = mixing_time(lazy)
+    return lazy, hi, hi_tau
+
+
+def lazy_cycle(n):
+    """The n-cycle that stays put with probability 1/2; for n >= 4 two of its rows
+    share no state, so its Dobrushin coefficient is 1."""
+    return 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+
+
+def dobrushin(P):
+    return 0.5 * max(np.abs(P - row).sum(axis=1).max() for row in P)
+
+
+@settings(max_examples=25, deadline=None)
+@given(P=st.one_of(
+    st.builds(lambda n, seed, alpha: make_lazy(random_ergodic(n, seed), alpha).P,
+              st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 0.99)),
+    st.integers(4, 6).map(lazy_cycle),
+), target=st.integers(2, 100))
+@example(P=lazy_cycle(4), target=64)
+def test_bisection_takes_the_exact_scans_decisions(P, target):
+    def run(bisect):
+        try:
+            lazy, alpha, tau = bisect(TransitionKernel(P), target)
+        except InputError:
+            return "unreachable"
+        return alpha, tau, lazy.P.tobytes(), stationary(lazy).tobytes()
+
+    assert run(lazy_for_mixing_time) == run(exact_bisection)
+    if dobrushin(P) == 1.0:
+        # no margin bound exists, so every candidate takes its own pi and scan
+        assert (_own_scans(P, target, pytest.MonkeyPatch, lazy_for_mixing_time)
+                == _own_scans(P, target, pytest.MonkeyPatch, exact_bisection))
+
+
+def _own_scans(P, target, monkeypatch, bisect):
+    """The chains other than P's own that `bisect` power-iterates, as bytes."""
+    seen = _bisection_candidates(TransitionKernel(P), target, monkeypatch, bisect)
+    return [Q.tobytes() for Q in seen if not np.array_equal(Q, P)]
+
+
+def test_check7_bisection_power_iterates_at_most_20_candidates(monkeypatch):
+    base = random_ergodic(8, seed=3).P
+    assert len(_own_scans(base, 64, monkeypatch, exact_bisection)) == 50
+    assert len(_own_scans(base, 64, monkeypatch, lazy_for_mixing_time)) <= 20
 
 
 def test_lazy_for_mixing_time_unreachable_target():

@@ -353,13 +353,11 @@ def test_deterministic_mode_gives_byte_identical_output(tmp_path, monkeypatch):
     assert all(r[4] == "0" for r in rows)
 
 
-def test_deterministic_mode_keeps_the_job_count(tmp_path, monkeypatch):
-    # MM_DETERMINISTIC=1 zeroes wall_ms only; it used to force --jobs 1
-    monkeypatch.setenv("MM_DETERMINISTIC", "1")
-    asked = []
+def inline_pool(asked):
+    """A stand-in process pool that appends its size to `asked` and runs each
+    task as it is submitted, so it takes every cell before the command claims one."""
 
     class InlinePool:
-        # runs each cell as it is submitted, so the command's process runs none
         def __init__(self, max_workers, initializer, initargs):
             asked.append(max_workers)
             initializer(*initargs)
@@ -369,11 +367,18 @@ def test_deterministic_mode_keeps_the_job_count(tmp_path, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-        def shutdown(self, cancel_futures=False):
+        def shutdown(self):
             pass
 
+    return InlinePool
+
+
+def test_deterministic_mode_keeps_the_job_count(tmp_path, monkeypatch):
+    # MM_DETERMINISTIC=1 zeroes wall_ms only; it used to force --jobs 1
+    monkeypatch.setenv("MM_DETERMINISTIC", "1")
+    asked = []
     monkeypatch.setattr(cli, "_served", None)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(asked))
     cfg = write_config(tmp_path, RUN_CFG)  # two seeds
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
     assert asked == [1]  # the command's process is the second job
@@ -527,19 +532,8 @@ POOL_CFG = ("problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
 @pytest.mark.parametrize("jobs", [2, 3, 64])
 def test_the_pool_has_one_worker_fewer_than_the_jobs(tmp_path, monkeypatch, jobs):
     asked = []
-
-    class IdlePool:
-        # starts no cell, so the command's process runs every one
-        def __init__(self, max_workers, initializer, initargs):
-            asked.append(max_workers)
-
-        def submit(self, fn, *args):
-            return Future()
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", IdlePool)
+    monkeypatch.setattr(cli, "_served", None)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(asked))
     cfg = write_config(tmp_path, POOL_CFG)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--jobs", str(jobs)]) == 0
@@ -582,6 +576,24 @@ def test_a_failing_cell_exits_3_and_leaves_no_worker(tmp_path, monkeypatch, caps
     cfg = write_config(tmp_path, POOL_CFG)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 3
     assert capsys.readouterr().err == f"runtime error: raised in {where}\n"
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+def _die_at_start(*instance):
+    os._exit(1)
+
+
+# the pool's own thread must not fail either, as it does on a cancelled future
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_worker_that_dies_exits_3_and_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_serve", _die_at_start)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    cfg = write_config(tmp_path, POOL_CFG)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: a --jobs worker stopped: ") and err.count("\n") == 1
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "out").exists()
 
