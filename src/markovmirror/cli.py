@@ -14,11 +14,12 @@ Configs are line-oriented dotted-key text::
 Every emitted CSV starts with `# key = value` lines echoing the fully
 resolved config plus the library version; floats print with 17
 significant digits so a reread is bit-exact.  ``run`` and ``sweep``
-spread their (T, seed) cells over ``--jobs`` processes: the command's
-own and ``--jobs`` - 1 pool workers, each sent the instance once.  Each
-cell draws from its seed's own streams, so the job count does not
-change a row; setting ``MM_DETERMINISTIC=1`` zeroes the wall_ms column
-so repeated invocations produce byte-identical files.
+split their (T, seed) cells into ``--jobs`` fixed interleaved shares,
+one per process: the command's own runs one, and each of ``--jobs`` - 1
+pool workers receives another with the instance as one task.  Each cell
+draws from its seed's own streams, so the job count does not change a
+row; setting ``MM_DETERMINISTIC=1`` zeroes the wall_ms column so
+repeated invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 check outside its acceptance window, 2 config
 error, 3 runtime error, 4 ergodicity failure, 5 insufficient
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import multiprocessing
 import operator
 import os
 import sys
@@ -355,75 +355,46 @@ def _header(res, tau_mix, extra=()):
     return items
 
 
-# (res, problem, tau_mix, stride, cells, taken) that a pool worker received at its start
-_served = None
-
-
-def _serve(*instance):
-    """Pool initializer: keep the instance every cell this worker runs is solved on."""
-    global _served
-    _served = instance
-
-
-def _claim(taken, i):
-    """Mark cell i taken; False if another process took it first."""
-    with taken.get_lock():
-        free = not taken[i]
-        taken[i] = True
-    return free
-
-
-def _worker_run(cell, instance=None):
-    """The RunRecord of one (T, seed) cell on `instance`, or in a pool worker on `_served`."""
+def _worker_run(cell, instance):
+    """The RunRecord of one (T, seed) cell on `instance`, (res, problem, tau_mix, stride)."""
     T, seed = cell
-    res, problem, tau_mix, stride = instance or _served[:4]
+    res, problem, tau_mix, stride = instance
     return _run_solver(dict(res, T=T), problem, tau_mix, seed, stride)
 
 
-def _pool_run(i):
-    """In a pool worker: cell i's RunRecord, or None if the command has taken it."""
-    cells, taken = _served[4:]
-    return _worker_run(cells[i]) if _claim(taken, i) else None
+def _run_share(cells, instance):
+    """The RunRecords of `cells`, run in order on `instance`: one process's share."""
+    return [_worker_run(cell, instance) for cell in cells]
 
 
 def _run_cells(res, grid, stride, jobs):
     """(tau_mix, records): every (T, seed) cell of `grid` x seeds on one instance, T-major.
 
     Records are kept at `stride` (None keeps only the row at T).  With
-    `jobs` >= 2 and two or more cells, the command runs cells beside a
-    pool of min(jobs, cells) - 1 workers, each sent the instance once at
-    its start.  The pool takes cells from the front of the list and the
-    command from the back, leaving the pool one cell per worker; each
-    claims a cell in a shared array before running it, so they stop where
-    they meet, and records keep cell order either way.  Claims replace
-    cancelling futures, on which a pool that breaks fails in its own
-    thread.  Every future is read, so a worker that dies is a SolverError.
-    On a failure every cell is marked taken, so no worker starts another,
-    and every worker has exited when this returns or raises.
+    n = min(jobs, cells) processes, process k runs the interleaved share
+    cells[k::n], smallest T first: the command runs share 0 and each of
+    n - 1 pool workers receives its share and the instance as one task.
+    A failing cell ends only its own share; the command waits for every
+    worker and raises the first error in share order, so no worker
+    outlives it.  A worker that dies is a SolverError.
     """
     problem, tau_mix = _build_instance(res)
     instance = (res, problem, tau_mix, stride)
     cells = [(T, seed) for T in grid for seed in res["seeds"]]
-    workers = min(jobs, len(cells)) - 1
-    if workers < 1:
-        return tau_mix, [_worker_run(cell, instance) for cell in cells]
-    taken = multiprocessing.Array("b", len(cells))
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_serve,
-                               initargs=(*instance, cells, taken))
+    n = min(jobs, len(cells))
+    if n < 2:
+        return tau_mix, _run_share(cells, instance)
+    pool = ProcessPoolExecutor(max_workers=n - 1)
     try:
-        futures = [pool.submit(_pool_run, i) for i in range(len(cells))]
+        futures = [pool.submit(_run_share, cells[k::n], instance) for k in range(1, n)]
         records = [None] * len(cells)
-        for i in reversed(range(workers, len(cells))):
-            if not _claim(taken, i):
-                break
-            records[i] = _worker_run(cells[i], instance)
-        results = [f.result() for f in futures]
-        return tau_mix, [p if r is None else r for r, p in zip(records, results)]
+        records[0::n] = _run_share(cells[0::n], instance)
+        for k, future in enumerate(futures, 1):
+            records[k::n] = future.result()
+        return tau_mix, records
     except BrokenProcessPool as e:  # a worker died or could not start
         raise SolverError(f"a --jobs worker stopped: {e}") from None
     finally:
-        with taken.get_lock():
-            taken[:] = [True] * len(cells)
         pool.shutdown()
 
 

@@ -85,7 +85,7 @@ class _ShiftedProblem:
     def _setup(self, geometry, M, v, shifts, kernel, x_star, sigma):
         M = np.array(M, dtype=float)
         v = np.asarray(v, dtype=float)
-        shifts = np.asarray(shifts, dtype=float)
+        shifts = np.array(shifts, dtype=float)
         x_star = None if x_star is None else np.asarray(x_star, dtype=float)
         d = geometry.d
         if M.shape != (d, d) or v.shape != (d,):
@@ -103,6 +103,7 @@ class _ShiftedProblem:
         # relative to the shifts' size: centring them leaves about eps times their peak
         if np.max(np.abs(pi @ shifts)) > 1e-12 * max(1.0, np.max(np.abs(shifts))):
             raise InputError("state shifts must have zero stationary mean")
+        shifts.flags.writeable = False  # its own copy: an in-place write cannot reach it
         self.geometry = geometry
         self.shifts = shifts
         self.kernel = kernel
@@ -111,13 +112,17 @@ class _ShiftedProblem:
         self.x_star = x_star
         return M, v
 
-    def _shift_rows(self, z):
-        """The shift row of state z, or the (k, d) rows of a state vector.
+    def _shifted(self, ufunc, value, z):
+        """ufunc(value, shift row of state z), or of each row of a state vector.
 
-        One int state takes a view of its row, several a take: indexing
-        is the cheaper for one row, take for many.
+        One int state reads a view of its row.  A state vector takes its
+        (k, d) rows and combines them with `value` in place, so that the
+        result is the only (k, d) array the call makes.
         """
-        return self.shifts[z] if type(z) is int else self.shifts.take(z, axis=0)
+        if type(z) is int:
+            return ufunc(value, self.shifts[z])
+        rows = self.shifts.take(z, axis=0)
+        return ufunc(value, rows, out=rows)
 
     def _point(self, x):
         x = np.asarray(x, dtype=float)
@@ -159,7 +164,7 @@ class MinProblem(_ShiftedProblem):
 
     def grad_oracle(self, x, z):
         """Stochastic gradient A x - b - c_z; z may be an int or a state vector."""
-        return self.grad(x) - self._shift_rows(z)
+        return self._shifted(np.subtract, self.grad(x), z)
 
     def noise_deviations(self):
         """Rows D[z] with grad_oracle(x, z) = grad(x) + D[z]."""
@@ -198,7 +203,7 @@ class ViProblem(_ShiftedProblem):
 
     def op_oracle(self, x, z):
         """Stochastic operator Qx + c + e_z; z may be an int or a state vector."""
-        return self.op(x) + self._shift_rows(z)
+        return self._shifted(np.add, self.op(x), z)
 
     def noise_deviations(self):
         """Rows D[z] with op_oracle(x, z) = op(x) + D[z]."""

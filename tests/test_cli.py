@@ -353,16 +353,17 @@ def test_deterministic_mode_gives_byte_identical_output(tmp_path, monkeypatch):
     assert all(r[4] == "0" for r in rows)
 
 
-def inline_pool(asked):
-    """A stand-in process pool that appends its size to `asked` and runs each
-    task as it is submitted, so it takes every cell before the command claims one."""
+def inline_pool(asked, submitted=None):
+    """A stand-in process pool that appends its size to `asked`, appends each
+    task's arguments to `submitted` and runs each task as it is submitted."""
 
     class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             asked.append(max_workers)
-            initializer(*initargs)
 
         def submit(self, fn, *args):
+            if submitted is not None:
+                submitted.append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
@@ -377,7 +378,6 @@ def test_deterministic_mode_keeps_the_job_count(tmp_path, monkeypatch):
     # MM_DETERMINISTIC=1 zeroes wall_ms only; it used to force --jobs 1
     monkeypatch.setenv("MM_DETERMINISTIC", "1")
     asked = []
-    monkeypatch.setattr(cli, "_served", None)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(asked))
     cfg = write_config(tmp_path, RUN_CFG)  # two seeds
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
@@ -513,15 +513,16 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path,
         "problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
-        "algorithm = mamd-batched\nsweep.T = 16 32\nseeds = 0 1\n",
+        "algorithm = mamd-batched\nsweep.T = 16 32 64\nseeds = 0 1\n",
     )
     texts = []
-    for jobs in ("1", "2", "3"):
+    # six cells: --jobs 4 gives shares of 2, 2, 1 and 1 cells
+    for jobs in ("1", "2", "3", "4"):
         out = tmp_path / f"jobs{jobs}"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
         name = [f for f in os.listdir(out) if f.startswith("sweep_")][0]
         texts.append((name, (out / name).read_bytes()))
-    assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert texts[1:] == texts[:1] * 3
 
 
 # a sweep of four cells, T-major: (16, 0), (16, 1), (32, 0), (32, 1)
@@ -532,7 +533,6 @@ POOL_CFG = ("problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
 @pytest.mark.parametrize("jobs", [2, 3, 64])
 def test_the_pool_has_one_worker_fewer_than_the_jobs(tmp_path, monkeypatch, jobs):
     asked = []
-    monkeypatch.setattr(cli, "_served", None)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(asked))
     cfg = write_config(tmp_path, POOL_CFG)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
@@ -540,27 +540,37 @@ def test_the_pool_has_one_worker_fewer_than_the_jobs(tmp_path, monkeypatch, jobs
     assert asked == [min(jobs, 4) - 1]
 
 
+@pytest.mark.parametrize("jobs", [2, 3, 4, 64])
+def test_each_worker_receives_its_interleaved_share_in_one_task(tmp_path, monkeypatch, jobs):
+    asked, submitted = [], []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(asked, submitted))
+    cfg = write_config(tmp_path, POOL_CFG)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", str(jobs)]) == 0
+    cells, n = [(16, 0), (16, 1), (32, 0), (32, 1)], min(jobs, 4)
+    assert [share for share, _ in submitted] == [cells[k::n] for k in range(1, n)]
+
+
 def test_the_command_runs_cells_beside_its_worker(tmp_path, monkeypatch):
     run, mine = cli._worker_run, []
 
     # wrapped under the entry's own name, so that it still pickles into the pool
     @functools.wraps(run)
-    def counted(cell, instance=None):
+    def counted(cell, instance):
         mine.append(cell)  # a worker appends to its own copy of the list
         return run(cell, instance)
 
     monkeypatch.setattr(cli, "_worker_run", counted)
     cfg = write_config(tmp_path, POOL_CFG)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
-    # the command takes cells from the back while the worker starts at the front
-    assert 1 <= len(mine) < 4
-    assert mine == [(32, 1), (32, 0), (16, 1)][:len(mine)]
+    # the command runs share 0 of the T-major cells, the worker share 1
+    assert mine == [(16, 0), (32, 0)]
 
 
 @pytest.mark.parametrize("where", ["the command", "a worker"])
 def test_a_failing_cell_exits_3_and_leaves_no_worker(tmp_path, monkeypatch, capsys, where):
-    # the worker starts at the first cell, the command at the last
-    failing = (16, 0) if where == "a worker" else (32, 1)
+    # the command runs (16, 0) and (32, 0), the worker (16, 1) and (32, 1)
+    failing = (32, 0) if where == "the command" else (16, 1)
     command, solve = os.getpid(), cli._run_solver
 
     def failing_solve(res, problem, tau_mix, seed, stride):
@@ -580,14 +590,19 @@ def test_a_failing_cell_exits_3_and_leaves_no_worker(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
-def _die_at_start(*instance):
-    os._exit(1)
-
-
 # the pool's own thread must not fail either, as it does on a cancelled future
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 def test_a_worker_that_dies_exits_3_and_leaves_no_worker(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_serve", _die_at_start)
+    command, run_share = os.getpid(), cli._run_share
+
+    # wrapped under the entry's own name, so that it still pickles into the pool
+    @functools.wraps(run_share)
+    def die_in_a_worker(cells, instance):
+        if os.getpid() != command:
+            os._exit(1)
+        return run_share(cells, instance)
+
+    monkeypatch.setattr(cli, "_run_share", die_in_a_worker)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
     cfg = write_config(tmp_path, POOL_CFG)

@@ -104,6 +104,31 @@ def test_vi_oracle_values(two_state):
     assert np.abs(p.shifts).max() > 0
 
 
+@pytest.mark.parametrize("kind", ["min", "vi"])
+def test_the_oracle_writes_only_into_the_array_it_returns(dense8, kind):
+    # a state vector's rows are combined in place in the array the take made
+    if kind == "min":
+        p = make_min_instance(5, dense8, noise_scale=1.0, seed=2)
+        oracle, mean, combine = p.grad_oracle, p.grad, np.subtract
+    else:
+        p = make_vi_instance((2, 3), dense8, noise_scale=1.0, seed=2)
+        oracle, mean, combine = p.op_oracle, p.op, np.add
+    x = p.geometry.sample(np.random.default_rng(3))
+    states = ChainCursor(dense8, np.random.default_rng(4)).advance(64)
+    shifts = p.shifts.copy()
+    out = oracle(x, states)
+    assert out.tobytes() == combine(mean(x), shifts.take(states, axis=0)).tobytes()
+    assert p.shifts.tobytes() == shifts.tobytes() and not p.shifts.flags.writeable
+    one = oracle(x, 3)
+    assert one.tobytes() == combine(mean(x), shifts[3]).tobytes()
+    assert not np.shares_memory(one, p.shifts) and not np.shares_memory(out, p.shifts)
+    # the problem keeps its own copy of the shifts it was given
+    given = shifts.copy()
+    q = type(p)(p.geometry, *((p.A, p.b) if kind == "min" else (p.Q, p.c)), given, dense8)
+    given[:] = 0.0
+    assert q.shifts.tobytes() == shifts.tobytes()
+
+
 @pytest.mark.parametrize("block_dim", [2, 3, 4, 5])
 def test_matching_pennies_operator(two_state, block_dim):
     # the sign matrix at 2, the cyclic shift game P - P' above it; both have uniform play
