@@ -109,10 +109,10 @@ def test_the_oracle_writes_only_into_the_array_it_returns(dense8, kind):
     # a state vector's rows are combined in place in the array the take made
     if kind == "min":
         p = make_min_instance(5, dense8, noise_scale=1.0, seed=2)
-        oracle, mean, combine = p.grad_oracle, p.grad, np.subtract
+        oracle, mean, combine, matrices = p.grad_oracle, p.grad, np.subtract, (p.A, p.b)
     else:
         p = make_vi_instance((2, 3), dense8, noise_scale=1.0, seed=2)
-        oracle, mean, combine = p.op_oracle, p.op, np.add
+        oracle, mean, combine, matrices = p.op_oracle, p.op, np.add, (p.Q, p.c)
     x = p.geometry.sample(np.random.default_rng(3))
     states = ChainCursor(dense8, np.random.default_rng(4)).advance(64)
     shifts = p.shifts.copy()
@@ -124,7 +124,7 @@ def test_the_oracle_writes_only_into_the_array_it_returns(dense8, kind):
     assert not np.shares_memory(one, p.shifts) and not np.shares_memory(out, p.shifts)
     # the problem keeps its own copy of the shifts it was given
     given = shifts.copy()
-    q = type(p)(p.geometry, *((p.A, p.b) if kind == "min" else (p.Q, p.c)), given, dense8)
+    q = type(p)(p.geometry, *matrices, given, dense8)
     given[:] = 0.0
     assert q.shifts.tobytes() == shifts.tobytes()
 
