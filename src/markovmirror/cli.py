@@ -14,12 +14,12 @@ Configs are line-oriented dotted-key text::
 Every emitted CSV starts with `# key = value` lines echoing the fully
 resolved config plus the library version; floats print with 17
 significant digits so a reread is bit-exact.  ``run`` and ``sweep``
-split their (T, seed) cells into ``--jobs`` fixed interleaved shares,
-one per process: the command's own runs one, and each of ``--jobs`` - 1
-pool workers receives another with the instance as one task.  Each cell
-draws from its seed's own streams, so the job count does not change a
-row; setting ``MM_DETERMINISTIC=1`` zeroes the wall_ms column so
-repeated invocations produce byte-identical files.
+deal their (T, seed) cells into ``--jobs`` shares of about equal total
+T: the command runs one, and each of ``--jobs`` - 1 pool workers
+receives another with the instance as one task.  Each cell draws from
+its seed's own streams, so the job count does not change a row;
+setting ``MM_DETERMINISTIC=1`` zeroes the wall_ms column so repeated
+invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 check outside its acceptance window, 2 config
 error, 3 runtime error, 4 ergodicity failure, 5 insufficient
@@ -371,12 +371,12 @@ def _run_cells(res, grid, stride, jobs):
     """(tau_mix, records): every (T, seed) cell of `grid` x seeds on one instance, T-major.
 
     Records are kept at `stride` (None keeps only the row at T).  With
-    n = min(jobs, cells) processes, process k runs the interleaved share
-    cells[k::n], smallest T first: the command runs share 0 and each of
-    n - 1 pool workers receives its share and the instance as one task.
-    A failing cell ends only its own share; the command waits for every
-    worker and raises the first error in share order, so no worker
-    outlives it.  A worker that dies is a SolverError.
+    n = min(jobs, cells) processes, the cells are dealt largest T first
+    to the share with the least T so far, and each share runs smallest
+    T first.  The command runs share 0 and each of n - 1 pool workers
+    receives its share and the instance as one task.  A failing cell
+    ends only its share; the command waits for every worker and raises
+    the first error in share order.  A worker that dies is a SolverError.
     """
     problem, tau_mix = _build_instance(res)
     instance = (res, problem, tau_mix, stride)
@@ -384,14 +384,18 @@ def _run_cells(res, grid, stride, jobs):
     n = min(jobs, len(cells))
     if n < 2:
         return tau_mix, _run_share(cells, instance)
+    shares, loads = [[] for _ in range(n)], [0] * n
+    for cell in sorted(cells, key=lambda cell: -cell[0]):  # largest T first,
+        k = loads.index(min(loads))  # to the first share with the least T so far,
+        loads[k] += cell[0]
+        shares[k].insert(0, cell)  # which runs smallest T first
     pool = ProcessPoolExecutor(max_workers=n - 1)
     try:
-        futures = [pool.submit(_run_share, cells[k::n], instance) for k in range(1, n)]
-        records = [None] * len(cells)
-        records[0::n] = _run_share(cells[0::n], instance)
-        for k, future in enumerate(futures, 1):
-            records[k::n] = future.result()
-        return tau_mix, records
+        futures = [pool.submit(_run_share, share, instance) for share in shares[1:]]
+        records = dict(zip(shares[0], _run_share(shares[0], instance)))
+        for share, future in zip(shares[1:], futures):
+            records.update(zip(share, future.result()))
+        return tau_mix, [records[cell] for cell in cells]
     except BrokenProcessPool as e:  # a worker died or could not start
         raise SolverError(f"a --jobs worker stopped: {e}") from None
     finally:

@@ -206,7 +206,7 @@ class ViProblem(_ShiftedProblem):
         return self._shifted(np.add, self.op(x), z)
 
     def noise_deviations(self):
-        """Rows D[z] with op_oracle(x, z) = op(x) + D[z]."""
+        """Rows D[z] with op_oracle(x, z) = op(x) + D[z]: the read-only shifts themselves."""
         return self.shifts
 
 

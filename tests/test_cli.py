@@ -516,7 +516,7 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
         "algorithm = mamd-batched\nsweep.T = 16 32 64\nseeds = 0 1\n",
     )
     texts = []
-    # six cells: --jobs 4 gives shares of 2, 2, 1 and 1 cells
+    # six cells: --jobs 4 gives shares of 1, 1, 2 and 2 cells
     for jobs in ("1", "2", "3", "4"):
         out = tmp_path / f"jobs{jobs}"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
@@ -528,6 +528,8 @@ def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
 # a sweep of four cells, T-major: (16, 0), (16, 1), (32, 0), (32, 1)
 POOL_CFG = ("problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
             "algorithm = mamd-batched\nsweep.T = 16 32\nseeds = 0 1\n")
+ONE_SEED_CFG = ("problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"
+                "algorithm = mamd-batched\nsweep.T = 16 32 64 128\nseeds = 0\n")
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 64])
@@ -540,15 +542,25 @@ def test_the_pool_has_one_worker_fewer_than_the_jobs(tmp_path, monkeypatch, jobs
     assert asked == [min(jobs, 4) - 1]
 
 
-@pytest.mark.parametrize("jobs", [2, 3, 4, 64])
-def test_each_worker_receives_its_interleaved_share_in_one_task(tmp_path, monkeypatch, jobs):
+# the cells go largest T first, each to the first share with the least T so
+# far, and each share runs in the reverse order; the command keeps share 0
+@pytest.mark.parametrize("cfg, jobs, workers", [
+    (POOL_CFG, 2, [[(16, 1), (32, 1)]]),  # the interleaved split, as T is balanced
+    (POOL_CFG, 3, [[(32, 1)], [(16, 1), (16, 0)]]),
+    (POOL_CFG, 4, [[(32, 1)], [(16, 0)], [(16, 1)]]),
+    (POOL_CFG, 64, [[(32, 1)], [(16, 0)], [(16, 1)]]),
+    # one seed, as in the default config: the largest T outweighs the rest
+    (ONE_SEED_CFG, 2, [[(16, 0), (32, 0), (64, 0)]]),
+    (ONE_SEED_CFG, 3, [[(64, 0)], [(16, 0), (32, 0)]]),
+])
+def test_each_worker_receives_its_dealt_share_in_one_task(tmp_path, monkeypatch, cfg, jobs,
+                                                          workers):
     asked, submitted = [], []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(asked, submitted))
-    cfg = write_config(tmp_path, POOL_CFG)
+    cfg = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--jobs", str(jobs)]) == 0
-    cells, n = [(16, 0), (16, 1), (32, 0), (32, 1)], min(jobs, 4)
-    assert [share for share, _ in submitted] == [cells[k::n] for k in range(1, n)]
+    assert [share for share, _ in submitted] == workers
 
 
 def test_the_command_runs_cells_beside_its_worker(tmp_path, monkeypatch):
@@ -563,7 +575,7 @@ def test_the_command_runs_cells_beside_its_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_worker_run", counted)
     cfg = write_config(tmp_path, POOL_CFG)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
-    # the command runs share 0 of the T-major cells, the worker share 1
+    # the command runs share 0, smallest T first; the worker runs (16, 1) and (32, 1)
     assert mine == [(16, 0), (32, 0)]
 
 
