@@ -17,7 +17,6 @@ from markovmirror import (
     ChainCursor,
     MlmcConfig,
     batch_bias_profile,
-    batch_mean,
     lazy_for_mixing_time,
     make_min_instance,
     mlmc_geometric,
@@ -63,13 +62,13 @@ def main():
 
     x, dual_norm = problem.geometry.center(), problem.geometry.norm_pair.dual_norm
     n = round(cfg.expected_oracle_calls())
-    batches = [batch_mean(problem.grad_oracle, x, cursor, n) for _ in range(4000)]
+    batches = [problem.grad_oracle(x, cursor.advance(n)).mean(axis=0) for _ in range(4000)]
 
     def rms_error(estimates):
-        return np.sqrt(np.mean([dual_norm(e.g - problem.grad(x)) ** 2 for e in estimates]))
+        return np.sqrt(np.mean([dual_norm(g - problem.grad(x)) ** 2 for g in estimates]))
 
     print(f"\nroot-mean-square error of one estimate, {n} expected oracle calls each:")
-    for label, estimates in (("multilevel, B=1, M=1024:", draws),
+    for label, estimates in (("multilevel, B=1, M=1024:", [e.g for e in draws]),
                              (f"batch mean of {n} states:", batches)):
         print(f"  {label:<36}{rms_error(estimates):.3f}")
 

@@ -4,7 +4,7 @@ The pieces compose left to right: a `geometry` fixes the feasible set,
 mirror map, and norm pair; a `chain` supplies correlated noise indices
 through a cursor; a `problem` binds a smooth objective or monotone
 operator to that chain; `estimators` turn cursor draws into gradient
-estimates (single, batch-mean, or truncated multilevel); `solvers` run
+estimates, truncated multilevel ones among them; `solvers` run
 accelerated mirror descent or mirror prox on top; and `validation`
 measures what came out.  The ``markovmirror`` console script drives
 experiments from dotted-key config files.

@@ -27,7 +27,7 @@ class ErgodicityError(MarkovMirrorError):
 
 
 class SolverError(MarkovMirrorError):
-    """A failed solve: prox out of iterations, a non-finite estimate, or an infeasible iterate."""
+    """A failed solve: a non-finite estimate, an infeasible iterate, or a stopped --jobs worker."""
 
 
 class StatisticsError(MarkovMirrorError):
@@ -45,8 +45,9 @@ class ConfigError(InputError):
 
 
 def _integral(value):
-    """True for an int or a whole float; False for a fraction, NaN or inf."""
-    return isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer())
+    """True for an int or a whole float; False for a bool, a fraction, NaN or inf."""
+    return not isinstance(value, bool) and (
+        isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer()))
 
 
 def _count(value, name, least, most=None):

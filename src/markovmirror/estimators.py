@@ -1,16 +1,15 @@
 """Stochastic gradient/operator estimates drawn from a chain cursor.
 
 Oracles are callables oracle(x, z) that broadcast over a vector of
-states z, returning one row per state.  Every estimate reports the
-oracle evaluations it actually performed and the chain samples it
-consumed; the two differ for the truncated multilevel estimator, whose
-cursor always moves 2^J * B states even when the level is truncated.
+states z, returning one row per state.  A multilevel estimate reports
+the oracle evaluations it performed and the chain samples it consumed;
+the two differ when its level is truncated, because the cursor always
+moves 2^J * B states.
 
 The solvers draw a run's states and levels before its loop: a plan
 (`_unbatched_plan`, `_level_plan`) is each iteration's read of the
-chain plus the running oracle-call and chain-step totals, and the
-single-estimate functions `batch_mean` and `mlmc_geometric` are the
-same reads for one estimate.
+chain plus the running oracle-call and chain-step totals, and
+`mlmc_geometric` is a batched plan's read for one estimate.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, _count
 
-__all__ = ["Estimate", "MlmcConfig", "batch_mean", "combine_levels", "mlmc_geometric"]
+__all__ = ["Estimate", "MlmcConfig", "combine_levels", "mlmc_geometric"]
 
 # levels above this are astronomically rare (P ~ 2^-62) and would
 # overflow the span arithmetic, so the geometric draw is clipped
@@ -46,7 +45,7 @@ class Estimate:
     g: np.ndarray
     oracle_calls: int
     chain_steps: int
-    level: int  # drawn multilevel index J; 0 for plain estimators
+    level: int  # drawn multilevel index J
 
 
 @dataclass(frozen=True)
@@ -181,13 +180,6 @@ def _level_reads(cursor, levels, costs, head):
             mid = at + head
             yield states[at:mid], states[mid:mid + costs[u][0]], levels[u]
             at += moved[u]
-
-
-def batch_mean(oracle, x, cursor, batch):
-    """Plain mean over the next `batch` chain states."""
-    batch = _count(batch, "batch", 1)
-    return Estimate(g=_batch_g(oracle, x, cursor.advance(batch)), oracle_calls=batch,
-                    chain_steps=batch, level=0)
 
 
 def combine_levels(values, level, B, M):

@@ -9,10 +9,9 @@ K-block product is scaled by K so that the Bregman divergence stays
 
 Public `prox` checks its arguments and then takes the closed-form
 `_step`, which checks nothing; the solvers start at `center()` and call
-`_step` directly.  Every geometry also carries a generic
-projected-gradient prox solver used to cross-check the closed forms,
-the linear maximization `err_vi` needs, and a sampler of feasible
-points for randomized checks.
+`_step` directly.  Besides the step, a geometry gives what the methods
+and their metrics read: its diameter, a feasibility test, and the
+linear maximization `err_vi` needs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, SolverError, _check_scale, _count
+from .errors import InputError, _check_scale, _count
 
 __all__ = ["NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeometry"]
 
@@ -30,11 +29,8 @@ __all__ = ["NormPair", "Geometry", "BoxGeometry", "BallGeometry", "SimplexGeomet
 # entropy gradients stay finite on subsequent steps.
 SIMPLEX_NU = 1e-9
 
-# stopping rule of the generic prox: KKT residual and iteration budget
-_PROX_TOL = 1e-10
-_PROX_MAX_ITER = 10_000
-# slack `contains` grants a point past the boundary of its feasible set, at
-# unit scale; a ball's scales with its radius, a box's with its width
+# slack `contains` grants a point past the boundary of its feasible set, relative
+# to the set's size: a ball's is this times its radius, a box's this times its width
 _FEASIBLE_TOL = 1e-10
 
 
@@ -101,9 +97,6 @@ class Geometry:
         self.norm_pair = norm_pair
 
     # -- interface filled in by subclasses -----------------------------
-    def bregman(self, x, y):
-        raise NotImplementedError
-
     def _step(self, x, xi):
         """Closed-form prox step with no input checks; x must be a feasible anchor."""
         raise NotImplementedError
@@ -131,19 +124,8 @@ class Geometry:
     def contains(self, x):
         raise NotImplementedError
 
-    def project(self, v):
-        """Euclidean projection onto the feasible set."""
-        raise NotImplementedError
-
     def linear_argmax(self, coef):
         """argmax over the feasible set of <coef, u>."""
-        raise NotImplementedError
-
-    def sample(self, rng, n=None):
-        """Draw a feasible point (or an (n, d) batch) for randomized checks."""
-        raise NotImplementedError
-
-    def _mirror_grad(self, v):
         raise NotImplementedError
 
     # -- shared machinery ----------------------------------------------
@@ -166,75 +148,12 @@ class Geometry:
         self._check_anchor(x)
         return x, xi
 
-    def prox_generic(self, x, xi):
-        """Fallback prox: projected gradient with backtracking on
-        h(y) = V(x, y) + <xi, y>, stopped at fixed-point (KKT) residual <= 1e-10.
-
-        Independent of the closed forms; used to cross-validate them.
-        """
-        x, xi = self._check_prox_args(x, xi)
-        gx = self._mirror_grad(x)
-
-        def h(y):
-            return self.bregman(x, y) + float(xi @ y)
-
-        y = x.copy()
-        y_prev = y.copy()
-        hy = h(y)
-        step = 1.0
-        mom = 0.0
-        t_acc = 1.0
-        for _ in range(_PROX_MAX_ITER):
-            g_y = self._mirror_grad(y) - gx + xi
-            # unit-step fixed-point residual certifies the KKT system
-            resid = np.max(np.abs(y - self.project(y - g_y)))
-            if resid <= _PROX_TOL:
-                return y
-            # momentum keeps the iteration count ~sqrt(kappa); the entropy
-            # map's curvature blows up near the floor, so plain projected
-            # gradient can exhaust the budget there
-            z = self.project(y + mom * (y - y_prev))
-            g = self._mirror_grad(z) - gx + xi
-            hz = h(z)
-            while True:
-                y_trial = self.project(z - step * g)
-                delta = y_trial - z
-                h_trial = h(y_trial)
-                if h_trial <= hz + g @ delta + (delta @ delta) / (2.0 * step) + 1e-15:
-                    break
-                step *= 0.5
-                if step < 1e-18:
-                    raise SolverError("prox line search collapsed")
-            if h_trial <= hy + 1e-15:
-                y_prev, y, hy = y, y_trial, h_trial
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-                mom = (t_acc - 1.0) / t_next
-                t_acc = t_next
-            else:
-                # extrapolation overshot: drop momentum, retry as plain PG
-                t_acc = 1.0
-                mom = 0.0
-                y_prev = y.copy()
-            step = min(step * 1.5, 1e6)
-        raise SolverError(
-            f"generic prox did not reach KKT residual {_PROX_TOL:g} in {_PROX_MAX_ITER} iterations"
-        )
-
 
 class _EuclideanGeometry(Geometry):
     """Half-squared Euclidean mirror map (p = 2): the prox is project(x - xi)."""
 
     def __init__(self, d):
         super().__init__(d, NormPair(2.0))
-
-    def bregman(self, x, y):
-        x = self._check_point(x)
-        y = self._check_point(y, "y")
-        diff = y - x
-        return 0.5 * float(diff @ diff)
-
-    def _mirror_grad(self, v):
-        return v
 
     def _step(self, x, xi):
         return self.project(x - xi)
@@ -248,7 +167,7 @@ class BoxGeometry(_EuclideanGeometry):
         self.lo = float(lo)
         self.hi = float(hi)
         width = _check_scale(self.hi - self.lo, f"box [{lo}, {hi}] width")
-        self._slack = _FEASIBLE_TOL * max(1.0, width)
+        self._slack = _FEASIBLE_TOL * width
         self._check_diameter()
 
     def diameter_sq(self):
@@ -269,10 +188,6 @@ class BoxGeometry(_EuclideanGeometry):
         coef = self._check_point(coef, "coef")
         return np.where(coef > 0, self.hi, self.lo).astype(float)
 
-    def sample(self, rng, n=None):
-        size = (self.d,) if n is None else (n, self.d)
-        return rng.uniform(self.lo, self.hi, size=size)
-
 
 class BallGeometry(_EuclideanGeometry):
     """Origin-centred Euclidean ball with the half-squared Euclidean mirror map (p = 2)."""
@@ -280,7 +195,7 @@ class BallGeometry(_EuclideanGeometry):
     def __init__(self, d, radius=1.0):
         super().__init__(d)
         self.radius = _check_scale(radius, "ball radius")
-        self._slack = _FEASIBLE_TOL * max(1.0, self.radius)
+        self._slack = _FEASIBLE_TOL * self.radius
         self._check_diameter()
 
     def diameter_sq(self):
@@ -311,27 +226,6 @@ class BallGeometry(_EuclideanGeometry):
             r = self.norm_pair.norm(off)
         return off * (self.radius / r)
 
-    def sample(self, rng, n=None):
-        m = 1 if n is None else n
-        g = rng.normal(size=(m, self.d))
-        g /= self.norm_pair.norm(g)[:, None]
-        radii = self.radius * rng.uniform(size=(m, 1)) ** (1.0 / self.d)
-        pts = g * radii
-        return pts[0] if n is None else pts
-
-
-def _project_block_simplex(v, floor):
-    """Euclidean projection of v onto {y : y_i >= floor, sum y = 1}."""
-    dim = v.shape[0]
-    mass = 1.0 - dim * floor
-    w = v - floor
-    u = np.sort(w)[::-1]
-    cum = np.cumsum(u) - mass
-    idx = np.arange(1, dim + 1)
-    rho = np.nonzero(u - cum / idx > 0)[0][-1]
-    theta = cum[rho] / (rho + 1.0)
-    return np.maximum(w - theta, 0.0) + floor
-
 
 class SimplexGeometry(Geometry):
     """Product of probability simplexes with the negative-entropy map (p = 1).
@@ -361,32 +255,10 @@ class SimplexGeometry(Geometry):
         """Views of x's blocks along its trailing axis."""
         return np.split(x, self._starts[1:], axis=-1)
 
-    def _check_interior(self, x):
-        if np.min(x) <= 0.0:
-            raise InputError("entropy mirror map needs a strictly interior base point")
-
     def _check_anchor(self, x):
         super()._check_anchor(x)
-        self._check_interior(x)
-
-    def bregman(self, x, y):
-        x = self._check_point(x)
-        y = self._check_point(y, "y")
-        self._check_interior(x)
-        if np.min(y) < 0.0:
-            raise InputError("bregman target point has negative coordinates")
-        # y * log(y/x) with the 0 log 0 = 0 convention, plus mass-correction
-        # terms that vanish when both block sums are exactly 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(y > 0.0, y * np.log(y / x), 0.0)
-        total = 0.0
-        for t, xb, yb in zip(self.blocks(terms), self.blocks(x), self.blocks(y)):
-            total += float(np.sum(t)) + float(np.sum(xb) - np.sum(yb))
-        return self.n_blocks * total
-
-    def _mirror_grad(self, v):
-        self._check_interior(v)
-        return self.n_blocks * (1.0 + np.log(v))
+        if np.min(x) <= 0.0:
+            raise InputError("entropy mirror map needs a strictly interior base point")
 
     def renormalize(self, y):
         """Fold nonnegative blockwise-unit rows (trailing axis) onto the floored simplex."""
@@ -412,11 +284,6 @@ class SimplexGeometry(Geometry):
             np.all(np.abs(np.add.reduceat(x, self._starts) - 1.0) <= _FEASIBLE_TOL)
             and np.all(x >= self._floors - _FEASIBLE_TOL))
 
-    def project(self, v):
-        blocks = self.blocks(np.asarray(v, dtype=float))
-        return np.concatenate([_project_block_simplex(b, f)
-                               for b, f in zip(blocks, self.nu / self._dims)])
-
     def _one_hot(self, offsets):
         """The vertex with a 1 at the given offset within each block."""
         out = np.zeros(self.d)
@@ -426,9 +293,3 @@ class SimplexGeometry(Geometry):
     def linear_argmax(self, coef):
         coef = self._check_point(coef, "coef")
         return self._one_hot([np.argmax(b) for b in self.blocks(coef)])
-
-    def sample(self, rng, n=None):
-        m = 1 if n is None else n
-        pts = np.hstack([rng.dirichlet(np.ones(b), size=m) for b in self.block_dims])
-        pts = self.renormalize(pts)
-        return pts[0] if n is None else pts

@@ -167,8 +167,10 @@ class MinProblem(_ShiftedProblem):
         return self._shifted(np.subtract, self.grad(x), z)
 
     def noise_deviations(self):
-        """Rows D[z] with grad_oracle(x, z) = grad(x) + D[z]."""
-        return -self.shifts
+        """Rows D[z] with grad_oracle(x, z) = grad(x) + D[z]: -shifts, read-only as the shifts."""
+        dev = -self.shifts
+        dev.flags.writeable = False
+        return dev
 
 
 class ViProblem(_ShiftedProblem):

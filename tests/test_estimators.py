@@ -8,13 +8,13 @@ from markovmirror import (
     Estimate,
     InputError,
     MlmcConfig,
-    batch_mean,
     combine_levels,
     make_min_instance,
     mlmc_geometric,
     random_ergodic,
 )
-from markovmirror.estimators import _MAX_LEVEL, _draw_level
+from markovmirror.estimators import _MAX_LEVEL, _batch_g, _draw_level
+from geometry_reference import sample
 
 
 def single_sample(oracle, x, cursor):
@@ -98,24 +98,21 @@ def test_integral_batch_parameters_stored_as_ints():
 def test_single_sample_equals_batch_of_one(problem):
     x = problem.geometry.center()
     a = single_sample(problem.grad_oracle, x, fresh_cursor(problem, 3))
-    b = batch_mean(problem.grad_oracle, x, fresh_cursor(problem, 3), 1)
-    np.testing.assert_array_equal(a.g, b.g)
+    b = _batch_g(problem.grad_oracle, x, fresh_cursor(problem, 3).advance(1))
+    np.testing.assert_array_equal(a.g, b)
     assert (a.oracle_calls, a.chain_steps, a.level) == (1, 1, 0)
-    assert (b.oracle_calls, b.chain_steps, b.level) == (1, 1, 0)
 
 
 def test_batch_mean_is_row_average(problem):
     x = problem.geometry.center()
     twin = fresh_cursor(problem, 5)
     states = twin.advance(12)
-    est = batch_mean(problem.grad_oracle, x, fresh_cursor(problem, 5), 12)
-    np.testing.assert_allclose(est.g, problem.grad_oracle(x, states).mean(axis=0))
-    with pytest.raises(InputError):
-        batch_mean(problem.grad_oracle, x, fresh_cursor(problem), 0)
+    g = _batch_g(problem.grad_oracle, x, fresh_cursor(problem, 5).advance(12))
+    np.testing.assert_allclose(g, problem.grad_oracle(x, states).mean(axis=0))
 
 
 def test_batch_mean_variance_scales_inversely(problem, rng):
-    x = problem.geometry.sample(rng)
+    x = sample(problem.geometry, rng)
     g_bar = problem.grad(x)
     cur = fresh_cursor(problem, 11)
     dual_norm = problem.geometry.norm_pair.dual_norm
@@ -123,7 +120,7 @@ def test_batch_mean_variance_scales_inversely(problem, rng):
     mean_sq = []
     for B in Bs:
         sq = [
-            dual_norm(batch_mean(problem.grad_oracle, x, cur, B).g - g_bar) ** 2
+            dual_norm(_batch_g(problem.grad_oracle, x, cur.advance(B)) - g_bar) ** 2
             for _ in range(1500)
         ]
         mean_sq.append(np.mean(sq))
@@ -172,12 +169,12 @@ def test_combine_levels_rejects_a_bad_level_or_too_few_rows(level, rows):
     (lambda x, z: np.ones(len(z)), 1),  # one value, not one row, per state
 ], ids=["one-row-for-the-block", "one-value-per-state"])
 @pytest.mark.parametrize("draw", [
-    lambda oracle, x, cursor: batch_mean(oracle, x, cursor, 4),
+    lambda oracle, x, cursor: _batch_g(oracle, x, cursor.advance(4)),
     lambda oracle, x, cursor: mlmc_geometric(oracle, x, cursor, MlmcConfig(B=2, M=64),
                                              np.random.default_rng(0)),
 ], ids=["batch_mean", "mlmc_geometric"])
 def test_an_oracle_must_return_one_row_per_state(dense8, oracle, d, draw):
-    # batch_mean took [1, 2, 3] as one of 4 rows and returned [0.25, 0.5, 0.75];
+    # the batch mean took [1, 2, 3] as one of 4 rows and returned [0.25, 0.5, 0.75];
     # the mlmc estimate of the same constant read [0, 0, 0]
     cursor = ChainCursor(dense8, np.random.default_rng(1))
     with pytest.raises(InputError, match=rf"one row per state: \(\d+, {d}\)"):
@@ -196,8 +193,8 @@ def test_prefix_means_equal_numpy_mean(dense8, rng, d):
     p = make_min_instance(d, dense8, noise_scale=1.0, seed=2)
     x = p.geometry.center()
     vals = p.grad_oracle(x, fresh_cursor(p, 4).advance(7))
-    est = batch_mean(p.grad_oracle, x, fresh_cursor(p, 4), 7)
-    np.testing.assert_array_equal(est.g, vals.mean(axis=0))
+    np.testing.assert_array_equal(_batch_g(p.grad_oracle, x, fresh_cursor(p, 4).advance(7)),
+                                  vals.mean(axis=0))
     est = mlmc_geometric(p.grad_oracle, x, fresh_cursor(p, 4), MlmcConfig(B=7, M=1),
                          ForcedLevels([2]))  # truncated: the first B rows only
     np.testing.assert_array_equal(est.g, vals.mean(axis=0))
@@ -256,7 +253,7 @@ def test_level_clipped_at_cap(problem):
 
 
 def test_m_equals_one_reduces_to_batch_mean(problem):
-    x = problem.geometry.sample(np.random.default_rng(4))
+    x = sample(problem.geometry, np.random.default_rng(4))
     twin = fresh_cursor(problem, 13)
     est = mlmc_geometric(problem.grad_oracle, x, fresh_cursor(problem, 13),
                          MlmcConfig(B=6, M=1), ForcedLevels([1]))
@@ -306,7 +303,7 @@ def test_level_law(problem):
 
 def test_zero_noise_estimate_is_exact_mean_field(dense8):
     p = make_min_instance(5, dense8, noise_scale=0.0, seed=3)
-    x = p.geometry.sample(np.random.default_rng(6))
+    x = sample(p.geometry, np.random.default_rng(6))
     rng = np.random.default_rng(0)
     cur = ChainCursor(p.kernel, np.random.default_rng(1))
     for _ in range(50):

@@ -13,7 +13,7 @@ from markovmirror import (
     NormPair,
     SimplexGeometry,
 )
-from markovmirror.geometry import _project_block_simplex
+from geometry_reference import block_slices, bregman, project, prox_generic, sample
 
 
 def all_geometries():
@@ -75,13 +75,13 @@ def test_dual_exponent_pairing():
 
 def test_bregman_euclidean_half_squared_distance():
     geo = BoxGeometry(2, lo=-5.0, hi=5.0)
-    assert geo.bregman(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
+    assert bregman(geo, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
 
 
 def test_bregman_zero_at_equal_points(rng):
     for geo in all_geometries():
-        x = geo.sample(rng)
-        assert geo.bregman(x, x) == pytest.approx(0.0, abs=1e-12)
+        x = sample(geo, rng)
+        assert bregman(geo, x, x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bregman_entropy_is_kl():
@@ -89,21 +89,24 @@ def test_bregman_entropy_is_kl():
     x = np.array([0.5, 0.5])
     y = np.array([0.9, 0.1])
     kl = 0.9 * np.log(1.8) + 0.1 * np.log(0.2)
-    np.testing.assert_allclose(geo.bregman(x, y), kl, rtol=1e-12)
-    assert geo.bregman(x, x) == 0.0
+    np.testing.assert_allclose(bregman(geo, x, y), kl, rtol=1e-12)
+    assert bregman(geo, x, x) == 0.0
 
 
-def test_bregman_entropy_boundary_base_rejected():
-    geo = SimplexGeometry(2)
+def test_entropy_prox_from_a_boundary_anchor_rejected():
+    # a block of 20 has floors of 5e-11, under the membership slack, so a zero entry is contained
+    geo = SimplexGeometry(20)
+    x = np.r_[0.0, np.full(19, 1.0 / 19)]
+    assert geo.contains(x)
     with pytest.raises(InputError, match="strictly interior base point"):
-        geo.bregman(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        geo.prox(x, np.zeros(20))
 
 
 def test_bregman_nonnegative_on_random_pairs(rng):
     for geo in all_geometries():
         for _ in range(100):
-            x, y = geo.sample(rng), geo.sample(rng)
-            assert geo.bregman(x, y) >= -1e-12
+            x, y = sample(geo, rng), sample(geo, rng)
+            assert bregman(geo, x, y) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +143,7 @@ def test_prox_simplex_exponential_reweighting():
 def test_prox_zero_dual_is_identity_up_to_floor(rng):
     for geo in all_geometries():
         for _ in range(20):
-            x = geo.sample(rng)
+            x = sample(geo, rng)
             np.testing.assert_allclose(geo.prox(x, np.zeros(geo.d)), x, atol=1e-8)
 
 
@@ -160,7 +163,7 @@ def test_prox_ball_radial_projection():
 def test_prox_outputs_feasible(rng):
     for geo in all_geometries():
         for _ in range(50):
-            x = geo.sample(rng)
+            x = sample(geo, rng)
             xi = rng.normal(scale=3.0, size=geo.d)
             assert geo.contains(geo.prox(x, xi))
 
@@ -168,8 +171,7 @@ def test_prox_outputs_feasible(rng):
 def _simplex_step_by_blocks(geo, x, xi):
     """Block-by-block entropy prox, the reference for the one-pass `_step`."""
     out = np.empty_like(x)
-    slices = [slice(e - b, e) for e, b in zip(np.cumsum(geo.block_dims), geo.block_dims)]
-    for s, b in zip(slices, geo.block_dims):
+    for s, b in zip(block_slices(geo), geo.block_dims):
         a = np.log(x[s]) - xi[s] / geo.n_blocks
         a -= np.max(a)
         w = np.exp(a)
@@ -193,7 +195,7 @@ STEP_GEOMETRIES = {
 def test_unchecked_step_matches_prox_and_stays_feasible(name, data):
     geo = STEP_GEOMETRIES[name]
     # projecting an arbitrary vector gives feasible anchors, boundary ones included
-    x = geo.project(data.draw(arrays(float, geo.d, elements=st.floats(-10.0, 10.0))))
+    x = project(geo, data.draw(arrays(float, geo.d, elements=st.floats(-10.0, 10.0))))
     xi = data.draw(arrays(float, geo.d, elements=st.floats(-1e4, 1e4)))
     out = geo._step(x, xi)
     np.testing.assert_allclose(out, geo.prox(x, xi), rtol=0, atol=1e-14)
@@ -226,7 +228,7 @@ def test_ball_steps_of_huge_duals_reach_the_boundary(direction, exponent, radius
 def test_simplex_steps_of_huge_duals_stay_feasible(dims, anchor, direction, exponent):
     # |xi| up to 1e308, the ball's range; boundary anchors included
     geo = SimplexGeometry(dims)
-    x = geo.project(anchor[:geo.d])
+    x = project(geo, anchor[:geo.d])
     xi = direction[:geo.d] * 10.0**exponent
     # a block's shift by its largest exponent may overflow to -inf, whose exp is the 0 it stands for
     with np.errstate(over="ignore"):
@@ -245,10 +247,10 @@ def test_closed_form_prox_matches_generic_solver(rng):
     ]
     for geo in geos:
         for _ in range(8):
-            x = geo.sample(rng)
+            x = sample(geo, rng)
             xi = rng.normal(size=geo.d)
             fast = geo.prox(x, xi)
-            slow = geo.prox_generic(x, xi)
+            slow = prox_generic(geo, x, xi)
             np.testing.assert_allclose(fast, slow, atol=1e-6)
 
 
@@ -262,7 +264,7 @@ def prox_nonexpansive_check(geometry, x, eta, zeta):
 def test_prox_nonexpansive_on_random_triples(rng):
     for geo in all_geometries():
         for _ in range(1000):
-            x = geo.sample(rng)
+            x = sample(geo, rng)
             eta = rng.normal(size=geo.d)
             zeta = rng.normal(size=geo.d)
             assert prox_nonexpansive_check(geo, x, eta, zeta)
@@ -282,7 +284,7 @@ def _scaled_duals(d):
 def test_prox_nonexpansive_at_extreme_duals(geo, data):
     # zeta drawn apart from eta, so magnitudes from 1e-300 to 1e300 meet in one pair,
     # or as eta plus such a step, so that a huge dual meets its near neighbours
-    x = geo.project(data.draw(arrays(float, geo.d, elements=st.floats(-10.0, 10.0))))
+    x = project(geo, data.draw(arrays(float, geo.d, elements=st.floats(-10.0, 10.0))))
     eta, zeta = data.draw(_scaled_duals(geo.d)), data.draw(_scaled_duals(geo.d))
     if data.draw(st.booleans()):
         zeta = eta + zeta
@@ -365,8 +367,8 @@ def test_diameter_values():
 def test_strong_convexity_on_sampled_pairs(rng):
     for geo in all_geometries():
         for _ in range(1000):
-            x, y = geo.sample(rng), geo.sample(rng)
-            v = geo.bregman(x, y)
+            x, y = sample(geo, rng), sample(geo, rng)
+            v = bregman(geo, x, y)
             dist = geo.norm_pair.norm(x - y)
             assert v >= 0.5 * dist**2 - 1e-9
 
@@ -378,7 +380,7 @@ def test_pair_distance_bounded_by_diameter(rng):
             continue
         bound = 8.0 * geo.diameter_sq()
         for _ in range(200):
-            x, y = geo.sample(rng), geo.sample(rng)
+            x, y = sample(geo, rng), sample(geo, rng)
             assert geo.norm_pair.norm(x - y) ** 2 <= bound + 1e-12
 
 
@@ -438,14 +440,53 @@ def test_blends_of_a_wide_box_boundary_are_contained():
     assert not box.contains(np.array([box.hi * (1 + 1e-9)]))
 
 
-def test_slack_at_unit_scale_is_unchanged():
-    # a set of size up to 1 keeps the absolute slack 1e-10
-    for ball in (BallGeometry(2, radius=0.5), BallGeometry(2, radius=1.0)):
-        assert ball.contains(np.array([ball.radius + 0.9e-10, 0.0]))
-        assert not ball.contains(np.array([ball.radius + 1.1e-10, 0.0]))
-    for box in (BoxGeometry(2, 0.0, 0.5), BoxGeometry(2)):
-        assert box.contains(np.array([box.hi + 0.9e-10, box.lo - 0.9e-10]))
-        assert not box.contains(np.array([box.hi + 1.1e-10, box.lo]))
+def test_slack_is_relative_below_unit_scale_too():
+    # the slack is 1e-10 times the radius or width: at 1e-6 an absolute 1e-10 took in
+    # points 1e-4 of the set's size past its boundary
+    for ball in (BallGeometry(2, radius=1e-6), BallGeometry(2, radius=0.5), BallGeometry(2)):
+        assert ball.contains(np.array([ball.radius * (1 + 0.9e-10), 0.0]))
+        assert not ball.contains(np.array([ball.radius * (1 + 1.1e-10), 0.0]))
+    for box in (BoxGeometry(2, 0.0, 1e-6), BoxGeometry(2, 0.0, 0.5), BoxGeometry(2)):
+        assert box.contains(np.array([box.hi * (1 + 0.9e-10), -0.9e-10 * box.hi]))
+        assert not box.contains(np.array([box.hi * (1 + 1.1e-10), box.lo]))
+        assert not box.contains(np.array([box.hi, -1.1e-10 * box.hi]))
+
+
+def _unit_and_scaled(kind, d, scale):
+    if kind == "ball":
+        return BallGeometry(d), BallGeometry(d, radius=scale)
+    return BoxGeometry(d, -1.0, 1.0), BoxGeometry(d, -scale, scale)
+
+
+@pytest.mark.parametrize("kind", ["ball", "box"])
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 8), exponent=st.floats(-6.0, 6.0), data=st.data())
+def test_a_scaled_set_is_the_unit_set_scaled(kind, d, exponent, data):
+    # a ball of radius r, or the box [-w, w]^d, against the unit set, r and w in 10^[-6, 6]:
+    # project and _step equal the unit set's results times the scale to 8 eps times the
+    # scale times max(1, the inputs' largest entry), and contains agrees on every point
+    # kept more than 1e-13 of the scale off the slack edge, at 1 + slack of the unit set
+    scale = 10.0**exponent
+    unit, scaled = _unit_and_scaled(kind, d, scale)
+    vec = arrays(float, d, elements=st.floats(-4.0, 4.0))
+    v, xi = data.draw(vec), data.draw(vec)
+    x = unit.project(data.draw(vec))
+    size = max(1.0, np.max(np.abs(v)), np.max(np.abs(xi)))
+    tol = 8 * np.finfo(float).eps * scale * size
+    assert np.max(np.abs(scaled.project(v * scale) - unit.project(v) * scale)) <= tol
+    assert np.max(np.abs(scaled._step(x * scale, xi * scale) - unit._step(x, xi) * scale)) <= tol
+    # a point in v's direction at a norm (ball) or largest entry (box) drawn from [0, 2]
+    # or within 4 slacks of 1, across the slack edge
+    def size_of(u):
+        return unit.norm_pair.norm(u) if kind == "ball" else np.max(np.abs(u))
+
+    assume(np.any(v))
+    reach = data.draw(st.one_of(st.floats(0.0, 2.0),
+                                st.floats(-4.0, 4.0).map(lambda t: 1 + t * unit._slack)))
+    direction = v / np.max(np.abs(v))  # whose norm cannot underflow
+    point = reach * direction / size_of(direction)
+    assume(abs(size_of(point) - (1 + unit._slack)) > 1e-13)
+    assert scaled.contains(point * scale) == unit.contains(point)
 
 
 @pytest.mark.parametrize("make", [lambda: BallGeometry(3, radius=1e300),
@@ -460,7 +501,7 @@ def test_a_diameter_past_the_largest_double_is_input_error(make):
 
 def test_sample_is_feasible(rng):
     for geo in all_geometries():
-        batch = geo.sample(rng, n=64)
+        batch = sample(geo, rng, n=64)
         assert batch.shape == (64, geo.d)
         for row in batch:
             assert geo.contains(row)
@@ -468,7 +509,7 @@ def test_sample_is_feasible(rng):
 
 def test_product_simplex_block_structure(rng):
     geo = SimplexGeometry((3, 4))
-    x = geo.sample(rng)
+    x = sample(geo, rng)
     b1, b2 = geo.blocks(x)
     assert b1.size == 3 and b2.size == 4
     np.testing.assert_allclose(b1.sum(), 1.0, atol=1e-12)
@@ -476,11 +517,11 @@ def test_product_simplex_block_structure(rng):
 
 
 def test_generic_prox_solves_entropy_case(rng):
-    # force the fallback path on a geometry whose closed form we trust
+    # the reference solver against a closed form that other tests pin down
     geo = SimplexGeometry(3)
     x = np.array([0.2, 0.5, 0.3])
     xi = np.array([0.4, -0.1, 0.0])
-    np.testing.assert_allclose(geo.prox_generic(x, xi), geo.prox(x, xi), atol=1e-6)
+    np.testing.assert_allclose(prox_generic(geo, x, xi), geo.prox(x, xi), atol=1e-6)
 
 
 def test_scalar_block_dims_equivalent():
@@ -508,46 +549,18 @@ def test_non_finite_sizes_rejected(cls, kwargs):
         cls(2, **kwargs)
 
 
-def _block_slices(geo):
-    return [slice(e - b, e) for e, b in zip(np.cumsum(geo.block_dims), geo.block_dims)]
-
-
-def _bregman_by_blocks(geo, x, y):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(y > 0.0, y * np.log(y / x), 0.0)
-    total = 0.0
-    for s in _block_slices(geo):
-        total += float(np.sum(terms[s])) + float(np.sum(x[s]) - np.sum(y[s]))
-    return geo.n_blocks * total
-
-
-def _project_by_blocks(geo, v):
-    out = np.empty(geo.d)
-    for s, b in zip(_block_slices(geo), geo.block_dims):
-        out[s] = _project_block_simplex(v[s], geo.nu / b)
-    return out
-
-
 def _linear_argmax_by_blocks(geo, coef):
     out = np.zeros(geo.d)
-    for s in _block_slices(geo):
+    for s in block_slices(geo):
         out[s.start + int(np.argmax(coef[s]))] = 1.0
     return out
-
-
-def _sample_by_blocks(geo, rng, n):
-    """Dirichlet draws block by block, each row renormalized on its own."""
-    pts = np.empty((n, geo.d))
-    for s, b in zip(_block_slices(geo), geo.block_dims):
-        pts[:, s] = rng.dirichlet(np.ones(b), size=n)
-    return np.array([geo.renormalize(row) for row in pts])
 
 
 def _vertices_by_blocks(geo):
     out = []
     for combo in itertools.product(*(range(b) for b in geo.block_dims)):
         v = np.zeros(geo.d)
-        for s, i in zip(_block_slices(geo), combo):
+        for s, i in zip(block_slices(geo), combo):
             v[s.start + i] = 1.0
         out.append(v)
     return out
@@ -556,23 +569,8 @@ def _vertices_by_blocks(geo):
 @settings(max_examples=100, deadline=None)
 @given(block_dims=st.lists(st.integers(2, 40), min_size=1, max_size=4),
        seed=st.integers(0, 2**32 - 1))
-@example(block_dims=[9], seed=0)
-@example(block_dims=[9, 2], seed=1)
-@example(block_dims=[17, 3, 12], seed=2)
-@example(block_dims=[33, 8, 16], seed=3)
 def test_simplex_operations_equal_a_loop_over_blocks(block_dims, seed):
-    # one pass over the block layout gives the block-by-block loop's bits,
-    # on blocks longer than 8 too, where summation order starts to matter
+    # the vertex found over the block layout is the block-by-block loop's
     geo = SimplexGeometry(block_dims)
-    rng = np.random.default_rng(seed)
-    x, y = geo.sample(rng), geo.sample(rng)
-    v, coef = 3.0 * rng.normal(size=(2, geo.d))
-    vertex = geo.linear_argmax(coef)
-    assert geo.bregman(x, y) == _bregman_by_blocks(geo, x, y)
-    assert geo.bregman(x, vertex) == _bregman_by_blocks(geo, x, vertex)
-    np.testing.assert_array_equal(geo.project(v), _project_by_blocks(geo, v))
-    np.testing.assert_array_equal(vertex, _linear_argmax_by_blocks(geo, coef))
-    for n in (None, 1, 5):
-        got = geo.sample(np.random.default_rng(seed), n)
-        want = _sample_by_blocks(geo, np.random.default_rng(seed), 1 if n is None else n)
-        np.testing.assert_array_equal(got, want[0] if n is None else want)
+    coef = 3.0 * np.random.default_rng(seed).normal(size=geo.d)
+    np.testing.assert_array_equal(geo.linear_argmax(coef), _linear_argmax_by_blocks(geo, coef))

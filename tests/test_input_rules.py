@@ -1,6 +1,6 @@
 """The library's input rules: every public count and scale is checked by
-`errors._count` / `errors._check_scale`, so a fraction, NaN, inf or a
-value below the least allowed raises InputError instead of being
+`errors._count` / `errors._check_scale`, so a fraction, NaN, inf, a bool or
+a value below the least allowed raises InputError instead of being
 truncated, accepted, or failing later with a bare TypeError."""
 
 import ast
@@ -18,7 +18,6 @@ from markovmirror import (
     MlmcConfig,
     SimplexGeometry,
     StatisticsError,
-    batch_mean,
     chain,
     cli,
     deviation_scaling,
@@ -92,8 +91,6 @@ COUNTS = {
     "cursor start": (0, lambda n: ChainCursor(KERNEL, np.random.default_rng(0), start=n).state),
     "random_ergodic n_states": (2, lambda n: random_ergodic(n, seed=0).P),
     "lazy_for_mixing_time target": (1, lambda n: lazy_for_mixing_time(KERNEL, n)[1:]),
-    "batch_mean batch": (1, lambda n: batch_mean(QUAD.grad_oracle, QUAD.geometry.center(),
-                                                 _cursor(), n).g),
     "MlmcConfig B": (1, lambda n: MlmcConfig(B=n).B),
     "MlmcConfig M": (1, lambda n: MlmcConfig(M=n).M),
     "box dimension": (1, lambda n: BoxGeometry(n).center()),
@@ -120,14 +117,15 @@ COUNTS = {
 TRIALS = {"scaling n_trials", "pairing n_trials"}
 
 
-@pytest.mark.parametrize("value", [2.5, np.nan, np.inf, "below"])
+@pytest.mark.parametrize("value", [2.5, np.nan, np.inf, True, False, "below"])
 @pytest.mark.parametrize("site", COUNTS)
 def test_bad_count_is_input_error(site, value):
     least, call = COUNTS[site]
+    # an integral trial count below 2 is too few trials, not malformed input; a bool,
+    # though equal to 0 or 1, is no count at all
+    error = StatisticsError if site in TRIALS and value == "below" else InputError
     if value == "below":
         value = least - 1
-    # an integral trial count below 2 is too few trials, not malformed input
-    error = StatisticsError if site in TRIALS and value == least - 1 else InputError
     with pytest.raises(error):
         call(value)
 

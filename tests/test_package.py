@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KEPT_UNUSED = {
     "NormPair": "the type of Geometry.norm_pair",
     "Geometry": "the base class of the three geometries",
-    "Estimate": "the return type of the estimators",
+    "Estimate": "the return type of mlmc_geometric",
     "RunRecord": "the return type of the solvers",
     "ChainDiagnostics": "the return type of diagnose",
     "ScalingReport": "the return type of deviation_scaling",

@@ -25,6 +25,7 @@ from markovmirror import (
     stationary,
 )
 from markovmirror.problems import _game
+from geometry_reference import sample
 
 
 def zero_shifts(kernel, d):
@@ -77,7 +78,7 @@ def test_large_noise_shifts_pass_the_zero_mean_check():
 
 def test_oracle_mean_over_chain_matches_grad(dense8):
     p = make_min_instance(6, dense8, noise_scale=1.0, seed=4)
-    x = p.geometry.sample(np.random.default_rng(0))
+    x = sample(p.geometry, np.random.default_rng(0))
     cur = ChainCursor(dense8, np.random.default_rng(12))
     n = 100_000
     states = cur.advance(n)
@@ -91,7 +92,7 @@ def test_oracle_mean_over_chain_matches_grad(dense8):
 
 def test_vi_oracle_values(two_state):
     p = make_vi_instance((2, 3), two_state, noise_scale=0.5, seed=4)
-    x = p.geometry.sample(np.random.default_rng(1))
+    x = sample(p.geometry, np.random.default_rng(1))
     F = p.Q @ x + p.c
     for z in (0, 1):
         np.testing.assert_array_equal(p.op_oracle(x, z), F + p.shifts[z])
@@ -113,12 +114,13 @@ def test_the_oracle_writes_only_into_the_array_it_returns(dense8, kind):
     else:
         p = make_vi_instance((2, 3), dense8, noise_scale=1.0, seed=2)
         oracle, mean, combine, matrices = p.op_oracle, p.op, np.add, (p.Q, p.c)
-    x = p.geometry.sample(np.random.default_rng(3))
+    x = sample(p.geometry, np.random.default_rng(3))
     states = ChainCursor(dense8, np.random.default_rng(4)).advance(64)
     shifts = p.shifts.copy()
     out = oracle(x, states)
     assert out.tobytes() == combine(mean(x), shifts.take(states, axis=0)).tobytes()
     assert p.shifts.tobytes() == shifts.tobytes() and not p.shifts.flags.writeable
+    assert not p.noise_deviations().flags.writeable
     one = oracle(x, 3)
     assert one.tobytes() == combine(mean(x), shifts[3]).tobytes()
     assert not np.shares_memory(one, p.shifts) and not np.shares_memory(out, p.shifts)
@@ -194,7 +196,7 @@ def test_err_vi_is_the_best_vertex_pair_on_hard_games(game, seed):
     d1, d2 = G.shape
     geo = SimplexGeometry((d1, d2))
     p = _game(geo, G, np.r_[c1, c2], TWO_STATE, 0.0, None)
-    x = geo.sample(np.random.default_rng(seed))
+    x = sample(geo, np.random.default_rng(seed))
     U = np.array([np.r_[e, f] for e in np.eye(d1) for f in np.eye(d2)])
     best = np.max(np.einsum("ij,ij->i", U @ p.Q.T + p.c, x - U))
     gap = err_vi(p, x)
@@ -225,7 +227,7 @@ def test_games_build_and_run_with_scipy_unimportable(tmp_path):
 
 def test_vi_monotonicity(two_state, rng):
     p = make_vi_instance((3, 4), two_state, seed=2)
-    xs = p.geometry.sample(rng, 200)
+    xs = sample(p.geometry, rng, 200)
     for i in range(0, 200, 2):
         x, y = xs[i], xs[i + 1]
         assert (p.op(x) - p.op(y)) @ (x - y) >= -1e-12
@@ -350,7 +352,7 @@ def test_factory_min_reference_is_reproducible(dense8):
 def test_first_order_optimality(dense8, rng):
     p = make_min_instance(7, dense8, geometry_kind="simplex", noise_scale=0.0, seed=5)
     g = p.grad(p.x_star)
-    xs = p.geometry.sample(rng, 1000)
+    xs = sample(p.geometry, rng, 1000)
     assert np.min((xs - p.x_star) @ g) >= -1e-8
 
 

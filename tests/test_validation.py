@@ -34,6 +34,7 @@ from markovmirror import (
 )
 from markovmirror import chain, validation
 from markovmirror.estimators import _draw_level, _eval_rows, combine_levels
+from geometry_reference import sample
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ from markovmirror.estimators import _draw_level, _eval_rows, combine_levels
 def test_subopt_gap_values(two_state):
     p = make_min_instance(4, two_state, noise_scale=0.0, seed=1)
     assert subopt_gap(p, p.x_star) == 0.0
-    x = p.geometry.sample(np.random.default_rng(2))
+    x = sample(p.geometry, np.random.default_rng(2))
     assert subopt_gap(p, x) == pytest.approx(p.f(x) - p.f_star, abs=1e-12)
     assert subopt_gap(p, x) >= 0.0
 
@@ -90,7 +91,7 @@ def test_err_vi_is_never_negative(two_state):
     Q = np.zeros((4, 4))
     Q[:2, 2:], Q[2:, :2] = -1.3, 1.3
     p = ViProblem(geo, Q, np.array([0.04, 0.04, 0.06, 0.06]), np.zeros((2, 4)), two_state)
-    for x in geo.sample(np.random.default_rng(0), 20):
+    for x in sample(geo, np.random.default_rng(0), 20):
         assert 0.0 <= err_vi(p, x) <= 1e-15
 
 
