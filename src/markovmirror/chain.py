@@ -107,8 +107,9 @@ class TransitionKernel:
                 square = square @ square
         return row
 
-    def sample_stationary(self, rng, n=None):
-        return _inverse_cdf(stationary(self), rng.random() if n is None else rng.random(n))
+    def sample_stationary(self, rng, n):
+        """n states drawn from the stationary law, one of `rng`'s uniforms each."""
+        return _inverse_cdf(stationary(self), rng.random(n))
 
     def __repr__(self):
         return f"TransitionKernel(n_states={self.n_states})"
@@ -335,17 +336,14 @@ class ChainCursor:
     """Sequential state sampler with exact consumed-sample accounting.
 
     Same seed and same advance schedule reproduce the same state
-    sequence bit for bit.  Start state is drawn from the stationary
-    distribution unless an explicit state is given.
+    sequence bit for bit.  The start state is drawn from the stationary
+    distribution with the generator's first uniform.
     """
 
-    def __init__(self, kernel, rng, start="stationary"):
+    def __init__(self, kernel, rng):
         self.kernel = kernel
         self.rng = np.random.default_rng(rng)
-        if start == "stationary":
-            self.state = int(kernel.sample_stationary(self.rng))
-        else:
-            self.state = _count(start, "start state", 0, kernel.n_states - 1)
+        self.state = int(kernel.sample_stationary(self.rng, 1)[0])
         self.n_consumed = 0
 
     def advance(self, steps):

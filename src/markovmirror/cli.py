@@ -17,9 +17,8 @@ significant digits so a reread is bit-exact.  ``run`` and ``sweep``
 deal their (T, seed) cells into ``--jobs`` shares of about equal total
 T: the command runs one, and each of ``--jobs`` - 1 pool workers
 receives another with the instance as one task.  Each cell draws from
-its seed's own streams, so the job count does not change a row;
-setting ``MM_DETERMINISTIC=1`` zeroes the wall_ms column so repeated
-invocations produce byte-identical files.
+its seed's own streams, so the job count changes no column of a row
+but the measured ``wall_ms``.
 
 Exit codes: 0 success, 1 check outside its acceptance window, 2 config
 error, 3 runtime error, 4 ergodicity failure, 5 insufficient
@@ -415,11 +414,8 @@ def cmd_run(res, jobs, out_dir):
     tau_mix, records = _run_cells(res, [res["T"]], res["stride"], jobs)
     h = config_hash(res)
     os.makedirs(out_dir, exist_ok=True)
-    zero_wall = os.environ.get("MM_DETERMINISTIC", "") == "1"
     gaps = []
     for seed, record in zip(res["seeds"], records):
-        if zero_wall:  # so that repeated runs write byte-identical files
-            record.wall_ms[:] = 0.0
         rows = zip(*(getattr(record, name).tolist() for name in RUN_COLUMNS))
         path = os.path.join(out_dir, f"run_{h}_seed{seed}.csv")
         _write_csv(path, _header(res, tau_mix, [("seed", str(seed))]), RUN_COLUMNS, rows)

@@ -140,7 +140,7 @@ def _level_plan(cursor, level_rng, T, config, head):
     iteration's (head states, level states, level), and calls and steps
     are the running totals after t = 0, ..., T iterations.
     """
-    levels = _draw_level(level_rng, size=T).tolist()
+    levels = _draw_level(level_rng, T).tolist()
     costs = [_level_cost(level, config.B, config.M) for level in levels]
     calls = list(accumulate((head + c for c, _ in costs), initial=0))
     steps = list(accumulate((head + s for _, s in costs), initial=0))
@@ -203,15 +203,12 @@ def combine_levels(values, level, B, M):
     return g0 + float(1 << level) * (_prefix_mean(values, rows) - _prefix_mean(values, span // 2))
 
 
-def _draw_level(rng, size=None):
-    """Multilevel index J with P{J = j} = 2^-j (j >= 1), clipped at _MAX_LEVEL.
+def _draw_level(rng, size):
+    """`size` multilevel indices J with P{J = j} = 2^-j (j >= 1), clipped at _MAX_LEVEL.
 
-    One rng.geometric(0.5) call per draw, an int; with `size`, one call for
-    an array of `size` draws, equal to that many single draws and leaving
-    the generator where they leave it.
+    One rng.geometric(0.5) call for the whole array, equal to that many
+    single draws and leaving the generator where they leave it.
     """
-    if size is None:
-        return min(int(rng.geometric(0.5)), _MAX_LEVEL)
     return np.minimum(rng.geometric(0.5, size=size), _MAX_LEVEL)
 
 
@@ -221,11 +218,9 @@ def mlmc_geometric(oracle, x, cursor, config, rng):
     Draws J with P{J = j} = 2^-j from `rng` (a stream independent of the
     cursor's), always advances the cursor by 2^J * B states, and
     evaluates the oracle on all of them when 2^J <= M or on just the
-    first B when the level is truncated.  It is a batched plan's read
-    for one iteration.
+    first B when the level is truncated.  It is the read of a
+    one-iteration batched plan with no head states.
     """
-    level = _draw_level(rng)
-    calls, span = _level_cost(level, config.B, config.M)
-    read, = _level_reads(cursor, [level], [(calls, span)], 0)
-    return Estimate(g=_level_g(oracle, x, read, config), oracle_calls=calls,
-                    chain_steps=span, level=level)
+    (read,), calls, steps = _level_plan(cursor, rng, 1, config, 0)
+    return Estimate(g=_level_g(oracle, x, read, config), oracle_calls=calls[1],
+                    chain_steps=steps[1], level=read[2])

@@ -34,16 +34,6 @@ SIMPLEX_NU = 1e-9
 _FEASIBLE_TOL = 1e-10
 
 
-def dual_exponent(p):
-    """Return q with 1/p + 1/q = 1; p must lie in [1, 2]."""
-    p = float(p)
-    if not 1.0 <= p <= 2.0 or not np.isfinite(p):
-        raise InputError(f"norm exponent p={p!r} outside [1, 2]")
-    if p == 1.0:
-        return np.inf
-    return p / (p - 1.0)
-
-
 def _by_largest(v):
     """v divided by its largest entry in size."""
     return v / np.max(np.abs(v))
@@ -71,13 +61,16 @@ def _norm(v, ord):
 
 
 class NormPair:
-    """Primal exponent p in [1, 2] together with its dual exponent q."""
+    """Primal exponent p together with its dual exponent q: p = 1 (q = inf) for the
+    simplexes' l1 norm or p = 2 (q = 2) for the Euclidean sets; InputError for any other p."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p):
         self.p = float(p)
-        self.q = dual_exponent(p)
+        if self.p not in (1.0, 2.0):
+            raise InputError(f"norm exponent p={p!r} is neither 1 nor 2")
+        self.q = np.inf if self.p == 1.0 else 2.0
 
     def norm(self, v):
         return _norm(v, self.p)

@@ -22,25 +22,23 @@ from .geometry import BallGeometry, BoxGeometry, SimplexGeometry
 __all__ = ["MinProblem", "ViProblem", "make_min_instance", "make_vi_instance",
            "matching_pennies"]
 
-# matrix tests' slack relative to the largest entry, and absolute below 1:
-# the symmetry and PSD tests, and the largest |Q + Q'| of a skew operator
+# matrix tests' slack relative to the largest entry: the symmetry and PSD
+# tests, and the largest |Q + Q'| of a skew operator
 _MATRIX_TOL = 1e-10
 # scale of a random game's linear term c, relative to its payoff entries
 _AFFINE_SCALE = 0.1
 
 
 def _matrix_tol(M):
-    return _MATRIX_TOL * max(1.0, float(np.max(np.abs(M))))
+    return _MATRIX_TOL * float(np.max(np.abs(M)))
 
 
 def _operator_norm(M, p):
     """||M||_{p -> q} for the library's two norm regimes (p = 1 or 2)."""
     if p == 2.0:
         return float(np.linalg.norm(M, 2))
-    if p == 1.0:
-        # l1 -> linf operator norm is the largest absolute entry
-        return float(np.max(np.abs(M))) if M.size else 0.0
-    raise InputError(f"no operator-norm rule for p={p}")
+    # l1 -> linf operator norm is the largest absolute entry
+    return float(np.max(np.abs(M)))
 
 
 def _checked_sigma(geometry, shifts, sigma):
@@ -49,7 +47,7 @@ def _checked_sigma(geometry, shifts, sigma):
     if sigma is None:
         return measured
     sigma = _check_scale(sigma, "sigma", zero_ok=True)
-    if abs(sigma - measured) > 1e-9 * max(1.0, sigma):
+    if abs(sigma - measured) > 1e-9 * sigma:
         raise InputError(f"stated sigma {sigma} disagrees with shifts (measured {measured})")
     return sigma
 
@@ -101,7 +99,7 @@ class _ShiftedProblem:
             raise InputError(f"shifts shape {shifts.shape} != ({kernel.n_states}, {d})")
         pi = stationary(kernel)
         # relative to the shifts' size: centring them leaves about eps times their peak
-        if np.max(np.abs(pi @ shifts)) > 1e-12 * max(1.0, np.max(np.abs(shifts))):
+        if np.max(np.abs(pi @ shifts)) > 1e-12 * np.max(np.abs(shifts)):
             raise InputError("state shifts must have zero stationary mean")
         shifts.flags.writeable = False  # its own copy: an in-place write cannot reach it
         self.geometry = geometry

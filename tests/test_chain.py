@@ -437,10 +437,23 @@ def test_lazy_for_mixing_time_unreachable_target():
 # ---------------------------------------------------------------------------
 # cursor sampling
 
+ONE_STATE = TransitionKernel([[1.0]])
+
+
+def cursor_at(kernel, state, rng=0):
+    """A cursor on `kernel` at `state`, its generator `rng` after one uniform.
+
+    It draws its start on a one-state chain and is then moved onto
+    `kernel`, so that the kernel need not have a stationary law.
+    """
+    cursor = ChainCursor(ONE_STATE, rng)
+    cursor.kernel, cursor.state = kernel, state
+    return cursor
+
 
 def test_cursor_deterministic_two_cycle():
     flip = TransitionKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    cur = ChainCursor(flip, np.random.default_rng(0), start=0)
+    cur = cursor_at(flip, 0)
     np.testing.assert_array_equal(cur.advance(3), [1, 0, 1])
     assert cur.n_consumed == 3
     assert cur.state == 1
@@ -470,15 +483,8 @@ def test_cursor_empirical_frequencies_match_pi(dense8):
     assert np.all(np.abs(freq - pi) <= 3 * se + 1e-12)
 
 
-def test_cursor_invalid_start(dense8):
-    with pytest.raises(InputError):
-        ChainCursor(dense8, np.random.default_rng(0), start=8)
-    with pytest.raises(InputError):
-        ChainCursor(dense8, np.random.default_rng(0), start=-1)
-
-
 def test_cursor_skip_counts_and_marginal_law(two_state):
-    cur = ChainCursor(two_state, np.random.default_rng(0), start=0)
+    cur = cursor_at(two_state, 0)
     cur.skip(10)
     assert cur.n_consumed == 10
     # endpoint marginal after skip(k) must follow the k-step transition row
@@ -488,7 +494,7 @@ def test_cursor_skip_counts_and_marginal_law(two_state):
     hits = 0
     rng = np.random.default_rng(7)
     for _ in range(trials):
-        c = ChainCursor(two_state, rng, start=0)
+        c = cursor_at(two_state, 0, rng)
         c.skip(k)
         hits += c.state == 0
     p_hat = hits / trials
@@ -516,7 +522,7 @@ def test_skip_end_state_law_is_the_power_row(dense8, steps):
     # row's cumulative masses put it, so the grid's end-state counts are the row
     # up to one grid point per state
     grid = (np.arange(2**13) + 0.5) / 2**13
-    cur = ChainCursor(dense8, 0, start=start)
+    cur = cursor_at(dense8, start)
     ends = []
     for u in grid:
         cur.state, cur.rng = start, _Uniforms(float(u))
@@ -531,7 +537,7 @@ def test_skip_end_state_law_is_the_power_row(dense8, steps):
 def test_advance_last_state_follows_the_power_row(dense8):
     start, steps, trials = 2, 6, 20_000
     rng = np.random.default_rng(5)
-    ends = [ChainCursor(dense8, rng, start=start).advance(steps)[-1] for _ in range(trials)]
+    ends = [cursor_at(dense8, start, rng).advance(steps)[-1] for _ in range(trials)]
     freq = np.bincount(ends, minlength=dense8.n_states) / trials
     row = dense8.power_row(start, steps)
     se = np.sqrt(row * (1 - row) / trials)
@@ -595,7 +601,7 @@ def test_advance_takes_the_transitions_move_takes(n, seed, equal):
         state = int(kernel._move(np.array([state]), np.array([ui]))[0])
         u.append(ui)
         want.append(state)
-    cursor = ChainCursor(kernel, 0, start=start)
+    cursor = cursor_at(kernel, start)
     cursor.rng = _Uniforms(np.array(u))
     np.testing.assert_array_equal(cursor.advance(len(u)), want)
     assert (cursor.state, cursor.n_consumed) == (want[-1], len(u))
@@ -667,7 +673,7 @@ def test_advance_without_a_clamp_takes_the_clamped_rule(n, seed, equal, zeros):
         state = int(summed_comparison_step(P, np.array([state]), np.array([ui]))[0])
         u.append(ui)
         want.append(state)
-    cursor = ChainCursor(kernel, 0, start=start)
+    cursor = cursor_at(kernel, start)
     cursor.rng = _Uniforms(np.array(u))
     np.testing.assert_array_equal(cursor.advance(len(u)), want)
     assert cursor.state == want[-1]
@@ -680,15 +686,16 @@ def test_inverse_cdf_without_a_clamp_takes_the_clamped_rule(n, seed, equal, zero
     P = ergodic_rows(n, seed, equal, zeros)
     kernel = TransitionKernel(P)
     rng = np.random.default_rng(seed)
-    # sample_stationary's draws, one call for all and one per uniform; the
-    # reference rule reads pi as every row of an n x n matrix
+    # sample_stationary's draws, one call for all and one n = 1 call (a cursor's
+    # start draw) per uniform; the reference rule reads pi as every row of an n x n matrix
     pi = stationary(kernel)
     u = edge_uniforms(pi[None], rng)[0]
     want = summed_comparison_step(np.tile(pi, (n, 1)), np.zeros(u.size, dtype=np.int64), u)
     np.testing.assert_array_equal(kernel.sample_stationary(_Uniforms(u), u.size), want)
-    assert [int(kernel.sample_stationary(_Uniforms(ui))) for ui in u.tolist()] == want.tolist()
+    assert [int(kernel.sample_stationary(_Uniforms(u[i:i + 1]), 1)[0])
+            for i in range(u.size)] == want.tolist()
     # skip's end-state draw from each start's power row, whose zeros one step keeps
-    cursor = ChainCursor(kernel, 0, start=0)
+    cursor = cursor_at(kernel, 0)
     for steps in (1, 3):
         rows = np.array([kernel.power_row(s, steps) for s in range(n)])
         u = edge_uniforms(rows, rng)
@@ -713,7 +720,7 @@ def test_no_sampler_moves_along_a_zero_probability_edge(n, seed, equal):
     u = edge_uniforms(P, rng)
     starts = np.repeat(np.arange(n), u.shape[1])
     assert (P[starts, kernel._move(starts, u.ravel())] > 0).all()
-    cursor = ChainCursor(kernel, 0, start=0)
+    cursor = cursor_at(kernel, 0)
     for s, ui in zip(starts.tolist(), u.ravel().tolist()):
         cursor.state, cursor.rng = s, _Uniforms(np.array([ui]))
         assert P[s, cursor.advance(1)[0]] > 0
@@ -739,7 +746,7 @@ def test_a_uniform_past_the_cumulative_row_stays_off_its_trailing_zero():
     assert np.cumsum(P[0])[-1] <= u
     assert kernel._move(np.array([0]), np.array([u]))[0] == 9
     assert chain._inverse_cdf(P[0], u) == 9
-    cursor = ChainCursor(kernel, 0, start=0)
+    cursor = cursor_at(kernel, 0)
     cursor.rng = _Uniforms(np.array([u]))
     assert cursor.advance(1)[0] == 9
     cursor.state, cursor.rng = 0, _Uniforms(u)

@@ -339,18 +339,26 @@ def test_seed_flag_overrides_config(tmp_path):
     assert not any("seed0" in n for n in names)
 
 
-def test_deterministic_mode_gives_byte_identical_output(tmp_path, monkeypatch):
-    monkeypatch.setenv("MM_DETERMINISTIC", "1")
+def without_wall_ms(path):
+    """A CSV's header, columns and rows with the measured wall_ms column left out,
+    after checking that each of its values is finite and >= 0."""
+    header, columns, rows = read_csv(path)
+    if "wall_ms" not in columns:
+        return header, columns, rows
+    k = columns.index("wall_ms")
+    assert all(0.0 <= float(r[k]) < np.inf for r in rows), path
+    return header, columns[:k] + columns[k + 1:], [r[:k] + r[k + 1:] for r in rows]
+
+
+def test_run_jobs_write_the_single_job_files(tmp_path):
     cfg = write_config(tmp_path, RUN_CFG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", cfg, "--out", str(out_a)]) == 0
     assert main(["run", "--config", cfg, "--out", str(out_b), "--jobs", "4"]) == 0
-    for name in sorted(os.listdir(out_a)):
-        with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
-            assert fa.read() == fb.read(), name
-    # wall clock is zeroed so timing noise cannot leak into the bytes
-    _, _, rows = read_csv(out_a / sorted(os.listdir(out_a))[1])
-    assert all(r[4] == "0" for r in rows)
+    names = sorted(os.listdir(out_a))
+    assert names == sorted(os.listdir(out_b)) and len(names) == 3
+    for name in names:
+        assert without_wall_ms(out_a / name) == without_wall_ms(out_b / name), name
 
 
 def inline_pool(asked, submitted=None):
@@ -374,9 +382,7 @@ def inline_pool(asked, submitted=None):
     return InlinePool
 
 
-def test_deterministic_mode_keeps_the_job_count(tmp_path, monkeypatch):
-    # MM_DETERMINISTIC=1 zeroes wall_ms only; it used to force --jobs 1
-    monkeypatch.setenv("MM_DETERMINISTIC", "1")
+def test_run_keeps_the_job_count(tmp_path, monkeypatch):
     asked = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(asked))
     cfg = write_config(tmp_path, RUN_CFG)  # two seeds
@@ -427,14 +433,12 @@ def _factory_step(text):
 
 
 def _without_stepsize_echo(path):
-    with open(path, "rb") as fh:
-        return [l for l in fh.read().splitlines(keepends=True)
-                if not l.startswith(b"# stepsize = ")]
+    header, columns, rows = without_wall_ms(path)
+    return [l for l in header if not l.startswith("# stepsize = ")], columns, rows
 
 
 @pytest.mark.parametrize("algo", sorted(FACTORY_STEPS))
-def test_explicit_stepsize_matches_auto(tmp_path, monkeypatch, algo):
-    monkeypatch.setenv("MM_DETERMINISTIC", "1")
+def test_explicit_stepsize_matches_auto(tmp_path, algo):
     auto = RUN_CFG.replace("algorithm = mamd-batched", f"algorithm = {algo}")
     step, _ = _factory_step(auto)
     explicit = auto + f"stepsize = {step!r}\n"
@@ -508,8 +512,7 @@ def test_sweep_with_multiple_seeds_reports_ci(tmp_path):
     assert any(l.startswith("# rate.ci = ") for l in header)
 
 
-def test_process_pool_sweep_matches_single_job(tmp_path, monkeypatch):
-    monkeypatch.delenv("MM_DETERMINISTIC", raising=False)
+def test_process_pool_sweep_matches_single_job(tmp_path):
     cfg = write_config(
         tmp_path,
         "problem.d = 3\nproblem.noise = 0.5\nchain.n = 4\n"

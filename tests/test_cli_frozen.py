@@ -1,10 +1,11 @@
 """CLI outputs frozen before the command layer was restructured.
 
-Each case runs one command under ``MM_DETERMINISTIC=1`` and compares its
-exit code, its stdout and every file it writes with
-``tests/data/cli_frozen.json``.  Header keys, text and integers must
-match exactly; floats, in the header or in a row, within 1e-12 as in the
-golden-row test of the solvers.
+Each case runs one command and compares its exit code, its stdout and
+every file it writes with ``tests/data/cli_frozen.json``.  Header keys,
+text and integers must match exactly; floats, in the header or in a row,
+within 1e-12 as in the golden-row test of the solvers.  The one
+exception is a run's measured ``wall_ms`` column (frozen as 0), which
+must be finite and >= 0.
 """
 
 import contextlib
@@ -124,6 +125,7 @@ def _same_cells(got, want, where):
 def _same_file(got, want, where):
     got_lines, want_lines = got.splitlines(), want.splitlines()
     assert len(got_lines) == len(want_lines), where
+    wall = None  # the index of the wall_ms column, once the column line is read
     for i, (g, w) in enumerate(zip(got_lines, want_lines)):
         at = f"{where}:{i + 1}"
         if w.startswith("# "):
@@ -131,13 +133,18 @@ def _same_file(got, want, where):
             w_key, _, w_val = w.partition(" = ")
             assert g_key == w_key, at
             _same_cells(g_val.split(","), w_val.split(","), at)
-        else:
-            _same_cells(g.split(","), w.split(","), at)
+            continue
+        g_cells, w_cells = g.split(","), w.split(",")
+        if wall is not None:
+            assert 0.0 <= float(g_cells.pop(wall)) < np.inf, at
+            w_cells.pop(wall)
+        elif "wall_ms" in w_cells:
+            wall = w_cells.index("wall_ms")
+        _same_cells(g_cells, w_cells, at)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_outputs_match_frozen(tmp_path, monkeypatch, name):
-    monkeypatch.setenv("MM_DETERMINISTIC", "1")
+def test_cli_outputs_match_frozen(tmp_path, name):
     want = json.loads(FROZEN_PATH.read_text())[name]
     got = run_case(name, tmp_path)
     assert got["code"] == want["code"]

@@ -29,9 +29,10 @@ class ForcedLevels:
     def __init__(self, levels):
         self.levels = list(levels)
 
-    def geometric(self, p):
+    def geometric(self, p, size):
         assert p == 0.5
-        return self.levels.pop(0)
+        drawn, self.levels = self.levels[:size], self.levels[size:]
+        return np.array(drawn)
 
 
 class CountingOracle:
@@ -344,11 +345,11 @@ def test_mlmc_accounting_matches_a_same_seed_replay(level, B, M, seed):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 4096))
 def test_level_draws_in_one_call_equal_single_draws(seed, k):
-    # unbiasedness_check draws a block's levels in one call; mlmc_geometric draws one at a time
+    # one size-k draw equals k scalar rng.geometric(0.5) draws, so the levels of a plan,
+    # and mlmc_geometric's one, are those of per-iteration scalar draws
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    block = _draw_level(a, size=k)
-    singles = [_draw_level(b) for _ in range(k)]
-    assert all(type(level) is int for level in singles)
+    block = _draw_level(a, k)
+    singles = [min(int(b.geometric(0.5)), _MAX_LEVEL) for _ in range(k)]
     assert block.shape == (k,)
     assert block.tolist() == singles
     assert a.bit_generator.state == b.bit_generator.state
@@ -360,4 +361,4 @@ def test_level_draws_in_one_call_are_clipped_at_the_cap():
             assert (p, size) == (0.5, 3)
             return np.array([1, _MAX_LEVEL + 1, 2**40])
 
-    assert _draw_level(Geometric(), size=3).tolist() == [1, _MAX_LEVEL, _MAX_LEVEL]
+    assert _draw_level(Geometric(), 3).tolist() == [1, _MAX_LEVEL, _MAX_LEVEL]

@@ -42,13 +42,11 @@ def holder_maximizer(pair, v):
         i = int(np.argmax(np.abs(v)))
         z[i] = np.sign(v[i])
         return z
-    q = pair.q
-    scale = np.linalg.norm(v, ord=q) ** (q - 1.0)
-    return np.sign(v) * np.abs(v) ** (q - 1.0) / scale
+    return v / np.linalg.norm(v)  # p = 2
 
 
 def test_dual_norm_identity_against_holder_maximizer(rng):
-    for p in (1.0, 1.3, 1.7, 2.0):
+    for p in (1.0, 2.0):
         np_pair = NormPair(p)
         for _ in range(50):
             v = rng.normal(size=6)
@@ -57,16 +55,16 @@ def test_dual_norm_identity_against_holder_maximizer(rng):
             np.testing.assert_allclose(z @ v, np_pair.dual_norm(v), rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("p", [0.5, 0.99, 2.01, 3.0, np.inf])
-def test_norm_exponent_outside_range_rejected(p):
-    with pytest.raises(InputError):
+@pytest.mark.parametrize("p", [0.5, 0.99, 1.5, 2.01, 3.0, np.inf, np.nan])
+def test_norm_exponent_other_than_1_or_2_rejected(p):
+    # the geometries use only p = 1 and p = 2, the two regimes of the operator norm
+    with pytest.raises(InputError, match="neither 1 nor 2"):
         NormPair(p)
 
 
 def test_dual_exponent_pairing():
     assert NormPair(2.0).q == 2.0
     assert NormPair(1.0).q == np.inf
-    np.testing.assert_allclose(NormPair(1.5).q, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +327,9 @@ def test_ball_methods_take_huge_finite_vectors_without_overflow():
 @given(v=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 6)),
                 elements=st.floats(-1e100, 1e100)))
 def test_finite_norms_are_numpys_bit_for_bit(v):
-    # |entries| <= 1e100 keep numpy's own norms finite, q = 3 (cubes) included; a column
-    # and a reversed row are strided vectors
-    for pair in (NormPair(1), NormPair(1.5), NormPair(2)):
+    # |entries| <= 1e100 keep numpy's own norms finite; a column and a reversed row
+    # are strided vectors
+    for pair in (NormPair(1), NormPair(2)):
         for ord, norm in ((pair.p, pair.norm), (pair.q, pair.dual_norm)):
             for vec in (v[0], v[:, 0], v[0, ::-1]):
                 assert norm(vec) == np.linalg.norm(vec, ord=ord)

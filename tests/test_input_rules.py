@@ -49,7 +49,7 @@ GAME = matching_pennies(KERNEL, noise_scale=0.5, seed=1)
 
 
 def _cursor():
-    return ChainCursor(KERNEL, np.random.default_rng(0), start=0)
+    return ChainCursor(KERNEL, np.random.default_rng(0))
 
 
 def _skip(n):
@@ -88,7 +88,6 @@ COUNTS = {
     "skip steps": (0, _skip),
     "power_row steps": (0, lambda n: KERNEL.power_row(0, n)),
     "power_row state": (0, lambda n: KERNEL.power_row(n, 3)),
-    "cursor start": (0, lambda n: ChainCursor(KERNEL, np.random.default_rng(0), start=n).state),
     "random_ergodic n_states": (2, lambda n: random_ergodic(n, seed=0).P),
     "lazy_for_mixing_time target": (1, lambda n: lazy_for_mixing_time(KERNEL, n)[1:]),
     "MlmcConfig B": (1, lambda n: MlmcConfig(B=n).B),

@@ -55,10 +55,19 @@ def test_grad_oracle_shift_sign(two_state):
     np.testing.assert_allclose(p.noise_deviations(), -shifts)
 
 
-def test_nonzero_mean_shifts_rejected(two_state):
+# each rejection below holds at unit scale and 1e-12 times it: the tolerances used
+# to floor their scale at 1, so that below it they were absolute
+SCALES = [1.0, 1e-12]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_nonzero_mean_shifts_rejected(two_state, scale):
     geo = BoxGeometry(2, -1.0, 1.0)
-    with pytest.raises(InputError):
-        MinProblem(geo, np.eye(2), np.zeros(2), np.ones((2, 2)), two_state)
+    with pytest.raises(InputError, match="zero stationary mean"):
+        MinProblem(geo, np.eye(2), np.zeros(2), scale * np.ones((2, 2)), two_state)
+    # shifts of 1e-13 in every entry, a pi-mean as large as themselves, used to pass
+    centred = make_min_instance(2, two_state, noise_scale=scale, seed=1).shifts
+    MinProblem(geo, np.eye(2), np.zeros(2), centred, two_state)
 
 
 def test_large_noise_shifts_pass_the_zero_mean_check():
@@ -233,19 +242,23 @@ def test_vi_monotonicity(two_state, rng):
         assert (p.op(x) - p.op(y)) @ (x - y) >= -1e-12
 
 
-def test_vi_rejects_nonmonotone(two_state):
+@pytest.mark.parametrize("scale", SCALES)
+def test_vi_rejects_nonmonotone(two_state, scale):
     geo = BoxGeometry(1, -1.0, 1.0)
-    with pytest.raises(InputError):
-        ViProblem(geo, np.array([[-1.0]]), np.zeros(1), zero_shifts(two_state, 1), two_state)
+    with pytest.raises(InputError, match="monotone"):
+        ViProblem(geo, np.array([[-scale]]), np.zeros(1), zero_shifts(two_state, 1), two_state)
 
 
-def test_min_rejects_asymmetric_or_indefinite(two_state):
+@pytest.mark.parametrize("scale", SCALES)
+def test_min_rejects_asymmetric_or_indefinite(two_state, scale):
     geo = BoxGeometry(2, -1.0, 1.0)
-    with pytest.raises(InputError):
-        MinProblem(geo, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
-                   zero_shifts(two_state, 2), two_state)
-    with pytest.raises(InputError):
-        MinProblem(geo, -np.eye(2), np.zeros(2), zero_shifts(two_state, 2), two_state)
+    # at 1e-12 this A used to be accepted as symmetric and silently symmetrised
+    for A in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.5], [0.4, 1.0]]):
+        with pytest.raises(InputError, match="symmetric"):
+            MinProblem(geo, scale * np.array(A), np.zeros(2), zero_shifts(two_state, 2),
+                       two_state)
+    with pytest.raises(InputError, match="semidefinite"):
+        MinProblem(geo, -scale * np.eye(2), np.zeros(2), zero_shifts(two_state, 2), two_state)
 
 
 def _conjugated(seed, M):
@@ -274,11 +287,13 @@ def test_matrices_at_a_large_scale_keep_their_structure(two_state, scale):
         assert ViProblem(geo, K, np.zeros(6), shifts, two_state).is_skew()
 
 
-def test_matrix_slack_below_unit_scale_is_the_absolute_1e10(two_state):
+@pytest.mark.parametrize("scale", SCALES)
+def test_matrix_slack_is_1e10_of_the_largest_entry(two_state, scale):
+    # below unit scale the slack used to be an absolute 1e-10
     geo, shifts, zero = BoxGeometry(2, -1.0, 1.0), zero_shifts(two_state, 2), np.zeros(2)
     for eps, ok in ((4e-11, True), (2e-10, False)):
-        asymmetric = np.array([[1.0, eps], [0.0, 1.0]])
-        indefinite = np.diag([-eps, 1.0])
+        asymmetric = scale * np.array([[1.0, eps], [0.0, 1.0]])
+        indefinite = scale * np.diag([-eps, 1.0])
         for build in (lambda: MinProblem(geo, asymmetric, zero, shifts, two_state),
                       lambda: MinProblem(geo, indefinite, zero, shifts, two_state),
                       lambda: ViProblem(geo, indefinite, zero, shifts, two_state)):
@@ -287,7 +302,7 @@ def test_matrix_slack_below_unit_scale_is_the_absolute_1e10(two_state):
             else:
                 with pytest.raises(InputError):
                     build()
-        Q = np.array([[eps, 1.0], [-1.0, 0.0]])  # |Q + Q'| is 2 eps
+        Q = scale * np.array([[eps, 1.0], [-1.0, 0.0]])  # |Q + Q'| is 2 eps * scale
         assert ViProblem(geo, Q, zero, shifts, two_state).is_skew() == ok
 
 
@@ -413,11 +428,19 @@ def test_sigma_is_exact(dense8):
         assert measured == pytest.approx(scale, abs=1e-12)
 
 
-def test_sigma_mismatch_rejected(two_state):
+@pytest.mark.parametrize("scale", SCALES)
+def test_sigma_mismatch_rejected(two_state, scale):
     geo = BoxGeometry(2, -1.0, 1.0)
-    shifts = np.array([[1.0, 0.0], [-2.0, 0.0]])
-    with pytest.raises(InputError):
-        MinProblem(geo, np.eye(2), np.zeros(2), shifts, two_state, sigma=0.1)
+    shifts = scale * np.array([[1.0, 0.0], [-2.0, 0.0]])
+    shifts -= stationary(two_state) @ shifts
+    with pytest.raises(InputError, match="disagrees with shifts"):
+        MinProblem(geo, np.eye(2), np.zeros(2), shifts, two_state, sigma=0.1 * scale)
+    # at 1e-12, a stated sigma for shifts 1000 times larger used to be recorded
+    with pytest.raises(InputError, match="disagrees with shifts"):
+        MinProblem(geo, np.eye(2), np.zeros(2), 500 * shifts, two_state, sigma=scale)
+    measured = float(np.max(np.abs(shifts)))
+    assert MinProblem(geo, np.eye(2), np.zeros(2), shifts, two_state, sigma=measured).sigma \
+        == measured
 
 
 def test_deviations_have_zero_stationary_mean(dense8):
@@ -464,12 +487,20 @@ def test_shape_validation(two_state):
         make_vi_instance((2, 2, 2), two_state)
 
 
-def test_is_skew_uses_the_library_tolerance(two_state):
-    # err_vi, and so the CLI gap, accepts |Q + Q'| up to 1e-10
-    Q = np.array([[0.0, 1.0], [-1.0 + 5e-11, 0.0]])
-    p = ViProblem(BoxGeometry(2, -1.0, 1.0), Q, np.zeros(2), zero_shifts(two_state, 2), two_state)
+@pytest.mark.parametrize("scale", SCALES)
+def test_is_skew_uses_the_library_tolerance(two_state, scale):
+    # err_vi, and so the CLI gap, accepts |Q + Q'| up to 1e-10 of Q's largest entry
+    geo, shifts = BoxGeometry(2, -1.0, 1.0), zero_shifts(two_state, 2)
+    Q = scale * np.array([[0.0, 1.0], [-1.0 + 5e-11, 0.0]])
+    p = ViProblem(geo, Q, np.zeros(2), shifts, two_state)
     assert p.is_skew()
-    assert err_vi(p, np.zeros(2)) == pytest.approx(0.0, abs=1e-9)
+    assert err_vi(p, np.zeros(2)) == pytest.approx(0.0, abs=1e-9 * scale)
+    # at 1e-12 this Q used to read as skew, and err_vi gave it a skew operator's gap
+    p = ViProblem(geo, scale * np.array([[1.0, 1.0], [-1.0, 1.0]]), np.zeros(2), shifts,
+                  two_state)
+    assert not p.is_skew()
+    with pytest.raises(InputError, match="skew operator"):
+        err_vi(p, np.zeros(2))
 
 
 def _finite_problem(two_state, **bad):

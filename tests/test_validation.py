@@ -400,12 +400,24 @@ def test_deviation_scaling_input_checks(dense8, rng):
         deviation_scaling(dense8, dev, geo.norm_pair, [4, 8], 1, rng)  # 1 trial
     with pytest.raises(InputError):
         deviation_scaling(dense8, dev, geo.norm_pair, [4], 10, rng)  # 1 cell
-    with pytest.raises(InputError, match="not centered"):
-        # uncentered deviations
-        deviation_scaling(dense8, np.ones((8, 2)), geo.norm_pair, [4, 8], 10, rng)
     with pytest.raises(StatisticsError):
         # centered but identically zero: nothing to fit
         deviation_scaling(dense8, dev, geo.norm_pair, [4, 8], 10, rng)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+def test_not_centered_is_relative_to_the_deviations_size(dense8, rng, scale):
+    # the pi-mean bound was an absolute 1e-10, which the rounding of exactly centred
+    # rows passes at unit size but not at 1e8, and a 1e-6 offset passes below unit size
+    p = make_min_instance(3, dense8, noise_scale=scale, seed=2)
+    dev, norm_pair = p.noise_deviations(), p.geometry.norm_pair
+    assert deviation_scaling(dense8, dev, norm_pair, [4, 8], 10, rng).slope < 0
+    assert batch_bias_profile(dense8, dev, norm_pair, [4, 8]).bias_sq.all()
+    shifted = dev + 1e-6 * np.max(np.abs(dev))
+    with pytest.raises(InputError, match="not centered"):
+        deviation_scaling(dense8, shifted, norm_pair, [4, 8], 10, rng)
+    with pytest.raises(InputError, match="not centered"):
+        batch_bias_profile(dense8, shifted, norm_pair, [4, 8])
 
 
 @pytest.mark.parametrize("rows", [5, 12])
@@ -517,7 +529,7 @@ def per_trial_unbiasedness(oracle, x, config, n_trials, cursor, rng_level):
     n_pref = (1 << config.max_level) * config.B
     diffs = np.empty((n_trials, x.size))
     for i in range(n_trials):
-        level = _draw_level(rng_level)
+        level = int(_draw_level(rng_level, 1)[0])
         vals = _eval_rows(oracle, x, cursor.advance(n_pref))
         diffs[i] = combine_levels(vals, level, config.B, config.M) - vals.mean(axis=0)
     mean = diffs.mean(axis=0)
@@ -652,7 +664,7 @@ def test_bootstrap_ci_covers_point(rng):
     budgets = np.array([64.0, 256.0, 1024.0])
     base = 2.0 * budgets**-2.0
     gap_matrix = base * np.exp(rng.normal(0, 0.1, size=(9, 3)))
-    fit = bootstrap_rate_ci(budgets, gap_matrix, rng=rng)
+    fit = bootstrap_rate_ci(budgets, gap_matrix)
     assert fit.ci is not None
     lo, hi = fit.ci
     assert lo <= fit.slope <= hi
@@ -662,11 +674,8 @@ def test_bootstrap_ci_covers_point(rng):
 def test_bootstrap_ci_comes_from_200_seed_resamples(rng):
     budgets = np.array([64.0, 256.0, 1024.0])
     gap_matrix = 2.0 * budgets**-2.0 * np.exp(rng.normal(0, 0.1, size=(5, 3)))
-    draws = np.random.default_rng(3)
-    fit = bootstrap_rate_ci(budgets, gap_matrix, rng=draws)
-    ref = np.random.default_rng(3)
+    fit = bootstrap_rate_ci(budgets, gap_matrix)
+    ref = np.random.default_rng(0)
     slopes = [rate_fit(budgets, np.median(gap_matrix[ref.integers(0, 5, size=5)], axis=0)).slope
               for _ in range(200)]
     assert fit.ci == tuple(np.percentile(slopes, [2.5, 97.5]))
-    # no draw past the 200th resample
-    assert draws.random() == ref.random()
